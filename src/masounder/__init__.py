@@ -1,8 +1,8 @@
 """Wideband spatial channel sounding with multiplicative antenna arrays."""
 
 from .beamform import (BeamPattern, NoPeakError, Padp, Peak, PredictedTerm,
-                       UvBeam, cbf_ma, cbf_ma_uv, cbf_ura, cbf_ura_uv,
-                       cfr_to_cir, cir_to_cfr, find_peaks, padp_ma, padp_ura,
+                       UvBeam, cbf_ma, cbf_ma_uv, cbf_ura, cfr_to_cir,
+                       cir_to_cfr, find_peaks, padp_ma, padp_ura,
                        predict_ma_terms)
 from .channel import CfrSet, PathSet, add_noise, gen_ma_cfr, gen_ura_cfr
 from .cfrfile import CfrFormatError, read_cfr, write_cfr
@@ -16,7 +16,6 @@ from .patterns import (PowerPattern, auto_convolve, check_conjugate_symmetry,
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .sic import (EstimatedPath, EstimationReport, EstimatorConfig,
                   build_label_vector, detect_strongest, estimate_power,
-                  extract_path_cir, refine_delay, refine_on_padp, run_sic,
-                  subtract_path)
+                  extract_path_cir, refine_delay, run_sic, subtract_path)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

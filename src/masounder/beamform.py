@@ -8,7 +8,7 @@ import numpy as np
 from scipy import ndimage
 
 from .channel import CfrSet
-from .geometry import FrequencyGrid, PathComponent, ScanGrid, delay_axis, uv_map
+from .geometry import FrequencyGrid, ScanGrid, delay_axis, uv_map
 
 DB_FLOOR = 1e-30
 
@@ -94,10 +94,6 @@ def _conj_steer(indices: np.ndarray, spacing_wl: float, cosines: np.ndarray,
     return np.exp(-2j * np.pi * spacing_wl * scale * np.outer(indices, cosines.ravel()))
 
 
-def _phase_scale(cfr: CfrSet, f_hz: float) -> float:
-    return 1.0 if cfr.narrowband_phase else f_hz / cfr.ref_freq_hz
-
-
 def _resolve_window(window, n_points: int) -> np.ndarray | None:
     if window is None:
         return None
@@ -113,6 +109,58 @@ def _resolve_window(window, n_points: int) -> np.ndarray | None:
     return win / win.mean()
 
 
+def _weights(taper, counts: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis element weights: uniform without a taper, else checked."""
+    if taper is None:
+        return np.ones(counts[0]), np.ones(counts[1])
+    tx, ty = np.asarray(taper[0]), np.asarray(taper[1])
+    if (tx.size, ty.size) != tuple(counts):
+        raise ValueError("taper lengths must match the array geometry")
+    return tx, ty
+
+
+def _over_columns(cfr: CfrSet, cols, beam) -> np.ndarray:
+    """beam(scale, cols) over frequency columns, stacked on the last axis.
+    Narrowband phase steers all columns at the reference wavelength in one
+    call; wideband phase scales the steering by f / ref_freq_hz per column."""
+    if cfr.narrowband_phase:
+        return beam(1.0, cols)
+    cols = np.arange(cfr.freqs.n_points)[cols]
+    return np.concatenate([beam(f / cfr.ref_freq_hz, [c])
+                           for c, f in zip(cols, cfr.freqs.points[cols])], axis=-1)
+
+
+def _ura_beam(cfr: CfrSet, u: np.ndarray, v: np.ndarray, taper, cols) -> np.ndarray:
+    """Normalized URA delay-and-sum at paired cosines (u, v) of one shape,
+    over frequency columns cols; shape u.shape + (n_cols,)."""
+    geom = cfr.geometry
+    tx, ty = _weights(taper, (geom.m_count, geom.n_count))
+
+    def beam(scale, cols):
+        ax = _conj_steer(geom.x_indices, geom.dx_wl, u, scale) * tx[:, None]
+        ay = _conj_steer(geom.y_indices, geom.dy_wl, v, scale) * ty[:, None]
+        return np.einsum("mp,mnl,np->pl", ax, cfr.values[:, :, cols], ay, optimize=True)
+    b = _over_columns(cfr, cols, beam) / (np.sum(np.abs(tx)) * np.sum(np.abs(ty)))
+    return b.reshape(u.shape + (-1,))
+
+
+def _ma_beam(cfr_x: CfrSet, cfr_y: CfrSet, u: np.ndarray, v: np.ndarray, taper,
+             cols) -> np.ndarray:
+    """Product of the two normalized sub-array sums at broadcastable cosines
+    (u, v), over frequency columns cols; shape broadcast(u, v) + (n_cols,)."""
+    geom = cfr_x.geometry
+
+    def line_sum(cfr, indices, cosines, weights):
+        def beam(scale, cols):
+            steer = _conj_steer(indices, geom.d_wl, cosines, scale)
+            return steer.T @ (weights[:, None] * cfr.values[:, cols])
+        b = _over_columns(cfr, cols, beam) / np.sum(np.abs(weights))
+        return b.reshape(cosines.shape + (-1,))
+    tx, ty = _weights(taper, (geom.x_count, geom.y_count))
+    return (line_sum(cfr_x, geom.x_indices, u, tx)
+            * line_sum(cfr_y, geom.y_indices, v, ty))
+
+
 def cbf_ura(cfr: CfrSet, grid: ScanGrid, f_hz: float,
             taper: tuple[np.ndarray, np.ndarray] | None = None) -> BeamPattern:
     """Delay-and-sum beam pattern of a URA at a single sweep frequency.
@@ -122,19 +170,9 @@ def cbf_ura(cfr: CfrSet, grid: ScanGrid, f_hz: float,
     """
     if cfr.layout != "ura":
         raise ValueError("cbf_ura needs a URA-layout CFR")
-    geom = cfr.geometry
-    fi = _freq_index(cfr.freqs, f_hz)
-    tx = np.ones(geom.m_count) if taper is None else np.asarray(taper[0])
-    ty = np.ones(geom.n_count) if taper is None else np.asarray(taper[1])
-    if tx.size != geom.m_count or ty.size != geom.n_count:
-        raise ValueError("taper lengths must match the URA geometry")
     u, v = _scan_cosines(grid.theta_deg, grid.phi_deg)
-    scale = _phase_scale(cfr, f_hz)
-    ax = _conj_steer(geom.x_indices, geom.dx_wl, u, scale) * tx[:, None]
-    ay = _conj_steer(geom.y_indices, geom.dy_wl, v, scale) * ty[:, None]
-    h = cfr.values[:, :, fi]
-    b = np.einsum("mp,mn,np->p", ax, h, ay, optimize=True) / (np.sum(np.abs(tx)) * np.sum(np.abs(ty)))
-    return BeamPattern(b.reshape(u.shape), grid.theta_deg, grid.phi_deg, f_hz, "ura")
+    b = _ura_beam(cfr, u, v, taper, [_freq_index(cfr.freqs, f_hz)])
+    return BeamPattern(b[..., 0], grid.theta_deg, grid.phi_deg, f_hz, "ura")
 
 
 def cbf_ma(cfr_x: CfrSet, cfr_y: CfrSet, grid: ScanGrid, f_hz: float,
@@ -142,39 +180,9 @@ def cbf_ma(cfr_x: CfrSet, cfr_y: CfrSet, grid: ScanGrid, f_hz: float,
     """Product of the two normalized sub-array beamforming sums."""
     if cfr_x.layout != "ma_x" or cfr_y.layout != "ma_y":
         raise ValueError("cbf_ma needs ma_x and ma_y CFRs")
-    geom = cfr_x.geometry
-    fi = _freq_index(cfr_x.freqs, f_hz)
-    tx = np.ones(geom.x_count) if taper is None else np.asarray(taper[0])
-    ty = np.ones(geom.y_count) if taper is None else np.asarray(taper[1])
-    if tx.size != geom.x_count or ty.size != geom.y_count:
-        raise ValueError("taper lengths must match the MA geometry")
     u, v = _scan_cosines(grid.theta_deg, grid.phi_deg)
-    scale = _phase_scale(cfr_x, f_hz)
-    bx = (tx * cfr_x.values[:, fi]) @ _conj_steer(geom.x_indices, geom.d_wl, u, scale)
-    by = (ty * cfr_y.values[:, fi]) @ _conj_steer(geom.y_indices, geom.d_wl, v, scale)
-    b = (bx / np.sum(np.abs(tx))) * (by / np.sum(np.abs(ty)))
-    return BeamPattern(b.reshape(u.shape), grid.theta_deg, grid.phi_deg, f_hz, "ma")
-
-
-def cbf_ura_uv(cfr: CfrSet, u_axis: np.ndarray, v_axis: np.ndarray, f_hz: float,
-               taper: tuple[np.ndarray, np.ndarray] | None = None) -> UvBeam:
-    """URA beam pattern evaluated on a direction-cosine lattice."""
-    if cfr.layout != "ura":
-        raise ValueError("cbf_ura_uv needs a URA-layout CFR")
-    geom = cfr.geometry
-    fi = _freq_index(cfr.freqs, f_hz)
-    tx = np.ones(geom.m_count) if taper is None else np.asarray(taper[0])
-    ty = np.ones(geom.n_count) if taper is None else np.asarray(taper[1])
-    if tx.size != geom.m_count or ty.size != geom.n_count:
-        raise ValueError("taper lengths must match the URA geometry")
-    u_axis = np.asarray(u_axis, float)
-    v_axis = np.asarray(v_axis, float)
-    scale = _phase_scale(cfr, f_hz)
-    ax = _conj_steer(geom.x_indices, geom.dx_wl, u_axis, scale) * tx[:, None]
-    ay = _conj_steer(geom.y_indices, geom.dy_wl, v_axis, scale) * ty[:, None]
-    b = np.einsum("mu,mn,nv->uv", ax, cfr.values[:, :, fi], ay, optimize=True)
-    b /= np.sum(np.abs(tx)) * np.sum(np.abs(ty))
-    return UvBeam(b, u_axis, v_axis, f_hz, "ura")
+    b = _ma_beam(cfr_x, cfr_y, u, v, taper, [_freq_index(cfr_x.freqs, f_hz)])
+    return BeamPattern(b[..., 0], grid.theta_deg, grid.phi_deg, f_hz, "ma")
 
 
 def cbf_ma_uv(cfr_x: CfrSet, cfr_y: CfrSet, u_axis: np.ndarray,
@@ -183,25 +191,14 @@ def cbf_ma_uv(cfr_x: CfrSet, cfr_y: CfrSet, u_axis: np.ndarray,
     """MA beam pattern on a direction-cosine lattice (separable product)."""
     if cfr_x.layout != "ma_x" or cfr_y.layout != "ma_y":
         raise ValueError("cbf_ma_uv needs ma_x and ma_y CFRs")
-    geom = cfr_x.geometry
-    fi = _freq_index(cfr_x.freqs, f_hz)
-    tx = np.ones(geom.x_count) if taper is None else np.asarray(taper[0])
-    ty = np.ones(geom.y_count) if taper is None else np.asarray(taper[1])
-    if tx.size != geom.x_count or ty.size != geom.y_count:
-        raise ValueError("taper lengths must match the MA geometry")
     u_axis = np.asarray(u_axis, float)
     v_axis = np.asarray(v_axis, float)
-    scale = _phase_scale(cfr_x, f_hz)
-    bx = (tx * cfr_x.values[:, fi]) @ _conj_steer(geom.x_indices, geom.d_wl,
-                                                  u_axis, scale)
-    by = (ty * cfr_y.values[:, fi]) @ _conj_steer(geom.y_indices, geom.d_wl,
-                                                  v_axis, scale)
-    b = np.outer(bx / np.sum(np.abs(tx)), by / np.sum(np.abs(ty)))
-    return UvBeam(b, u_axis, v_axis, f_hz, "ma")
+    b = _ma_beam(cfr_x, cfr_y, u_axis[:, None], v_axis[None, :], taper,
+                 [_freq_index(cfr_x.freqs, f_hz)])
+    return UvBeam(b[..., 0], u_axis, v_axis, f_hz, "ma")
 
 
-def inverse_delay_transform(spectrum: np.ndarray, freqs: FrequencyGrid,
-                            pad_factor: int) -> np.ndarray:
+def cfr_to_cir(values: np.ndarray, freqs: FrequencyGrid, pad_factor: int) -> np.ndarray:
     """Zero-padded sum over frequency of X(f) exp(+j 2 pi f tau), divided by L.
 
     Operates along the last axis; output length is L * pad_factor on the
@@ -209,72 +206,28 @@ def inverse_delay_transform(spectrum: np.ndarray, freqs: FrequencyGrid,
     """
     L = freqs.n_points
     n = L * pad_factor
-    out = np.fft.ifft(spectrum, n=n, axis=-1) * (n / L)
+    out = np.fft.ifft(values, n=n, axis=-1) * (n / L)
     tau = delay_axis(freqs, pad_factor)
     return out * np.exp(2j * np.pi * freqs.f_start_hz * tau)
 
 
-def forward_delay_transform(profile: np.ndarray, freqs: FrequencyGrid,
-                            pad_factor: int) -> np.ndarray:
-    """Exact inverse of inverse_delay_transform (delay bins back to the sweep)."""
+def cir_to_cfr(cir: np.ndarray, freqs: FrequencyGrid, pad_factor: int) -> np.ndarray:
+    """Exact inverse of cfr_to_cir (delay bins back to the sweep)."""
     L = freqs.n_points
     n = L * pad_factor
     tau = delay_axis(freqs, pad_factor)
-    descreened = profile * np.exp(-2j * np.pi * freqs.f_start_hz * tau)
+    descreened = cir * np.exp(-2j * np.pi * freqs.f_start_hz * tau)
     return np.fft.fft(descreened, axis=-1)[..., :L] * (L / n)
 
 
-def cfr_to_cir(values: np.ndarray, freqs: FrequencyGrid, pad_factor: int) -> np.ndarray:
-    """Per-element impulse response on the padded delay axis."""
-    return inverse_delay_transform(values, freqs, pad_factor)
-
-
-def cir_to_cfr(cir: np.ndarray, freqs: FrequencyGrid, pad_factor: int) -> np.ndarray:
-    """Per-element frequency response recovered from a padded impulse response."""
-    return forward_delay_transform(cir, freqs, pad_factor)
-
-
-def _beam_over_sweep_ura(cfr: CfrSet, theta_deg: float, phi_deg: np.ndarray,
-                         taper) -> np.ndarray:
-    """B(f, phi) at fixed elevation, shape (n_phi, L)."""
-    geom = cfr.geometry
-    tx = np.ones(geom.m_count) if taper is None else np.asarray(taper[0])
-    ty = np.ones(geom.n_count) if taper is None else np.asarray(taper[1])
-    u, v = _scan_cosines(np.array([theta_deg]), phi_deg)
-    norm = np.sum(np.abs(tx)) * np.sum(np.abs(ty))
-    if cfr.narrowband_phase:
-        ax = _conj_steer(geom.x_indices, geom.dx_wl, u, 1.0) * tx[:, None]
-        ay = _conj_steer(geom.y_indices, geom.dy_wl, v, 1.0) * ty[:, None]
-        return np.einsum("mp,mnl,np->pl", ax, cfr.values, ay, optimize=True) / norm
-    out = np.empty((phi_deg.size, cfr.freqs.n_points), complex)
-    for li, f in enumerate(cfr.freqs.points):
-        scale = f / cfr.ref_freq_hz
-        ax = _conj_steer(geom.x_indices, geom.dx_wl, u, scale) * tx[:, None]
-        ay = _conj_steer(geom.y_indices, geom.dy_wl, v, scale) * ty[:, None]
-        out[:, li] = np.einsum("mp,mn,np->p", ax, cfr.values[:, :, li], ay, optimize=True) / norm
-    return out
-
-
-def _beam_over_sweep_ma(cfr_x: CfrSet, cfr_y: CfrSet, theta_deg: float,
-                        phi_deg: np.ndarray, taper) -> np.ndarray:
-    geom = cfr_x.geometry
-    tx = np.ones(geom.x_count) if taper is None else np.asarray(taper[0])
-    ty = np.ones(geom.y_count) if taper is None else np.asarray(taper[1])
-    u, v = _scan_cosines(np.array([theta_deg]), phi_deg)
-    if cfr_x.narrowband_phase:
-        bx = _conj_steer(geom.x_indices, geom.d_wl, u, 1.0).T @ (tx[:, None] * cfr_x.values)
-        by = _conj_steer(geom.y_indices, geom.d_wl, v, 1.0).T @ (ty[:, None] * cfr_y.values)
-    else:
-        L = cfr_x.freqs.n_points
-        bx = np.empty((phi_deg.size, L), complex)
-        by = np.empty((phi_deg.size, L), complex)
-        for li, f in enumerate(cfr_x.freqs.points):
-            scale = f / cfr_x.ref_freq_hz
-            bx[:, li] = _conj_steer(geom.x_indices, geom.d_wl, u, scale).T @ \
-                (tx * cfr_x.values[:, li])
-            by[:, li] = _conj_steer(geom.y_indices, geom.d_wl, v, scale).T @ \
-                (ty * cfr_y.values[:, li])
-    return (bx / np.sum(np.abs(tx))) * (by / np.sum(np.abs(ty)))
+def _padp(spectrum: np.ndarray, cfr: CfrSet, theta_deg: float, phi_deg: np.ndarray,
+          pad_factor: int, window, kind: str) -> Padp:
+    """Window the (phi, frequency) beam spectrum and transform it to delay."""
+    win = _resolve_window(window, cfr.freqs.n_points)
+    if win is not None:
+        spectrum = spectrum * win
+    values = cfr_to_cir(spectrum, cfr.freqs, pad_factor).T
+    return Padp(values, delay_axis(cfr.freqs, pad_factor), phi_deg, theta_deg, kind)
 
 
 def padp_ura(cfr: CfrSet, theta_deg: float, phi_deg: np.ndarray,
@@ -283,12 +236,9 @@ def padp_ura(cfr: CfrSet, theta_deg: float, phi_deg: np.ndarray,
     if cfr.layout != "ura":
         raise ValueError("padp_ura needs a URA-layout CFR")
     phi_deg = np.asarray(phi_deg, float)
-    spectrum = _beam_over_sweep_ura(cfr, theta_deg, phi_deg, taper)
-    win = _resolve_window(window, cfr.freqs.n_points)
-    if win is not None:
-        spectrum = spectrum * win
-    values = inverse_delay_transform(spectrum, cfr.freqs, pad_factor).T
-    return Padp(values, delay_axis(cfr.freqs, pad_factor), phi_deg, theta_deg, "ura")
+    u, v = _scan_cosines(np.array([theta_deg]), phi_deg)
+    spectrum = _ura_beam(cfr, u, v, taper, slice(None))[0]
+    return _padp(spectrum, cfr, theta_deg, phi_deg, pad_factor, window, "ura")
 
 
 def padp_ma(cfr_x: CfrSet, cfr_y: CfrSet, theta_deg: float, phi_deg: np.ndarray,
@@ -297,12 +247,9 @@ def padp_ma(cfr_x: CfrSet, cfr_y: CfrSet, theta_deg: float, phi_deg: np.ndarray,
     if cfr_x.layout != "ma_x" or cfr_y.layout != "ma_y":
         raise ValueError("padp_ma needs ma_x and ma_y CFRs")
     phi_deg = np.asarray(phi_deg, float)
-    spectrum = _beam_over_sweep_ma(cfr_x, cfr_y, theta_deg, phi_deg, taper)
-    win = _resolve_window(window, cfr_x.freqs.n_points)
-    if win is not None:
-        spectrum = spectrum * win
-    values = inverse_delay_transform(spectrum, cfr_x.freqs, pad_factor).T
-    return Padp(values, delay_axis(cfr_x.freqs, pad_factor), phi_deg, theta_deg, "ma")
+    u, v = _scan_cosines(np.array([theta_deg]), phi_deg)
+    spectrum = _ma_beam(cfr_x, cfr_y, u, v, taper, slice(None))[0]
+    return _padp(spectrum, cfr_x, theta_deg, phi_deg, pad_factor, window, "ma")
 
 
 @dataclass(frozen=True)

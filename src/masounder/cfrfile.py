@@ -8,6 +8,10 @@ from .channel import CfrSet
 from .geometry import FrequencyGrid, MaGeometry, UraGeometry
 
 FORMAT_VERSION = 1
+# Body row: element index x, element index y, frequency index, Re, Im.
+_ROW = [("m", int), ("n", int), ("l", int), ("re", float), ("im", float)]
+# Rows formatted per writelines call; bounds the Python objects held at once.
+_ROWS_PER_CHUNK = 1 << 16
 
 
 class CfrFormatError(ValueError):
@@ -35,51 +39,54 @@ def _header_fields(cfr: CfrSet) -> dict:
     }
 
 
+def _element_axes(layout: str, geometry) -> tuple[np.ndarray, np.ndarray]:
+    """Signed element indices of the x and y index columns. An MA sub-array
+    is an element grid whose other axis holds only index 0."""
+    if layout == "ura":
+        return geometry.x_indices, geometry.y_indices
+    zero = np.zeros(1, int)
+    return (geometry.x_indices, zero) if layout == "ma_x" else (zero, geometry.y_indices)
+
+
+def write_rows(fh, fmt: str, *columns) -> None:
+    """Write fmt % row for every row of the equal-size columns (raveled)."""
+    columns = [np.ravel(c) for c in columns]
+    for start in range(0, columns[0].size, _ROWS_PER_CHUNK):
+        chunk = (c[start:start + _ROWS_PER_CHUNK].tolist() for c in columns)
+        fh.writelines(fmt % row for row in zip(*chunk))
+
+
 def write_cfr(path, cfr: CfrSet) -> None:
     """Serialize one CFR set; complex values keep 17 significant digits."""
     fields = _header_fields(cfr)
+    xs, ys = _element_axes(cfr.layout, cfr.geometry)
+    m, n, l = np.meshgrid(xs, ys, np.arange(cfr.freqs.n_points), indexing="ij")
     with open(path, "w") as fh:
         for key, value in fields.items():
             if isinstance(value, float):
                 fh.write(f"# {key}={value:.17g}\n")
             else:
                 fh.write(f"# {key}={value}\n")
-        if cfr.layout == "ura":
-            xi = cfr.geometry.x_indices
-            yi = cfr.geometry.y_indices
-            for a, m in enumerate(xi):
-                for b, n in enumerate(yi):
-                    for l in range(cfr.freqs.n_points):
-                        z = cfr.values[a, b, l]
-                        fh.write(f"{m},{n},{l},{z.real:.17g},{z.imag:.17g}\n")
-        else:
-            idx = cfr.geometry.x_indices if cfr.layout == "ma_x" else cfr.geometry.y_indices
-            for a, m in enumerate(idx):
-                for l in range(cfr.freqs.n_points):
-                    z = cfr.values[a, l]
-                    if cfr.layout == "ma_x":
-                        fh.write(f"{m},0,{l},{z.real:.17g},{z.imag:.17g}\n")
-                    else:
-                        fh.write(f"0,{m},{l},{z.real:.17g},{z.imag:.17g}\n")
+        write_rows(fh, "%d,%d,%d,%.17g,%.17g\n", m, n, l, cfr.values.real, cfr.values.imag)
 
 
 def read_cfr(path) -> CfrSet:
     """Parse a CFR file back into a CfrSet; round-trips write_cfr exactly."""
-    headers: dict[str, str] = {}
-    rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                headers[key.strip()] = value.strip()
-            else:
-                parts = line.split(",")
-                if len(parts) != 5:
-                    raise CfrFormatError(f"malformed body row: {line!r}")
-                rows.append(parts)
+        lines = fh.read().splitlines()
+    headers: dict[str, str] = {}
+    body = []
+    for line in lines:
+        line = line.strip()
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition("=")
+            headers[key.strip()] = value.strip()
+        elif line:
+            if line.count(",") != 4:
+                raise CfrFormatError(f"malformed body row: {line!r}")
+            body.append(line)
+    rows = (np.loadtxt(body, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
+            if body else np.empty(0, _ROW))
     try:
         version = int(headers["format_version"])
         layout = headers["layout"]
@@ -96,43 +103,38 @@ def read_cfr(path) -> CfrSet:
         raise CfrFormatError(f"unsupported format_version {version}")
     if layout == "ura":
         geometry = UraGeometry(nx, ny, spacing, spacing)
-        values = np.zeros((nx, ny, freqs.n_points), complex)
     elif layout in ("ma_x", "ma_y"):
         geometry = MaGeometry(nx, ny, spacing)
-        count = nx if layout == "ma_x" else ny
-        values = np.zeros((count, freqs.n_points), complex)
     else:
         raise CfrFormatError(f"unknown layout {layout!r}")
-    seen = np.zeros(values.shape, bool)
-    for mx, my, fl, re, im in rows:
-        m, n, l = int(mx), int(my), int(fl)
-        z = complex(float(re), float(im))
-        if l < 0 or l >= freqs.n_points:
-            raise CfrFormatError(f"frequency index {l} out of range")
-        if layout == "ura":
-            a, b = m + (nx - 1) // 2, n + (ny - 1) // 2
-            if not (0 <= a < nx and 0 <= b < ny):
-                raise CfrFormatError(f"element index ({m},{n}) out of range")
-            key = (a, b, l)
-        elif layout == "ma_x":
-            if my != "0" and int(my) != 0:
-                raise CfrFormatError("ma_x rows must have elem_index_y == 0")
-            a = m + (nx - 1) // 2
-            if not 0 <= a < nx:
-                raise CfrFormatError(f"element index {m} out of range")
-            key = (a, l)
-        else:
-            if int(mx) != 0:
-                raise CfrFormatError("ma_y rows must have elem_index_x == 0")
-            a = n + (ny - 1) // 2
-            if not 0 <= a < ny:
-                raise CfrFormatError(f"element index {n} out of range")
-            key = (a, l)
-        if seen[key]:
-            raise CfrFormatError(f"duplicate row for entry {key}")
-        seen[key] = True
-        values[key] = z
-    if not seen.all():
+    xs, ys = _element_axes(layout, geometry)
+    L = freqs.n_points
+    m, n, l = rows["m"], rows["n"], rows["l"]
+    bad_l = np.flatnonzero((l < 0) | (l >= L))
+    if bad_l.size:
+        raise CfrFormatError(f"frequency index {l[bad_l[0]]} out of range")
+    if layout == "ma_x" and np.any(n != 0):
+        raise CfrFormatError("ma_x rows must have elem_index_y == 0")
+    if layout == "ma_y" and np.any(m != 0):
+        raise CfrFormatError("ma_y rows must have elem_index_x == 0")
+    a, b = m - xs[0], n - ys[0]
+    bad = np.flatnonzero((a < 0) | (a >= xs.size) | (b < 0) | (b >= ys.size))
+    if bad.size:
+        i = bad[0]
+        where = f"({m[i]},{n[i]})" if layout == "ura" else (m[i] if layout == "ma_x" else n[i])
+        raise CfrFormatError(f"element index {where} out of range")
+    shape = (xs.size, ys.size, L) if layout == "ura" else (xs.size * ys.size, L)
+    flat = (a * ys.size + b) * L + l
+    counts = np.bincount(flat, minlength=xs.size * ys.size * L)
+    if np.any(counts > 1):
+        key = np.unravel_index(np.flatnonzero(counts > 1)[0], shape)
+        raise CfrFormatError(f"duplicate row for entry {tuple(int(k) for k in key)}")
+    if not counts.all():
         raise CfrFormatError(
-            f"body covers {int(seen.sum())} entries, header implies {seen.size}")
-    return CfrSet(layout, values, freqs, geometry, ref_freq)
+            f"body covers {np.count_nonzero(counts)} entries, header implies {counts.size}")
+    values = np.empty(counts.size, complex)
+    # Real and imaginary parts are set separately: re + 1j*im would turn a
+    # -0.0 real part into +0.0.
+    values.real[flat] = rows["re"]
+    values.imag[flat] = rows["im"]
+    return CfrSet(layout, values.reshape(shape), freqs, geometry, ref_freq)

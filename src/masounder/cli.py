@@ -14,13 +14,12 @@ import click
 import numpy as np
 
 from .beamform import NoPeakError, cbf_ma, cbf_ura, padp_ma, padp_ura
-from .cfrfile import CfrFormatError, read_cfr, write_cfr
+from .cfrfile import CfrFormatError, read_cfr, write_cfr, write_rows
 from .channel import add_noise, gen_ma_cfr, gen_ura_cfr
 from .compare import compare_arrays
-from .geometry import Direction, uv_map
 from .patterns import check_conjugate_symmetry, ma_power_pattern, ura_power_pattern
 from .scenario import Scenario, ScenarioError, dump_scenario, parse_scenario
-from .sic import EstimatorConfig, run_sic
+from .sic import run_sic
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -29,22 +28,19 @@ EXIT_IO = 4
 EQUIVALENCE_TOL_DB = 1e-6
 
 
-def _fmt9(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def _common_options(fn):
-    @click.option("--config", "config_path", required=True,
-                  type=click.Path(exists=True, dir_okay=False),
-                  help="Scenario JSON file.")
-    @click.option("--out", "out_dir", default=".", type=click.Path(file_okay=False),
-                  help="Output directory.")
-    @click.option("--seed", default=0, type=int, help="RNG seed for noise.")
-    @click.option("--quiet", is_flag=True, help="Suppress progress messages.")
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        return fn(*args, **kwargs)
-    return wrapper
+    """Add the --config, --out, --seed and --quiet options every command takes."""
+    # Applied innermost first, so --help lists them from --config down.
+    for option in (
+            click.option("--quiet", is_flag=True, help="Suppress progress messages."),
+            click.option("--seed", default=0, type=int, help="RNG seed for noise."),
+            click.option("--out", "out_dir", default=".", type=click.Path(file_okay=False),
+                         help="Output directory."),
+            click.option("--config", "config_path", required=True,
+                         type=click.Path(exists=True, dir_okay=False),
+                         help="Scenario JSON file.")):
+        fn = option(fn)
+    return fn
 
 
 def _load(config_path: str, out_dir: str, quiet: bool) -> tuple[Scenario, Path]:
@@ -80,13 +76,16 @@ def main():
     """Wideband channel sounding with multiplicative arrays."""
 
 
-def _write_uv_pattern(path: Path, pattern) -> None:
-    level = pattern.level_db()
+def _write_csv(path: Path, header: str, x, y, level) -> None:
+    """One line per cell of the equal-shape x, y and level grids, 9 digits each."""
     with open(path, "w") as fh:
-        fh.write("u,v,level_db\n")
-        for i, u in enumerate(pattern.u_axis):
-            for j, v in enumerate(pattern.v_axis):
-                fh.write(f"{_fmt9(u)},{_fmt9(v)},{_fmt9(level[i, j])}\n")
+        fh.write(header)
+        write_rows(fh, "%.9g,%.9g,%.9g\n", x, y, level)
+
+
+def _write_uv_pattern(path: Path, pattern) -> None:
+    u, v = np.meshgrid(pattern.u_axis, pattern.v_axis, indexing="ij")
+    _write_csv(path, "u,v,level_db\n", u, v, pattern.level_db())
 
 
 @main.command("synth-pattern")
@@ -148,22 +147,14 @@ def cmd_simulate(config_path, out_dir, seed, quiet):
 
 
 def _write_beam_csv(path: Path, beam) -> None:
-    level = beam.level_db()
-    with open(path, "w") as fh:
-        fh.write("u,v,level_db\n")
-        for i, theta in enumerate(beam.theta_deg):
-            for j, phi in enumerate(beam.phi_deg):
-                uv = uv_map(Direction(float(theta), float(phi) % 360.0))
-                fh.write(f"{_fmt9(uv.u)},{_fmt9(uv.v)},{_fmt9(level[i, j])}\n")
+    st = np.sin(np.radians(beam.theta_deg))[:, None]
+    phi = np.radians(beam.phi_deg % 360.0)
+    _write_csv(path, "u,v,level_db\n", st * np.cos(phi), st * np.sin(phi), beam.level_db())
 
 
 def _write_padp_csv(path: Path, padp) -> None:
-    level = padp.level_db()
-    with open(path, "w") as fh:
-        fh.write("azimuth_deg,delay_ns,level_db\n")
-        for j, phi in enumerate(padp.phi_deg):
-            for i, tau in enumerate(padp.delay_s):
-                fh.write(f"{_fmt9(phi)},{_fmt9(tau * 1e9)},{_fmt9(level[i, j])}\n")
+    phi, tau_ns = np.meshgrid(padp.phi_deg, padp.delay_s * 1e9, indexing="ij")
+    _write_csv(path, "azimuth_deg,delay_ns,level_db\n", phi, tau_ns, padp.level_db().T)
 
 
 @main.command("beamscan")
@@ -218,22 +209,16 @@ def cmd_estimate(config_path, out_dir, seed, quiet, cfr_dir):
     if not (ma_x_file.exists() and ma_y_file.exists()):
         raise OSError(f"MA CFR files not found under {src}")
     ma_x, ma_y = read_cfr(ma_x_file), read_cfr(ma_y_file)
-    config = EstimatorConfig(scan=scenario.scan_grid(),
-                             epsilon_db=scenario.epsilon_db,
-                             max_iterations=scenario.max_iterations,
-                             gate_db=scenario.gate_db,
-                             pad_factor=scenario.pad_factor)
 
     def snapshot(q, padp):
         _write_padp_csv(out / f"ma_padp_iter{q}.csv", padp)
 
-    report = run_sic(ma_x, ma_y, config, snapshot_hook=snapshot)
+    report = run_sic(ma_x, ma_y, scenario.estimator_config(), snapshot_hook=snapshot)
     with open(out / "paths.csv", "w") as fh:
         fh.write("iteration,power_db,delay_ns,elevation_deg,azimuth_deg,stop_reason\n")
-        for p in report.paths:
-            fh.write(f"{p.iteration},{_fmt9(p.amplitude_db)},"
-                     f"{_fmt9(p.delay_s * 1e9)},{_fmt9(p.direction.theta_deg)},"
-                     f"{_fmt9(p.direction.phi_deg)},{report.stop_reason}\n")
+        fh.writelines("%d,%.9g,%.9g,%.9g,%.9g,%s\n" % (
+            p.iteration, p.amplitude_db, p.delay_s * 1e9, p.direction.theta_deg,
+            p.direction.phi_deg, report.stop_reason) for p in report.paths)
     if not quiet:
         click.echo(f"{len(report.paths)} paths recovered "
                    f"(stop: {report.stop_reason}); table in {out / 'paths.csv'}")
@@ -253,13 +238,10 @@ def cmd_compare(config_path, out_dir, seed, quiet):
         fh.write("path,ura_delay_ns,ura_azimuth_deg,ura_power_db,"
                  "ma_delay_ns,ma_azimuth_deg,ma_power_db,"
                  "err_delay_ns,err_azimuth_deg,err_power_db\n")
-        for row in result.rows:
-            ed, ea, ep = row.errors
-            fh.write(f"{row.index},{_fmt9(row.ura_delay_ns)},"
-                     f"{_fmt9(row.ura_azimuth_deg)},{_fmt9(row.ura_power_db)},"
-                     f"{_fmt9(row.ma_delay_ns)},{_fmt9(row.ma_azimuth_deg)},"
-                     f"{_fmt9(row.ma_power_db)},{_fmt9(ed)},{_fmt9(ea)},"
-                     f"{_fmt9(ep)}\n")
+        fh.writelines(("%d" + ",%.9g" * 9 + "\n") % (
+            row.index, row.ura_delay_ns, row.ura_azimuth_deg, row.ura_power_db,
+            row.ma_delay_ns, row.ma_azimuth_deg, row.ma_power_db, *row.errors)
+            for row in result.rows)
     if not quiet:
         click.echo(f"comparison table in {out / 'comparison.csv'}")
 

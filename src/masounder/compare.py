@@ -9,7 +9,7 @@ import numpy as np
 from .beamform import find_peaks, padp_ura
 from .channel import CfrSet, add_noise, gen_ma_cfr, gen_ura_cfr
 from .scenario import Scenario, ScenarioError
-from .sic import EstimatorConfig, run_sic
+from .sic import run_sic
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,7 @@ def compare_arrays(scenario: Scenario, seed: int = 0) -> ComparisonResult:
         min_separation=scenario.compare_min_separation,
         max_paths=len(scenario.paths))
 
-    config = EstimatorConfig(scan=grid, epsilon_db=scenario.epsilon_db,
-                             max_iterations=scenario.max_iterations,
-                             gate_db=scenario.gate_db,
-                             pad_factor=scenario.pad_factor)
-    report = run_sic(ma_x, ma_y, config)
+    report = run_sic(ma_x, ma_y, scenario.estimator_config())
 
     delay_scale = 1.0 / scenario.freqs.bandwidth_hz  # one resolution bin
     phi_scale = scenario.scan_phi[2]

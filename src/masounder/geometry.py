@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,17 +199,15 @@ def delay_axis(freqs: FrequencyGrid, pad_factor: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScanGrid:
-    """Angular scan axes plus the delay axis used by beam/PADP evaluation."""
+    """Angular scan axes for beam and PADP evaluation."""
 
     theta_deg: np.ndarray
     phi_deg: np.ndarray
-    delay_s: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
         object.__setattr__(self, "theta_deg", np.asarray(self.theta_deg, float))
         object.__setattr__(self, "phi_deg", np.asarray(self.phi_deg, float))
-        object.__setattr__(self, "delay_s", np.asarray(self.delay_s, float))
-        for name in ("theta_deg", "phi_deg", "delay_s"):
+        for name in ("theta_deg", "phi_deg"):
             axis = getattr(self, name)
             if axis.size > 1 and not np.all(np.diff(axis) > 0):
                 raise ValueError(f"{name} axis must be strictly increasing")
@@ -217,10 +215,7 @@ class ScanGrid:
     @classmethod
     def regular(cls, theta_start: float = 0.0, theta_stop: float = 90.0,
                 theta_step: float = 1.0, phi_start: float = 90.0,
-                phi_stop: float = 270.0, phi_step: float = 1.0,
-                freqs: FrequencyGrid | None = None,
-                pad_factor: int = 4) -> "ScanGrid":
+                phi_stop: float = 270.0, phi_step: float = 1.0) -> "ScanGrid":
         theta = np.arange(theta_start, theta_stop + 0.5 * theta_step, theta_step)
         phi = np.arange(phi_start, phi_stop + 0.5 * phi_step, phi_step)
-        delays = delay_axis(freqs, pad_factor) if freqs is not None else np.empty(0)
-        return cls(theta, phi, delays)
+        return cls(theta, phi)

@@ -10,6 +10,7 @@ import numpy as np
 from .channel import PathSet
 from .geometry import FrequencyGrid, MaGeometry, PathComponent, ScanGrid, UraGeometry
 from .patterns import auto_convolve, chebyshev_taper, steer
+from .sic import EstimatorConfig
 
 
 class ScenarioError(ValueError):
@@ -47,8 +48,13 @@ class Scenario:
     def scan_grid(self) -> ScanGrid:
         t0, t1, dt = self.scan_theta
         p0, p1, dp = self.scan_phi
-        return ScanGrid.regular(t0, t1, dt, p0, p1, dp,
-                                freqs=self.freqs, pad_factor=self.pad_factor)
+        return ScanGrid.regular(t0, t1, dt, p0, p1, dp)
+
+    def estimator_config(self) -> EstimatorConfig:
+        """SIC settings of this scenario, scanning its scan grid."""
+        return EstimatorConfig(scan=self.scan_grid(), epsilon_db=self.epsilon_db,
+                               max_iterations=self.max_iterations,
+                               gate_db=self.gate_db, pad_factor=self.pad_factor)
 
     def ura_taper(self) -> tuple[np.ndarray, np.ndarray] | None:
         if self.taper_sidelobe_db is None:

@@ -15,10 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamform import (BeamPattern, NoPeakError, Padp, cbf_ma, cfr_to_cir,
-                       cir_to_cfr, padp_ma)
+from .beamform import (BeamPattern, NoPeakError, cbf_ma, cfr_to_cir, cir_to_cfr,
+                       padp_ma)
 from .channel import CfrSet, PathSet, gen_ma_cfr
-from .geometry import Direction, PathComponent, ScanGrid, uv_map
+from .geometry import Direction, PathComponent, ScanGrid, delay_axis, uv_map
+
+# A profile maximum whose gated amplitude falls this far below the profile
+# level is a cross-product artifact (no single-axis support); it is skipped
+# in favour of the next maximum.
+CONSISTENCY_MARGIN_DB = 6.0
 
 
 @dataclass(frozen=True)
@@ -28,11 +33,6 @@ class EstimatorConfig:
     max_iterations: int = 20
     gate_db: float | None = None  # defaults to epsilon_db
     pad_factor: int = 4
-    taper: tuple[np.ndarray, np.ndarray] | None = None
-    # A profile maximum whose gated amplitude falls this far below the
-    # profile level is a cross-product artifact (no single-axis support);
-    # it is skipped in favour of the next maximum. None disables the check.
-    consistency_margin_db: float | None = 6.0
 
     def __post_init__(self):
         if self.epsilon_db <= 0:
@@ -87,20 +87,6 @@ def detect_strongest(beam: BeamPattern) -> Direction:
     return Direction(float(beam.theta_deg[rows[k]]), float(beam.phi_deg[cols[k]]) % 360.0)
 
 
-def refine_on_padp(padp: Padp) -> tuple[float, float]:
-    """Peak of the (phi, delay) plane; returns refined azimuth and the
-    delay halved to undo the MA doubling."""
-    mag = np.abs(padp.values)
-    top = mag.max()
-    if top <= 0:
-        raise NoPeakError("angle-delay profile is identically zero")
-    rows, cols = np.nonzero(mag == top)
-    k = np.lexsort((cols, rows))[0]
-    phi_hat = float(padp.phi_deg[cols[k]]) % 360.0
-    tau_hat = float(padp.delay_s[rows[k]]) / 2.0
-    return phi_hat, tau_hat
-
-
 def _argmax_cell(level: np.ndarray) -> tuple[int, int]:
     """Cell of the grid maximum; ties go to the lowest row, then column."""
     rows, cols = np.nonzero(level == level.max())
@@ -138,8 +124,7 @@ def _linear_axis_profile(cfr: CfrSet, cosine: float, indices: np.ndarray,
     """Beamformed single-axis delay profile; linear in the path amplitude."""
     steer = np.exp(-2j * np.pi * cfr.geometry.d_wl * indices * cosine)
     spectrum = steer @ cfr.values / indices.size
-    from .beamform import inverse_delay_transform
-    return inverse_delay_transform(spectrum, cfr.freqs, pad_factor)
+    return cfr_to_cir(spectrum, cfr.freqs, pad_factor)
 
 
 def refine_delay(extracted_x: CfrSet, extracted_y: CfrSet, theta_hat: float,
@@ -163,6 +148,8 @@ def refine_delay(extracted_x: CfrSet, extracted_y: CfrSet, theta_hat: float,
         return tau_hat
     bin_s = 1.0 / (extracted_x.freqs.n_points * pad_factor
                    * extracted_x.freqs.spacing_hz)
+    # Imported here: scipy.optimize takes longer to import than the rest of
+    # the package, and only estimation needs it.
     from scipy.optimize import minimize_scalar
     result = minimize_scalar(
         lambda t: -abs(np.exp(2j * np.pi * f * t) @ spectrum),
@@ -240,32 +227,31 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
     iteration cap is reached. The reference amplitude is frozen at the
     first detected path. snapshot_hook(q, padp), when given, receives the
     residual angle-delay profile at the start of each iteration."""
-    if cfr_x.freqs != cfr_y.freqs:
-        raise ValueError("sub-array CFRs must share the frequency grid")
+    for name in ("freqs", "geometry", "ref_freq_hz", "narrowband_phase"):
+        if getattr(cfr_x, name) != getattr(cfr_y, name):
+            raise ValueError(f"sub-array CFRs must share {name}")
+    if not (np.isfinite(cfr_x.values).all() and np.isfinite(cfr_y.values).all()):
+        raise ValueError("input CFR has non-finite values")
     if cfr_x.total_power() == 0 and cfr_y.total_power() == 0:
         raise NoPeakError("input CFR is identically zero")
     freqs = cfr_x.freqs
     pad = config.pad_factor
     gate_db = config.epsilon_db if config.gate_db is None else config.gate_db
-    delays = None
+    delays = delay_axis(freqs, pad)
     rx, ry = cfr_x, cfr_y
     alpha_max: float | None = None
     paths: list[EstimatedPath] = []
     diags: list[IterationDiagnostics] = []
     stop_reason = "max-iterations"
     for q in range(config.max_iterations):
-        beam = cbf_ma(rx, ry, config.scan, freqs.f_center_hz, taper=config.taper)
+        beam = cbf_ma(rx, ry, config.scan, freqs.f_center_hz)
         if np.abs(beam.values).max() <= 1e-30:
             stop_reason = "dynamic-range"
             break
         coarse = detect_strongest(beam)
-        padp = padp_ma(rx, ry, coarse.theta_deg, config.scan.phi_deg, pad,
-                       taper=config.taper)
+        padp = padp_ma(rx, ry, coarse.theta_deg, config.scan.phi_deg, pad)
         if snapshot_hook is not None:
             snapshot_hook(q, padp)
-        if delays is None:
-            from .geometry import delay_axis
-            delays = delay_axis(freqs, pad)
         cir_x = cfr_to_cir(rx.values, freqs, pad)
         cir_y = cfr_to_cir(ry.values, freqs, pad)
         level = padp.level_db()
@@ -295,10 +281,8 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
                                        phi_hat, tau_hat, pad)
             except NoPeakError:
                 alpha = None
-            margin = config.consistency_margin_db
-            if alpha is not None and (
-                    margin is None
-                    or 20.0 * math.log10(abs(alpha)) >= level[r, c] - margin):
+            if (alpha is not None and 20.0 * math.log10(abs(alpha))
+                    >= level[r, c] - CONSISTENCY_MARGIN_DB):
                 found = (direction, phi_hat, tau_hat, alpha, gate, ext_x)
                 break
             # Cross-product artifact: strong in the product profile, but no

@@ -44,13 +44,34 @@ def test_ura_round_trip_is_bit_exact(tmp_path):
 
 def test_ma_round_trips_are_bit_exact(tmp_path):
     cx, cy = gen_ma_cfr(PATHS, MaGeometry(5, 7, 0.414), FREQS)
-    for cfr, name in ((cx, "x.csv"), (cy, "y.csv")):
+    # signed zeros must survive: -0.0 and 0.0 compare equal, so check bits
+    signed = cx.values.copy()
+    signed[0, :4] = [complex(-0.0, 1.5), complex(2.0, -0.0),
+                     complex(-0.0, -0.0), complex(0.0, -0.0)]
+    for cfr, name in ((cx.with_values(signed), "x.csv"), (cy, "y.csv")):
         p = tmp_path / name
         write_cfr(p, cfr)
         back = read_cfr(p)
         assert back.layout == cfr.layout
         assert back.geometry == cfr.geometry
-        np.testing.assert_array_equal(back.values, cfr.values)
+        np.testing.assert_array_equal(back.values.view(np.uint64),
+                                      cfr.values.view(np.uint64))
+
+
+def test_write_matches_row_by_row_reference(tmp_path):
+    ura = gen_ura_cfr(PATHS, UraGeometry(3, 5, 0.5, 0.5), FREQS)
+    _, ma_y = gen_ma_cfr(PATHS, MaGeometry(5, 7, 0.5), FREQS)
+    for cfr, xs, ys in ((ura, ura.geometry.x_indices, ura.geometry.y_indices),
+                        (ma_y, [0], ma_y.geometry.y_indices)):
+        values = cfr.values.reshape(len(xs), len(ys), FREQS.n_points)
+        body = [f"{m},{n},{l},{values[a, b, l].real:.17g},{values[a, b, l].imag:.17g}"
+                for a, m in enumerate(xs) for b, n in enumerate(ys)
+                for l in range(FREQS.n_points)]
+        p = tmp_path / f"{cfr.layout}.csv"
+        write_cfr(p, cfr)
+        lines = p.read_text().splitlines()
+        assert lines[-len(body):] == body
+        assert all(line.startswith("#") for line in lines[:-len(body)])
 
 
 def test_write_rejects_anisotropic_ura(tmp_path):

@@ -1,0 +1,34 @@
+"""CLI outputs on bundled scenarios, compared byte for byte with committed copies.
+
+The files under tests/golden/ were written by the CLI at the default seed;
+any change to them must be a deliberate change of the estimator's output.
+"""
+
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from masounder.cli import main
+
+from conftest import scenario_path
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _run(*args):
+    r = CliRunner().invoke(main, [*args, "--quiet"], catch_exceptions=False)
+    assert r.exit_code == 0, r.output
+
+
+def test_table1_small_paths_match_golden(tmp_path):
+    cfg = scenario_path("table1_small")
+    _run("simulate", "--config", cfg, "--out", str(tmp_path))
+    _run("estimate", "--config", cfg, "--out", str(tmp_path))
+    assert (tmp_path / "paths.csv").read_bytes() == \
+        (GOLDEN / "table1_small_paths.csv").read_bytes()
+
+
+def test_table2_mimic_comparison_matches_golden(tmp_path):
+    _run("compare", "--config", scenario_path("table2_mimic"), "--out", str(tmp_path))
+    assert (tmp_path / "comparison.csv").read_bytes() == \
+        (GOLDEN / "table2_mimic_comparison.csv").read_bytes()

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from masounder.cli import main
+from masounder.geometry import Direction, uv_map
 from masounder.scenario import (Scenario, ScenarioError, parse_scenario,
                                 scenario_from_dict)
 
@@ -195,3 +196,34 @@ def test_cli_synth_pattern_needs_ura(tmp_path):
     r = CliRunner().invoke(main, ["synth-pattern", "--config", cfg,
                                   "--out", str(tmp_path / "o")])
     assert r.exit_code == 2
+
+
+def test_cli_estimate_non_finite_cfr_exits_2(tmp_path):
+    cfg = str(_write_tiny(tmp_path))
+    out = tmp_path / "out"
+    assert _run(["simulate", "--config", cfg, "--out", str(out),
+                 "--quiet"]).exit_code == 0
+    cfr_file = out / "ma_x_cfr.csv"
+    lines = cfr_file.read_text().splitlines()
+    m, n, l, _, _ = lines[-1].split(",")
+    lines[-1] = f"{m},{n},{l},nan,0"
+    cfr_file.write_text("\n".join(lines) + "\n")
+    r = CliRunner().invoke(main, ["estimate", "--config", cfg, "--out", str(out)])
+    assert r.exit_code == 2
+    assert "non-finite" in r.output
+
+
+def test_cli_beam_csv_cosines_match_uv_map(tmp_path):
+    cfg = str(_write_tiny(tmp_path))
+    out = tmp_path / "out"
+    for cmd in ("simulate", "beamscan"):
+        assert _run([cmd, "--config", cfg, "--out", str(out), "--quiet"]).exit_code == 0
+    rows = [line.split(",")[:2]
+            for line in (out / "ma_beam.csv").read_text().splitlines()[1:]]
+    grid = parse_scenario(cfg).scan_grid()
+    expect = []
+    for theta in grid.theta_deg:
+        for phi in grid.phi_deg:
+            uv = uv_map(Direction(float(theta), float(phi) % 360.0))
+            expect.append([f"{uv.u:.9g}", f"{uv.v:.9g}"])
+    assert rows == expect

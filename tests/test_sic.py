@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from masounder.beamform import BeamPattern, NoPeakError, Padp, cfr_to_cir, padp_ma
+from masounder.beamform import BeamPattern, NoPeakError, cfr_to_cir, padp_ma
 from masounder.channel import PathSet, gen_ma_cfr
 from masounder.geometry import (Direction, FrequencyGrid, MaGeometry,
                                 PathComponent, ScanGrid)
 from masounder.sic import (EstimatorConfig, build_label_vector,
                            detect_strongest, estimate_power, extract_path_cir,
-                           refine_delay, refine_on_padp, run_sic, subtract_path)
+                           refine_delay, run_sic, subtract_path)
 
 FREQS = FrequencyGrid(26e9, 30e9, 48)
 GEO = MaGeometry(9, 9, 0.5)
@@ -32,19 +32,6 @@ def test_detect_strongest_and_tie_breaks():
         detect_strongest(BeamPattern(np.zeros((2, 2), complex),
                                      np.array([0.0, 1.0]), np.array([0.0, 1.0]),
                                      28e9, "ma"))
-
-
-def test_refine_on_padp_halves_delay():
-    values = np.zeros((10, 3), complex)
-    values[6, 1] = 1.0
-    padp = Padp(values, np.arange(10) * 1e-9, np.array([118.0, 120.0, 122.0]),
-                60.0, "ma")
-    phi_hat, tau_hat = refine_on_padp(padp)
-    assert phi_hat == 120.0
-    assert tau_hat == pytest.approx(3e-9)
-    with pytest.raises(NoPeakError):
-        refine_on_padp(Padp(np.zeros((2, 2), complex), np.arange(2) * 1e-9,
-                            np.array([0.0, 1.0]), 60.0, "ma"))
 
 
 def test_build_label_vector_threshold():
@@ -171,12 +158,31 @@ def test_run_sic_rejects_zero_input():
         run_sic(zx, zy, EstimatorConfig(SCAN))
 
 
-def test_run_sic_rejects_mismatched_grids():
+# gen_ma_cfr arguments (after the paths) of an ma_y that differs from
+# GEO/FREQS in the named CfrSet field.
+MISMATCHED_Y = {
+    "freqs": (GEO, FrequencyGrid(26e9, 30e9, 96)),
+    "geometry": (MaGeometry(9, 9, 0.7), FREQS),
+    "ref_freq_hz": (GEO, FREQS, True, 27e9),
+    "narrowband_phase": (GEO, FREQS, False),
+}
+
+
+@pytest.mark.parametrize("name", list(MISMATCHED_Y))
+def test_run_sic_rejects_mismatched_grids(name):
     cx, _ = gen_ma_cfr(PathSet(THREE_PATHS), GEO, FREQS)
-    other = FrequencyGrid(26e9, 30e9, 96)
-    _, cy = gen_ma_cfr(PathSet(THREE_PATHS), GEO, other)
-    with pytest.raises(ValueError):
+    _, cy = gen_ma_cfr(PathSet(THREE_PATHS), *MISMATCHED_Y[name])
+    with pytest.raises(ValueError, match=name):
         run_sic(cx, cy, EstimatorConfig(SCAN))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_run_sic_rejects_non_finite_input(bad):
+    cx, cy = gen_ma_cfr(PathSet(THREE_PATHS), GEO, FREQS)
+    values = cx.values.copy()
+    values[3, 7] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        run_sic(cx.with_values(values), cy, EstimatorConfig(SCAN))
 
 
 def test_run_sic_snapshot_hook_sees_each_iteration():
