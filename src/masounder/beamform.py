@@ -144,21 +144,30 @@ def _ura_beam(cfr: CfrSet, u: np.ndarray, v: np.ndarray, taper, cols) -> np.ndar
     return b.reshape(u.shape + (-1,))
 
 
+def line_spectrum(cfr: CfrSet, cosines, cols=slice(None)) -> np.ndarray:
+    """Unnormalized steered sum a(c)^H H of an MA sub-array at cosines c along
+    its axis, over frequency columns cols; shape c.shape + (n_cols,)."""
+    if cfr.layout not in ("ma_x", "ma_y"):
+        raise ValueError("line_spectrum needs an ma_x or ma_y CFR")
+    geom, cosines = cfr.geometry, np.asarray(cosines, float)
+    indices = geom.x_indices if cfr.layout == "ma_x" else geom.y_indices
+
+    def beam(scale, cols):
+        return _conj_steer(indices, geom.d_wl, cosines, scale).T @ cfr.values[:, cols]
+    return _over_columns(cfr, cols, beam).reshape(cosines.shape + (-1,))
+
+
 def _ma_beam(cfr_x: CfrSet, cfr_y: CfrSet, u: np.ndarray, v: np.ndarray, taper,
              cols) -> np.ndarray:
     """Product of the two normalized sub-array sums at broadcastable cosines
     (u, v), over frequency columns cols; shape broadcast(u, v) + (n_cols,)."""
     geom = cfr_x.geometry
 
-    def line_sum(cfr, indices, cosines, weights):
-        def beam(scale, cols):
-            steer = _conj_steer(indices, geom.d_wl, cosines, scale)
-            return steer.T @ (weights[:, None] * cfr.values[:, cols])
-        b = _over_columns(cfr, cols, beam) / np.sum(np.abs(weights))
-        return b.reshape(cosines.shape + (-1,))
+    def line_sum(cfr, cosines, weights):
+        weighted = cfr.with_values(weights[:, None] * cfr.values)
+        return line_spectrum(weighted, cosines, cols) / np.sum(np.abs(weights))
     tx, ty = _weights(taper, (geom.x_count, geom.y_count))
-    return (line_sum(cfr_x, geom.x_indices, u, tx)
-            * line_sum(cfr_y, geom.y_indices, v, ty))
+    return line_sum(cfr_x, u, tx) * line_sum(cfr_y, v, ty)
 
 
 def cbf_ura(cfr: CfrSet, grid: ScanGrid, f_hz: float,

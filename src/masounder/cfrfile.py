@@ -7,7 +7,7 @@ import numpy as np
 from .channel import CfrSet
 from .geometry import FrequencyGrid, MaGeometry, UraGeometry
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 # Body row: element index x, element index y, frequency index, Re, Im.
 _ROW = [("m", int), ("n", int), ("l", int), ("re", float), ("im", float)]
 # Rows formatted per writelines call; bounds the Python objects held at once.
@@ -36,6 +36,7 @@ def _header_fields(cfr: CfrSet) -> dict:
         "n_elem_y": ny,
         "spacing_wl": spacing,
         "ref_freq_hz": cfr.ref_freq_hz,
+        "narrowband_phase": int(cfr.narrowband_phase),
     }
 
 
@@ -97,10 +98,14 @@ def read_cfr(path) -> CfrSet:
         ny = int(headers["n_elem_y"])
         spacing = float(headers["spacing_wl"])
         ref_freq = float(headers["ref_freq_hz"])
+        # Version 1 files carry no flag and read as narrowband.
+        narrowband = headers["narrowband_phase"] if version == FORMAT_VERSION else "1"
     except KeyError as exc:
         raise CfrFormatError(f"missing header key: {exc}") from exc
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise CfrFormatError(f"unsupported format_version {version}")
+    if narrowband not in ("0", "1"):
+        raise CfrFormatError(f"narrowband_phase must be 0 or 1, not {narrowband!r}")
     if layout == "ura":
         geometry = UraGeometry(nx, ny, spacing, spacing)
     elif layout in ("ma_x", "ma_y"):
@@ -137,4 +142,5 @@ def read_cfr(path) -> CfrSet:
     # -0.0 real part into +0.0.
     values.real[flat] = rows["re"]
     values.imag[flat] = rows["im"]
-    return CfrSet(layout, values.reshape(shape), freqs, geometry, ref_freq)
+    return CfrSet(layout, values.reshape(shape), freqs, geometry, ref_freq,
+                  narrowband == "1")

@@ -1,11 +1,13 @@
 """Successive interference cancellation estimator for MA channel sounding.
 
-Each iteration detects the strongest beam maximum at the center frequency,
-refines azimuth and (halved) delay on the angle-delay profile, gates the
-residual impulse response around the detected delay, estimates the path
-amplitude from the gated response, reconstructs the path's CFR and
-subtracts it. Fake cross-product paths vanish together with the true path
-that spawned them, so the strongest residual maximum is always a true path.
+Each iteration detects the strongest beam maximum at the center frequency
+and tries the maxima of the residual angle-delay profile as path candidates.
+A candidate is tested on the two sub-array line spectra steered at its
+direction: both are gated around its halved delay, which is refined on
+their sum, and its amplitude comes from their gated product. A cross-product
+maximum has no single-axis support there and is skipped. An accepted path
+is regenerated on every element and subtracted; the cross products it
+spawned vanish with it.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beamform import (BeamPattern, NoPeakError, cbf_ma, cfr_to_cir, cir_to_cfr,
-                       padp_ma)
+                       line_spectrum, padp_ma)
 from .channel import CfrSet, PathSet, gen_ma_cfr
-from .geometry import Direction, PathComponent, ScanGrid, delay_axis, uv_map
+from .geometry import (Direction, FrequencyGrid, MaGeometry, PathComponent,
+                       ScanGrid, delay_axis, uv_map)
 
 # A profile maximum whose gated amplitude falls this far below the profile
 # level is a cross-product artifact (no single-axis support); it is skipped
@@ -98,12 +101,12 @@ def build_label_vector(synthetic_cir: np.ndarray, epsilon_db: float) -> np.ndarr
     """Binary delay gate: 1 where the unit-amplitude synthetic response
     exceeds the threshold 10^(-eps/20) of its own maximum.
 
-    Path delays are element-independent, so a single gate serves every
-    element row; a 2D input is reduced over elements first.
+    Path delays are element-independent, so the 1-D delay response of a
+    unit path gives one gate for every element and both line spectra.
     """
     mag = np.abs(np.asarray(synthetic_cir))
-    if mag.ndim == 2:
-        mag = mag.mean(axis=0)
+    if mag.ndim != 1:
+        raise ValueError("the synthetic impulse response must be 1-D")
     top = mag.max()
     if top <= 0:
         raise NoPeakError("synthetic impulse response is identically zero")
@@ -119,71 +122,52 @@ def extract_path_cir(residual_cir: np.ndarray, gate: np.ndarray) -> np.ndarray:
     return residual_cir * gate
 
 
-def _linear_axis_profile(cfr: CfrSet, cosine: float, indices: np.ndarray,
-                         pad_factor: int) -> np.ndarray:
-    """Beamformed single-axis delay profile; linear in the path amplitude."""
-    steer = np.exp(-2j * np.pi * cfr.geometry.d_wl * indices * cosine)
-    spectrum = steer @ cfr.values / indices.size
-    return cfr_to_cir(spectrum, cfr.freqs, pad_factor)
-
-
-def refine_delay(extracted_x: CfrSet, extracted_y: CfrSet, theta_hat: float,
-                 phi_hat: float, tau_hat: float, pad_factor: int = 4) -> float:
+def refine_delay(gated_x: np.ndarray, gated_y: np.ndarray, freqs: FrequencyGrid,
+                 tau_hat: float, pad_factor: int = 4) -> float:
     """Sub-bin delay refinement around the profile peak.
 
     The padded delay axis quantizes the peak to a finite bin; the leftover
     offset turns into a phase ramp across the band that caps how deep the
-    later subtraction can cancel. Maximizing the projection of a steered
-    single-delay model onto the gated response over a one-bin window
-    removes that quantization.
+    later subtraction can cancel. Maximizing |exp(j 2 pi f tau) . (g_x + g_y)|,
+    the projection of a single-delay model onto the gated line spectra,
+    over a one-bin window removes that quantization. The window ends below
+    half the unambiguous delay, which no path delay may reach.
     """
-    uv = uv_map(Direction(theta_hat, phi_hat))
-    f = extracted_x.freqs.points
-    steer_x = np.exp(-2j * np.pi * extracted_x.geometry.d_wl
-                     * extracted_x.geometry.x_indices * uv.u)
-    steer_y = np.exp(-2j * np.pi * extracted_y.geometry.d_wl
-                     * extracted_y.geometry.y_indices * uv.v)
-    spectrum = steer_x @ extracted_x.values + steer_y @ extracted_y.values
+    spectrum = gated_x + gated_y
     if np.abs(spectrum).max() <= 1e-30:
         return tau_hat
-    bin_s = 1.0 / (extracted_x.freqs.n_points * pad_factor
-                   * extracted_x.freqs.spacing_hz)
+    f = freqs.points
+    bin_s = 1.0 / (freqs.n_points * pad_factor * freqs.spacing_hz)
+    limit = 0.5 * freqs.unambiguous_delay_s
     # Imported here: scipy.optimize takes longer to import than the rest of
     # the package, and only estimation needs it.
     from scipy.optimize import minimize_scalar
     result = minimize_scalar(
         lambda t: -abs(np.exp(2j * np.pi * f * t) @ spectrum),
-        bounds=(max(tau_hat - bin_s, 0.0), tau_hat + bin_s),
+        bounds=(max(tau_hat - bin_s, 0.0),
+                min(tau_hat + bin_s, float(np.nextafter(limit, 0.0)))),
         method="bounded", options={"xatol": 1e-15})
     return float(result.x)
 
 
-def estimate_power(extracted_x: CfrSet, extracted_y: CfrSet, theta_hat: float,
-                   phi_hat: float, tau_hat: float,
+def estimate_power(gated_x: np.ndarray, gated_y: np.ndarray, freqs: FrequencyGrid,
+                   tau_hat: float, geometry: MaGeometry,
                    pad_factor: int = 4) -> complex:
     """Complex amplitude of the gated single-path response.
 
-    The magnitude is the square root of the MA profile peak (a true MA term
-    carries the squared amplitude). The phase is taken from the projection
-    of a unit-amplitude model of the detected path onto the gated response:
-    the projection is linear in the amplitude and absorbs the phase offset
-    caused by the finite delay-bin resolution, so the later subtraction is
-    a least-squares fit rather than a bin-quantized one.
+    The magnitude is the square root of the gated MA profile's peak,
+    cfr_to_cir(g_x g_y) / (N_x N_y), as a true MA term carries the squared
+    amplitude. The phase is that of the unit-path projection
+    exp(j 2 pi f tau) . (g_x + g_y): it absorbs the phase offset of the
+    finite delay-bin resolution, so the later subtraction is a
+    least-squares fit rather than a bin-quantized one.
     """
-    padp = padp_ma(extracted_x, extracted_y, theta_hat, np.array([phi_hat]),
-                   pad_factor)
-    profile = np.abs(padp.values[:, 0])
-    peak = profile.max()
+    profile = np.abs(cfr_to_cir(gated_x * gated_y, freqs, pad_factor))
+    peak = profile.max() / (geometry.x_count * geometry.y_count)
     if peak <= 1e-30:
         raise NoPeakError("gated response peak is below the numerical floor")
     magnitude = math.sqrt(peak)
-    model = PathComponent(1.0 + 0j, Direction(theta_hat, phi_hat), tau_hat)
-    mx, my = gen_ma_cfr(PathSet([model]), extracted_x.geometry,
-                        extracted_x.freqs,
-                        narrowband_phase=extracted_x.narrowband_phase,
-                        ref_freq_hz=extracted_x.ref_freq_hz)
-    inner = (np.vdot(mx.values, extracted_x.values)
-             + np.vdot(my.values, extracted_y.values))
+    inner = np.exp(2j * np.pi * freqs.points * tau_hat) @ (gated_x + gated_y)
     if abs(inner) <= 1e-30:
         raise NoPeakError("gated response does not project onto the model path")
     phase = float(np.angle(inner))
@@ -205,12 +189,17 @@ def _gate_diag(gate: np.ndarray, delays: np.ndarray) -> tuple[int, tuple[float, 
     return len(idx), (float(delays[idx[0]]), float(delays[idx[-1]]))
 
 
-def _joint_capture(extracted_x: CfrSet, theta_hat: float, phi_hat: float,
-                   pad_factor: int, freqs) -> bool:
+def _gated_spectrum(cfr: CfrSet, cosine: float, gate: np.ndarray,
+                    pad_factor: int) -> np.ndarray:
+    """Line spectrum of cfr steered at cosine, with every delay bin outside
+    the gate zeroed."""
+    cir = cfr_to_cir(line_spectrum(cfr, cosine), cfr.freqs, pad_factor)
+    return cir_to_cfr(extract_path_cir(cir, gate), cfr.freqs, pad_factor)
+
+
+def _joint_capture(gated_x: np.ndarray, freqs: FrequencyGrid, pad_factor: int) -> bool:
     """Flag when the gated profile holds more than one comparable delay peak."""
-    uv = uv_map(Direction(theta_hat, phi_hat))
-    bx = np.abs(_linear_axis_profile(extracted_x, uv.u,
-                                     extracted_x.geometry.x_indices, pad_factor))
+    bx = np.abs(cfr_to_cir(gated_x, freqs, pad_factor))
     top = bx.max()
     if top <= 0:
         return False
@@ -222,11 +211,11 @@ def _joint_capture(extracted_x: CfrSet, theta_hat: float, phi_hat: float,
 
 def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
             snapshot_hook=None) -> EstimationReport:
-    """Iterate detect -> refine -> gate -> extract -> estimate -> subtract
-    until the next candidate falls outside the dynamic range or the
-    iteration cap is reached. The reference amplitude is frozen at the
-    first detected path. snapshot_hook(q, padp), when given, receives the
-    residual angle-delay profile at the start of each iteration."""
+    """Iterate detect -> gate -> refine -> estimate -> subtract until the
+    next candidate falls outside the dynamic range or the iteration cap is
+    reached. The reference amplitude is frozen at the first detected path.
+    snapshot_hook(q, padp), when given, receives the residual angle-delay
+    profile at the start of each iteration."""
     for name in ("freqs", "geometry", "ref_freq_hz", "narrowband_phase"):
         if getattr(cfr_x, name) != getattr(cfr_y, name):
             raise ValueError(f"sub-array CFRs must share {name}")
@@ -252,8 +241,6 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
         padp = padp_ma(rx, ry, coarse.theta_deg, config.scan.phi_deg, pad)
         if snapshot_hook is not None:
             snapshot_hook(q, padp)
-        cir_x = cfr_to_cir(rx.values, freqs, pad)
-        cir_y = cfr_to_cir(ry.values, freqs, pad)
         level = padp.level_db()
         work = level.copy()
         floor = level.max() - config.epsilon_db
@@ -261,29 +248,21 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
         skipped = 0
         while work.max() >= floor:
             r, c = _argmax_cell(work)
-            phi_hat = float(padp.phi_deg[c]) % 360.0
             tau_hat = float(padp.delay_s[r]) / 2.0
-            direction = Direction(coarse.theta_deg, phi_hat)
-            unit_x, _ = gen_ma_cfr(
-                PathSet([PathComponent(1.0 + 0j, direction, tau_hat)]),
-                rx.geometry, freqs, narrowband_phase=rx.narrowband_phase,
-                ref_freq_hz=rx.ref_freq_hz)
-            gate = build_label_vector(cfr_to_cir(unit_x.values, freqs, pad),
-                                      gate_db)
-            ext_x = rx.with_values(cir_to_cfr(extract_path_cir(cir_x, gate),
-                                              freqs, pad))
-            ext_y = ry.with_values(cir_to_cfr(extract_path_cir(cir_y, gate),
-                                              freqs, pad))
-            tau_hat = refine_delay(ext_x, ext_y, direction.theta_deg, phi_hat,
-                                   tau_hat, pad)
+            direction = Direction(coarse.theta_deg, float(padp.phi_deg[c]) % 360.0)
+            uv = uv_map(direction)
+            kernel = cfr_to_cir(np.exp(-2j * np.pi * freqs.points * tau_hat), freqs, pad)
+            gate = build_label_vector(kernel, gate_db)
+            gx = _gated_spectrum(rx, uv.u, gate, pad)
+            gy = _gated_spectrum(ry, uv.v, gate, pad)
+            tau_hat = refine_delay(gx, gy, freqs, tau_hat, pad)
             try:
-                alpha = estimate_power(ext_x, ext_y, direction.theta_deg,
-                                       phi_hat, tau_hat, pad)
+                alpha = estimate_power(gx, gy, freqs, tau_hat, rx.geometry, pad)
             except NoPeakError:
                 alpha = None
             if (alpha is not None and 20.0 * math.log10(abs(alpha))
                     >= level[r, c] - CONSISTENCY_MARGIN_DB):
-                found = (direction, phi_hat, tau_hat, alpha, gate, ext_x)
+                found = (direction, tau_hat, alpha, gate, gx)
                 break
             # Cross-product artifact: strong in the product profile, but no
             # single-axis support at the halved delay. Hide it and move on;
@@ -295,7 +274,7 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
         if found is None:
             stop_reason = "dynamic-range"
             break
-        direction, phi_hat, tau_hat, alpha, gate, ext_x = found
+        direction, tau_hat, alpha, gate, gx = found
         magnitude = abs(alpha)
         if alpha_max is None:
             alpha_max = magnitude
@@ -308,8 +287,7 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
             amplitude_db=20.0 * math.log10(max(magnitude, 1e-30)),
             gate_bins=gate_bins,
             gate_span_s=gate_span,
-            joint_capture=_joint_capture(ext_x, direction.theta_deg, phi_hat,
-                                         pad, freqs),
+            joint_capture=_joint_capture(gx, freqs, pad),
             accepted=accepted,
             candidates_skipped=skipped,
         ))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from masounder.cfrfile import CfrFormatError, read_cfr, write_cfr
+from masounder.cfrfile import FORMAT_VERSION, CfrFormatError, read_cfr, write_cfr
 from masounder.channel import CfrSet, PathSet, gen_ma_cfr, gen_ura_cfr
 from masounder.geometry import (FrequencyGrid, MaGeometry, PathComponent,
                                 UraGeometry)
@@ -56,6 +56,31 @@ def test_ma_round_trips_are_bit_exact(tmp_path):
         assert back.geometry == cfr.geometry
         np.testing.assert_array_equal(back.values.view(np.uint64),
                                       cfr.values.view(np.uint64))
+
+
+def test_wideband_round_trip_keeps_narrowband_flag(tmp_path):
+    freqs = FrequencyGrid(26e9, 30e9, 16)
+    for cfr in gen_ma_cfr(PATHS, MaGeometry(5, 5), freqs, narrowband_phase=False):
+        p = tmp_path / f"{cfr.layout}.csv"
+        write_cfr(p, cfr)
+        assert f"# format_version={FORMAT_VERSION}" in p.read_text().splitlines()
+        back = read_cfr(p)
+        assert back.narrowband_phase is False
+        np.testing.assert_array_equal(back.values.view(np.uint64),
+                                      cfr.values.view(np.uint64))
+
+
+def test_read_narrowband_phase_header(tmp_path):
+    # version 1 has no narrowband_phase header
+    assert read_cfr(_tiny_file(tmp_path, FULL_MA_BODY)).narrowband_phase is True
+    p = _tiny_file(tmp_path, FULL_MA_BODY, format_version=2)
+    with pytest.raises(CfrFormatError, match="missing header key"):
+        read_cfr(p)
+    p = _tiny_file(tmp_path, FULL_MA_BODY, format_version=2, narrowband_phase="yes")
+    with pytest.raises(CfrFormatError, match="narrowband_phase"):
+        read_cfr(p)
+    p = _tiny_file(tmp_path, FULL_MA_BODY, format_version=2, narrowband_phase=0)
+    assert read_cfr(p).narrowband_phase is False
 
 
 def test_write_matches_row_by_row_reference(tmp_path):

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from masounder.beamform import BeamPattern, NoPeakError, cfr_to_cir, padp_ma
-from masounder.channel import PathSet, gen_ma_cfr
+from masounder.beamform import (BeamPattern, NoPeakError, cfr_to_cir,
+                                cir_to_cfr, line_spectrum, padp_ma)
+from masounder.channel import PathSet, add_noise, gen_ma_cfr
 from masounder.geometry import (Direction, FrequencyGrid, MaGeometry,
-                                PathComponent, ScanGrid)
+                                PathComponent, ScanGrid, uv_map)
+from masounder.scenario import parse_scenario
 from masounder.sic import (EstimatorConfig, build_label_vector,
                            detect_strongest, estimate_power, extract_path_cir,
                            refine_delay, run_sic, subtract_path)
+
+from conftest import scenario_path
 
 FREQS = FrequencyGrid(26e9, 30e9, 48)
 GEO = MaGeometry(9, 9, 0.5)
@@ -38,10 +42,9 @@ def test_build_label_vector_threshold():
     cir = np.array([0.001, 0.5, 1.0, 0.009, 0.011])
     gate = build_label_vector(cir, 40.0)  # threshold 0.01
     assert gate.tolist() == [False, True, True, False, True]
-    # 2D input reduces over the element axis first
-    stacked = np.vstack([cir, np.zeros_like(cir)])
-    assert build_label_vector(stacked, 40.0).tolist() == \
-        [False, True, True, False, True]
+    # one 1-D gate serves every element, so 2-D responses are rejected
+    with pytest.raises(ValueError, match="1-D"):
+        build_label_vector(np.vstack([cir, cir]), 40.0)
     with pytest.raises(NoPeakError):
         build_label_vector(np.zeros(8), 30.0)
 
@@ -60,6 +63,37 @@ def _single_path_cfrs(path):
     return gen_ma_cfr(PathSet([path]), GEO, FREQS)
 
 
+def _spectra(cx, cy, theta, phi):
+    """The two line spectra steered at the direction (theta, phi)."""
+    uv = uv_map(Direction(theta, phi))
+    return line_spectrum(cx, uv.u), line_spectrum(cy, uv.v)
+
+
+def _gate(freqs, tau, pad_factor=4, gate_db=30.0):
+    kernel = cfr_to_cir(np.exp(-2j * np.pi * freqs.points * tau), freqs, pad_factor)
+    return build_label_vector(kernel, gate_db)
+
+
+def _gated(values, gate, freqs, pad_factor=4):
+    """Gate the delay response of every row (element) of values."""
+    return cir_to_cfr(extract_path_cir(cfr_to_cir(values, freqs, pad_factor), gate),
+                      freqs, pad_factor)
+
+
+def test_line_spectrum_of_gated_cfr_is_gated_line_spectrum(rng):
+    # beamforming is linear and the gate is the same for every element, so
+    # gating each element then steering equals steering then gating
+    re, im = rng.normal(size=(2, GEO.x_count, FREQS.n_points))
+    cx, _ = _single_path_cfrs(THREE_PATHS[0])
+    cx = cx.with_values(re + 1j * im)
+    gate = _gate(FREQS, 2.0e-9)
+    for u in (0.0, 0.37, -0.81):
+        per_element = line_spectrum(cx.with_values(_gated(cx.values, gate, FREQS)), u)
+        steered = _gated(line_spectrum(cx, u), gate, FREQS)
+        np.testing.assert_allclose(steered, per_element,
+                                   rtol=1e-12, atol=1e-12 * np.abs(per_element).max())
+
+
 def test_refine_delay_recovers_off_bin_delay():
     # deliberately between delay bins of the padded axis
     true_tau = 2.0037e-9
@@ -68,11 +102,22 @@ def test_refine_delay_recovers_off_bin_delay():
     padp = padp_ma(cx, cy, 60.0, np.array([120.0]), pad_factor=4)
     coarse_tau = padp.delay_s[int(np.argmax(np.abs(padp.values[:, 0])))] / 2.0
     assert abs(coarse_tau - true_tau) > 1e-13  # the bin really quantizes it
-    refined = refine_delay(cx, cy, 60.0, 120.0, coarse_tau, pad_factor=4)
+    gx, gy = _spectra(cx, cy, 60.0, 120.0)
+    refined = refine_delay(gx, gy, FREQS, coarse_tau, pad_factor=4)
     assert refined == pytest.approx(true_tau, abs=2e-14)
     # an all-zero response is returned unrefined
-    zx = cx.with_values(np.zeros_like(cx.values))
-    assert refine_delay(zx, zx, 60.0, 120.0, coarse_tau) == coarse_tau
+    zero = np.zeros_like(gx)
+    assert refine_delay(zero, zero, FREQS, coarse_tau) == coarse_tau
+
+
+def test_refine_delay_stays_below_half_the_unambiguous_delay():
+    # a response just past the limit pulls the search window's upper end
+    # over it; the refined delay must stay where a path may lie
+    limit = 0.5 * FREQS.unambiguous_delay_s
+    bin_s = 1.0 / (FREQS.n_points * 4 * FREQS.spacing_hz)
+    g = np.exp(-2j * np.pi * FREQS.points * (limit + bin_s / 2))
+    refined = refine_delay(g, g, FREQS, limit - bin_s / 4, pad_factor=4)
+    assert limit - bin_s / 4 < refined < limit
 
 
 def test_estimate_power_magnitude_and_phase():
@@ -82,21 +127,45 @@ def test_estimate_power_magnitude_and_phase():
     freqs = FrequencyGrid(26e9, 30e9, 65)
     path = PathComponent.from_power_db(-6, 60, 120, 2.0, phase_deg=35.0)
     cx, cy = gen_ma_cfr(PathSet([path]), GEO, freqs)
-    alpha = estimate_power(cx, cy, 60.0, 120.0, 2e-9)
+    gx, gy = _spectra(cx, cy, 60.0, 120.0)
+    alpha = estimate_power(gx, gy, freqs, 2e-9, GEO)
     assert abs(alpha) == pytest.approx(abs(path.amplitude), rel=1e-6)
     assert np.angle(alpha) == pytest.approx(np.radians(35.0), abs=1e-6)
     with pytest.raises(NoPeakError):
-        estimate_power(cx.with_values(np.zeros_like(cx.values)),
-                       cy.with_values(np.zeros_like(cy.values)),
-                       60.0, 120.0, 2e-9)
+        estimate_power(np.zeros_like(gx), np.zeros_like(gy), freqs, 2e-9, GEO)
 
 
 def test_estimate_power_off_bin_scalloping_is_small():
     path = PathComponent.from_power_db(-6, 60, 120, 2.0, phase_deg=35.0)
     cx, cy = _single_path_cfrs(path)
-    alpha = estimate_power(cx, cy, 60.0, 120.0, 2e-9)
+    alpha = estimate_power(*_spectra(cx, cy, 60.0, 120.0), FREQS, 2e-9, GEO)
     assert abs(alpha) == pytest.approx(abs(path.amplitude), rel=0.02)
     assert np.angle(alpha) == pytest.approx(np.radians(35.0), abs=1e-6)
+
+
+def test_estimate_power_matches_per_element_oracle():
+    # the per-element computation: gate every element's delay response,
+    # take the magnitude from the MA profile of the extracted CFRs and the
+    # phase from their projection onto a regenerated unit-amplitude path;
+    # unequal sub-arrays tell the two element counts apart
+    geo = MaGeometry(9, 5, 0.5)
+    cx, cy = gen_ma_cfr(PathSet(THREE_PATHS), geo, FREQS)
+    for path in THREE_PATHS:
+        theta, phi = path.direction.theta_deg, path.direction.phi_deg
+        tau = path.delay_s + 3e-12
+        gate = _gate(FREQS, tau)
+        ext_x = cx.with_values(_gated(cx.values, gate, FREQS))
+        ext_y = cy.with_values(_gated(cy.values, gate, FREQS))
+        padp = padp_ma(ext_x, ext_y, theta, np.array([phi]), 4)
+        magnitude = np.sqrt(np.abs(padp.values[:, 0]).max())
+        model = PathComponent(1.0 + 0j, path.direction, tau)
+        mx, my = gen_ma_cfr(PathSet([model]), geo, FREQS)
+        inner = np.vdot(mx.values, ext_x.values) + np.vdot(my.values, ext_y.values)
+        sx, sy = _spectra(cx, cy, theta, phi)
+        alpha = estimate_power(_gated(sx, gate, FREQS), _gated(sy, gate, FREQS),
+                               FREQS, tau, geo)
+        assert abs(alpha) == pytest.approx(magnitude, rel=1e-12)
+        assert np.angle(alpha) == pytest.approx(np.angle(inner), abs=1e-12)
 
 
 def test_subtract_path_cancels_exactly():
@@ -214,3 +283,33 @@ def test_run_sic_skips_coherent_cross_products():
     # are larger than in the separated case but well under a delay bin
     assert delays == pytest.approx([1.4e-9, 1.95e-9, 2.1e-9], abs=2e-11)
     assert any(d.candidates_skipped > 0 for d in report.diagnostics)
+
+
+def _table1_small(narrowband_phase=True, noise_seeds=None, snr_db=10.0):
+    scenario = parse_scenario(scenario_path("table1_small"))
+    cx, cy = gen_ma_cfr(scenario.paths, scenario.ma, scenario.freqs,
+                        narrowband_phase=narrowband_phase)
+    if noise_seeds is not None:
+        cx = add_noise(cx, snr_db, noise_seeds[0])
+        cy = add_noise(cy, snr_db, noise_seeds[1])
+    return run_sic(cx, cy, scenario.estimator_config())
+
+
+def test_run_sic_noise_peak_near_the_delay_limit_ends_cleanly():
+    # with this noise a candidate's delay search window used to reach past
+    # half the unambiguous delay, and regenerating the path raised
+    report = _table1_small(noise_seeds=(19, 20))
+    assert report.stop_reason in ("dynamic-range", "max-iterations")
+    assert report.paths
+
+
+def test_run_sic_wideband_matches_narrowband():
+    # table1_small's band is narrow against its carrier, so wideband phase
+    # moves the estimates only slightly; all steering follows the CFR's phase
+    narrow = _table1_small()
+    wide = _table1_small(narrowband_phase=False)
+    assert wide.stop_reason == narrow.stop_reason
+    assert [p.direction for p in wide.paths] == [p.direction for p in narrow.paths]
+    for w, n in zip(wide.paths, narrow.paths):
+        assert w.delay_s == pytest.approx(n.delay_s, abs=0.1e-12)
+        assert w.amplitude_db == pytest.approx(n.amplitude_db, abs=0.005)
