@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,18 +310,33 @@ class Peak:
     v: float | None = None
 
 
-def _plateau_peaks(level: np.ndarray) -> list[tuple[int, int]]:
-    """Cells >= all 8 neighbours, with equal-valued plateaus merged."""
+def descending_cells(level: np.ndarray, floor: float,
+                     half_box: tuple[int, int]) -> Iterator[tuple[int, int]]:
+    """Cells of a 2-D grid from the strongest down to floor, -inf excluded.
+    Each step yields the first maximum in C order (ties go to the lowest row,
+    then column) and hides the cells within half_box = (rows, cols) of it."""
+    # Copied in C order: Padp.values is a transposed view, and np.argmax
+    # over a copy that kept its F order takes about four times as long.
+    work = np.array(level, dtype=float, order="C")
+    dr, dc = half_box
+    while True:
+        r, c = np.unravel_index(np.argmax(work), work.shape)
+        if not (work[r, c] >= floor and work[r, c] > -np.inf):
+            return
+        yield int(r), int(c)
+        work[max(r - dr, 0):r + dr + 1, max(c - dc, 0):c + dc + 1] = -np.inf
+
+
+def _plateau_peaks(level: np.ndarray) -> np.ndarray:
+    """level at cells >= all 8 neighbours, -inf elsewhere. An equal-valued
+    plateau keeps only its first cell in C order."""
     neigh = ndimage.maximum_filter(level, size=3, mode="constant", cval=-np.inf)
-    mask = level >= neigh
-    labels, _ = ndimage.label(mask, structure=np.ones((3, 3), int))
-    rows, cols = np.nonzero(mask)
-    labs = labels[rows, cols]
-    order = np.lexsort((cols, rows, labs))
-    sorted_labs = labs[order]
-    first = np.nonzero(np.r_[True, sorted_labs[1:] != sorted_labs[:-1]])[0]
-    keep = order[first]
-    return [(int(r), int(c)) for r, c in zip(rows[keep], cols[keep])]
+    labels, _ = ndimage.label(level >= neigh, structure=np.ones((3, 3), int))
+    labs, first = np.unique(labels, return_index=True)
+    cells = np.unravel_index(first[labs > 0], level.shape)  # label 0: background
+    peaks = np.full(level.shape, -np.inf)
+    peaks[cells] = level[cells]
+    return peaks
 
 
 def find_peaks(pattern: BeamPattern | Padp | UvBeam, dynamic_range_db: float,
@@ -335,22 +351,18 @@ def find_peaks(pattern: BeamPattern | Padp | UvBeam, dynamic_range_db: float,
     level = pattern.level_db()
     if level.size == 0:
         raise ValueError("empty grid")
-    is_padp = isinstance(pattern, Padp)
-    cells = _plateau_peaks(level)
-    top = max(level[r, c] for r, c in cells)
-    cells = [(r, c) for r, c in cells if level[r, c] >= top - dynamic_range_db]
-    # Padp rows are delay, cols azimuth; BeamPattern rows are elevation,
-    # cols azimuth; UvBeam rows are u, cols v.
-    tiebreak = (lambda rc: (rc[1], rc[0])) if isinstance(pattern, BeamPattern) \
-        else (lambda rc: (rc[0], rc[1]))
-    cells.sort(key=lambda rc: (-level[rc], *tiebreak(rc)))
-    accepted: list[tuple[int, int]] = []
-    for r, c in cells:
-        if all(max(abs(r - ar), abs(c - ac)) >= min_separation for ar, ac in accepted):
-            accepted.append((r, c))
+    floor = level.max() - dynamic_range_db
+    half_box = (max(min_separation - 1, 0),) * 2
+    plateau = _plateau_peaks(level)
+    # Padp rows are delay, cols azimuth; UvBeam rows are u, cols v.
+    # BeamPattern rows are elevation, so it is walked transposed.
+    if isinstance(pattern, BeamPattern):
+        cells = [(r, c) for c, r in descending_cells(plateau.T, floor, half_box)]
+    else:
+        cells = list(descending_cells(plateau, floor, half_box))
     peaks = []
-    for r, c in accepted:
-        if is_padp:
+    for r, c in cells:
+        if isinstance(pattern, Padp):
             peaks.append(Peak(float(level[r, c]), r, c,
                               theta_deg=pattern.theta_deg,
                               phi_deg=float(pattern.phi_deg[c]),

@@ -78,10 +78,8 @@ class Scenario:
         """Per-axis URA excitations and their auto-convolved MA counterparts."""
         if self.ura is None:
             raise ScenarioError("pattern synthesis needs a URA geometry")
-        tx = (np.ones(self.ura.m_count) if self.taper_sidelobe_db is None
-              else chebyshev_taper(self.ura.m_count, self.taper_sidelobe_db))
-        ty = (np.ones(self.ura.n_count) if self.taper_sidelobe_db is None
-              else chebyshev_taper(self.ura.n_count, self.taper_sidelobe_db))
+        tx, ty = self.ura_taper() or (np.ones(self.ura.m_count),
+                                      np.ones(self.ura.n_count))
         if self.steer_uv is not None:
             u0, v0 = self.steer_uv
             tx = steer(tx, u0, self.ura.dx_wl)
@@ -208,14 +206,13 @@ def _validate(s: Scenario) -> None:
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
     for axis, name in ((s.scan_theta, "scan.theta"), (s.scan_phi, "scan.phi")):
-        if len(axis) != 3 or axis[2] <= 0 or axis[1] < axis[0]:
+        if (len(axis) != 3 or not np.all(np.isfinite(axis)) or axis[2] <= 0
+                or axis[1] < axis[0]):
             raise ScenarioError(f"{name} must be [start, stop, positive step]")
-    if s.epsilon_db <= 0:
-        raise ScenarioError("estimator.epsilon_db must be positive")
-    if s.max_iterations < 1:
-        raise ScenarioError("estimator.max_iterations must be >= 1")
-    if s.pad_factor < 1:
-        raise ScenarioError("estimator.pad_factor must be >= 1")
+    try:
+        s.estimator_config()
+    except ValueError as exc:
+        raise ScenarioError(f"estimator.{exc}") from exc
     if s.pattern_lattice < 2:
         raise ScenarioError("pattern_lattice must be >= 2")
 

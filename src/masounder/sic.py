@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beamform import (BeamPattern, NoPeakError, cbf_ma, cfr_to_cir, cir_to_cfr,
-                       line_spectrum, padp_ma)
+                       descending_cells, line_spectrum, padp_ma)
 from .channel import CfrSet, PathSet, gen_ma_cfr
 from .geometry import (Direction, FrequencyGrid, MaGeometry, PathComponent,
                        ScanGrid, delay_axis, uv_map)
@@ -38,8 +38,11 @@ class EstimatorConfig:
     pad_factor: int = 4
 
     def __post_init__(self):
-        if self.epsilon_db <= 0:
-            raise ValueError("epsilon_db must be positive")
+        if not (math.isfinite(self.epsilon_db) and self.epsilon_db > 0):
+            raise ValueError("epsilon_db must be finite and positive")
+        if self.gate_db is not None and not (math.isfinite(self.gate_db)
+                                             and self.gate_db > 0):
+            raise ValueError("gate_db must be finite and positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.pad_factor < 1:
@@ -81,20 +84,11 @@ class EstimationReport:
 
 def detect_strongest(beam: BeamPattern) -> Direction:
     """Direction of the global beam maximum; ties go to lowest phi, then theta."""
-    mag = np.abs(beam.values)
-    top = mag.max()
-    if top <= 0:
+    mag = np.abs(beam.values).T
+    c, r = np.unravel_index(np.argmax(mag), mag.shape)
+    if mag[c, r] <= 0:
         raise NoPeakError("beam pattern is identically zero")
-    rows, cols = np.nonzero(mag == top)
-    k = np.lexsort((rows, cols))[0]
-    return Direction(float(beam.theta_deg[rows[k]]), float(beam.phi_deg[cols[k]]) % 360.0)
-
-
-def _argmax_cell(level: np.ndarray) -> tuple[int, int]:
-    """Cell of the grid maximum; ties go to the lowest row, then column."""
-    rows, cols = np.nonzero(level == level.max())
-    k = np.lexsort((cols, rows))[0]
-    return int(rows[k]), int(cols[k])
+    return Direction(float(beam.theta_deg[r]), float(beam.phi_deg[c]) % 360.0)
 
 
 def build_label_vector(synthetic_cir: np.ndarray, epsilon_db: float) -> np.ndarray:
@@ -242,12 +236,10 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
         if snapshot_hook is not None:
             snapshot_hook(q, padp)
         level = padp.level_db()
-        work = level.copy()
-        floor = level.max() - config.epsilon_db
         found = None
         skipped = 0
-        while work.max() >= floor:
-            r, c = _argmax_cell(work)
+        for r, c in descending_cells(level, level.max() - config.epsilon_db,
+                                     (2 * pad, 3)):
             tau_hat = float(padp.delay_s[r]) / 2.0
             direction = Direction(coarse.theta_deg, float(padp.phi_deg[c]) % 360.0)
             uv = uv_map(direction)
@@ -265,12 +257,9 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
                 found = (direction, tau_hat, alpha, gate, gx)
                 break
             # Cross-product artifact: strong in the product profile, but no
-            # single-axis support at the halved delay. Hide it and move on;
-            # it disappears once its parent paths are subtracted.
+            # single-axis support at the halved delay. The walk hides it and
+            # moves on; it disappears once its parent paths are subtracted.
             skipped += 1
-            r0, r1 = max(r - 2 * pad, 0), r + 2 * pad + 1
-            c0, c1 = max(c - 3, 0), c + 4
-            work[r0:r1, c0:c1] = -np.inf
         if found is None:
             stop_reason = "dynamic-range"
             break

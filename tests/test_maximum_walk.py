@@ -1,0 +1,158 @@
+"""The first-maximum walk against the selection code it replaced.
+
+`_argmax_walk` is the former SIC candidate loop: an `np.nonzero` +
+`np.lexsort` tie-break over the whole grid, then box masking. `_greedy_peaks`
+is the former `find_peaks` selection: the lexsort plateau picker, a
+threshold filter, a sort and a greedy separation check. Both are kept here
+as references. Grids of integer dB levels make exact ties common.
+"""
+
+from itertools import islice
+
+import numpy as np
+import pytest
+from scipy import ndimage
+
+from masounder.beamform import (BeamPattern, Padp, UvBeam, descending_cells,
+                                find_peaks, padp_ura)
+from masounder.channel import gen_ura_cfr
+from masounder.scenario import parse_scenario
+from masounder.sic import detect_strongest
+
+from conftest import scenario_path
+
+SEEDS = range(6)
+
+
+def _argmax_cell(level):
+    rows, cols = np.nonzero(level == level.max())
+    k = np.lexsort((cols, rows))[0]
+    return int(rows[k]), int(cols[k])
+
+
+def _argmax_walk(level, floor, half_box):
+    work = level.copy()
+    dr, dc = half_box
+    cells = []
+    while work.max() >= floor:
+        r, c = _argmax_cell(work)
+        cells.append((r, c))
+        work[max(r - dr, 0):r + dr + 1, max(c - dc, 0):c + dc + 1] = -np.inf
+    return cells
+
+
+def _lexsort_plateau_peaks(level):
+    neigh = ndimage.maximum_filter(level, size=3, mode="constant", cval=-np.inf)
+    mask = level >= neigh
+    labels, _ = ndimage.label(mask, structure=np.ones((3, 3), int))
+    rows, cols = np.nonzero(mask)
+    labs = labels[rows, cols]
+    order = np.lexsort((cols, rows, labs))
+    sorted_labs = labs[order]
+    first = np.nonzero(np.r_[True, sorted_labs[1:] != sorted_labs[:-1]])[0]
+    keep = order[first]
+    return [(int(r), int(c)) for r, c in zip(rows[keep], cols[keep])]
+
+
+def _greedy_peaks(pattern, dynamic_range_db, min_separation):
+    level = pattern.level_db()
+    cells = _lexsort_plateau_peaks(level)
+    top = max(level[r, c] for r, c in cells)
+    cells = [(r, c) for r, c in cells if level[r, c] >= top - dynamic_range_db]
+    tiebreak = (lambda rc: (rc[1], rc[0])) if isinstance(pattern, BeamPattern) \
+        else (lambda rc: (rc[0], rc[1]))
+    cells.sort(key=lambda rc: (-level[rc], *tiebreak(rc)))
+    accepted = []
+    for r, c in cells:
+        if all(max(abs(r - ar), abs(c - ac)) >= min_separation for ar, ac in accepted):
+            accepted.append((r, c))
+    return accepted
+
+
+def _integer_levels(seed, shape=(37, 23), low=-12):
+    return np.random.default_rng(seed).integers(low, 1, size=shape).astype(float)
+
+
+def _pattern(kind, level, fortran):
+    """A grid of the given type whose level_db() is level, up to rounding
+    that keeps equal levels equal."""
+    scale = 10.0 if kind == "padp" else 20.0
+    values = 10.0 ** (level / scale)
+    if fortran:
+        values = np.asfortranarray(values)
+    n_r, n_c = level.shape
+    rows, cols = np.arange(n_r, dtype=float), np.arange(n_c, dtype=float)
+    if kind == "beam":
+        return BeamPattern(values, rows, cols, 28e9, "ura")
+    if kind == "uv":
+        return UvBeam(values, rows / n_r, cols / n_c, 28e9, "ura")
+    return Padp(values, rows * 1e-10, cols, 90.0, "ma")
+
+
+@pytest.mark.parametrize("fortran", [False, True])
+@pytest.mark.parametrize("pad", [1, 2, 4])
+@pytest.mark.parametrize("depth_db", [3.0, 30.0])
+def test_walk_matches_lexsort_oracle(fortran, pad, depth_db):
+    for seed in SEEDS:
+        level = _integer_levels(seed)
+        if fortran:
+            level = np.asfortranarray(level)
+        floor = level.max() - depth_db
+        got = list(descending_cells(level, floor, (2 * pad, 3)))
+        assert got == _argmax_walk(level, floor, (2 * pad, 3))
+
+
+def test_walk_skips_minus_inf_and_leaves_input_alone():
+    level = np.full((4, 5), -np.inf)
+    level[1, 2] = level[3, 0] = 0.0
+    before = level.copy()
+    # islice: a walk that yielded hidden cells would never end.
+    got = list(islice(descending_cells(level, -np.inf, (0, 0)), level.size + 1))
+    assert got == [(1, 2), (3, 0)]
+    np.testing.assert_array_equal(level, before)
+    assert list(descending_cells(level, 1.0, (0, 0))) == []
+
+
+@pytest.mark.parametrize("fortran", [False, True])
+@pytest.mark.parametrize("kind", ["beam", "padp", "uv"])
+@pytest.mark.parametrize("min_separation", [0, 1, 3])
+@pytest.mark.parametrize("dynamic_range_db", [4.0, np.inf])
+def test_find_peaks_matches_greedy_oracle(fortran, kind, min_separation,
+                                          dynamic_range_db):
+    for seed in SEEDS:
+        pattern = _pattern(kind, _integer_levels(seed, low=-6), fortran)
+        got = find_peaks(pattern, dynamic_range_db, min_separation)
+        want = _greedy_peaks(pattern, dynamic_range_db, min_separation)
+        assert [(p.row, p.col) for p in got] == want
+        level = pattern.level_db()
+        assert [p.level_db for p in got] == [level[rc] for rc in want]
+
+
+def test_find_peaks_beam_pattern_tie_breaks_toward_low_azimuth():
+    level = np.full((8, 9), -40.0)
+    level[1, 6] = 0.0
+    level[5, 2] = 0.0  # lower azimuth: first
+    level[2, 2] = 0.0  # same azimuth, lower elevation: before (5, 2)
+    peaks = find_peaks(_pattern("beam", level, False), dynamic_range_db=5,
+                       min_separation=3)
+    assert [(p.row, p.col) for p in peaks] == [(2, 2), (5, 2), (1, 6)]
+    assert (peaks[0].theta_deg, peaks[0].phi_deg) == (2.0, 2.0)
+
+
+def test_find_peaks_matches_greedy_oracle_on_compare_ura_profile():
+    s = parse_scenario(scenario_path("table2_mimic"))
+    cfr = gen_ura_cfr(s.paths, s.ura, s.freqs)
+    padp = padp_ura(cfr, s.compare_theta_deg, s.scan_grid().phi_deg,
+                    s.pad_factor, taper=s.ura_taper(), window=s.compare_window)
+    got = find_peaks(padp, s.compare_dynamic_range_db, s.compare_min_separation)
+    want = _greedy_peaks(padp, s.compare_dynamic_range_db, s.compare_min_separation)
+    assert len(want) >= len(s.paths)
+    assert [(p.row, p.col) for p in got] == want
+
+
+def test_detect_strongest_matches_lexsort_oracle():
+    for seed in SEEDS:
+        beam = _pattern("beam", _integer_levels(seed, shape=(9, 14), low=-3), False)
+        c, r = _argmax_cell(np.abs(beam.values).T)
+        direction = detect_strongest(beam)
+        assert (direction.theta_deg, direction.phi_deg) == (r, c)

@@ -77,6 +77,10 @@ def test_to_dict_round_trip(tmp_path):
     ({"pattern_lattice": 1}, "pattern_lattice"),
     ({"paths": [{"power_db": 0, "elevation_deg": 60, "azimuth_deg": 120,
                  "delay_ns": 4.0}]}, "alias"),
+    ({"estimator": {"gate_db": -3}}, "estimator.gate_db"),
+    ({"estimator": {"epsilon_db": float("nan")}}, "estimator.epsilon_db"),
+    ({"estimator": {"pad_factor": 0}}, "estimator.pad_factor"),
+    ({"scan": {"theta": [0, float("nan"), 1]}}, "scan.theta"),
 ])
 def test_scenario_validation_errors(tmp_path, breakage, match):
     with pytest.raises(ScenarioError, match=match):
@@ -211,6 +215,17 @@ def test_cli_estimate_non_finite_cfr_exits_2(tmp_path):
     r = CliRunner().invoke(main, ["estimate", "--config", cfg, "--out", str(out)])
     assert r.exit_code == 2
     assert "non-finite" in r.output
+
+
+def test_cli_estimate_bad_gate_exits_2(tmp_path):
+    out = tmp_path / "out"
+    assert _run(["simulate", "--config", str(_write_tiny(tmp_path)),
+                 "--out", str(out), "--quiet"]).exit_code == 0
+    cfg = str(_write_tiny(tmp_path, estimator={"gate_db": -3}))
+    r = CliRunner().invoke(main, ["estimate", "--config", cfg, "--out", str(out)])
+    assert r.exit_code == 2
+    assert "gate_db" in r.output
+    assert not (out / "paths.csv").exists()
 
 
 def test_cli_beam_csv_cosines_match_uv_map(tmp_path):

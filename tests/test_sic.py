@@ -185,6 +185,17 @@ def test_estimator_config_validation():
         EstimatorConfig(SCAN, pad_factor=0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("epsilon_db", -5.0), ("epsilon_db", float("nan")), ("epsilon_db", float("inf")),
+    ("gate_db", -5.0), ("gate_db", 0.0), ("gate_db", float("nan")),
+    ("gate_db", float("inf")),
+])
+def test_estimator_config_rejects_non_finite_or_non_positive_levels(field, value):
+    # Each of these used to end a sounding with 0 paths and no error.
+    with pytest.raises(ValueError, match=field):
+        EstimatorConfig(SCAN, **{field: value})
+
+
 def test_run_sic_recovers_three_paths():
     cx, cy = gen_ma_cfr(PathSet(THREE_PATHS), GEO, FREQS)
     report = run_sic(cx, cy, EstimatorConfig(SCAN, epsilon_db=30.0))
