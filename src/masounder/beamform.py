@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -9,7 +10,7 @@ import numpy as np
 from scipy import ndimage
 
 from .channel import CfrSet
-from .geometry import FrequencyGrid, ScanGrid, delay_axis, uv_map
+from .geometry import FrequencyGrid, MaGeometry, ScanGrid, delay_axis, uv_map
 
 DB_FLOOR = 1e-30
 
@@ -92,7 +93,27 @@ def _scan_cosines(theta_deg: np.ndarray, phi_deg: np.ndarray):
 def _conj_steer(indices: np.ndarray, spacing_wl: float, cosines: np.ndarray,
                 scale: float) -> np.ndarray:
     """Conjugated steering matrix, shape (n_elem, n_points)."""
-    return np.exp(-2j * np.pi * spacing_wl * scale * np.outer(indices, cosines.ravel()))
+    arg = -2j * np.pi * spacing_wl * scale * np.outer(indices, cosines.ravel())
+    return np.exp(arg, out=arg)
+
+
+@functools.lru_cache(maxsize=1)
+def _scan_steering(geometry: MaGeometry, theta_bytes: bytes, phi_bytes: bytes,
+                   scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only conjugate steering matrices of the x and y sub-arrays over a
+    (theta, phi) scan, each (n_elem, n_theta * n_phi).
+
+    Keyed by the bytes of the scan axes, not by the ScanGrid, so an edited or
+    rebuilt grid never meets a stale entry. The one entry holds
+    16 B x (x_count + y_count) x scan points (100 MiB for a 199 + 199 element
+    MA over a 91 x 181 scan); a call on another scan replaces it.
+    """
+    u, v = _scan_cosines(np.frombuffer(theta_bytes), np.frombuffer(phi_bytes))
+    steering = (_conj_steer(geometry.x_indices, geometry.d_wl, u, scale),
+                _conj_steer(geometry.y_indices, geometry.d_wl, v, scale))
+    for matrix in steering:
+        matrix.flags.writeable = False
+    return steering
 
 
 def _resolve_window(window, n_points: int) -> np.ndarray | None:
@@ -145,6 +166,13 @@ def _ura_beam(cfr: CfrSet, u: np.ndarray, v: np.ndarray, taper, cols) -> np.ndar
     return b.reshape(u.shape + (-1,))
 
 
+def _steered_sum(cfr: CfrSet, values: np.ndarray, steer, cols) -> np.ndarray:
+    """steer(scale)^T @ values of an MA sub-array over frequency columns cols,
+    shape (n_points, n_cols). values is cfr.values or a weighted copy of it;
+    steer(scale) gives the conjugate steering matrix at f / ref_freq_hz."""
+    return _over_columns(cfr, cols, lambda scale, cols: steer(scale).T @ values[:, cols])
+
+
 def line_spectrum(cfr: CfrSet, cosines, cols=slice(None)) -> np.ndarray:
     """Unnormalized steered sum a(c)^H H of an MA sub-array at cosines c along
     its axis, over frequency columns cols; shape c.shape + (n_cols,)."""
@@ -152,23 +180,27 @@ def line_spectrum(cfr: CfrSet, cosines, cols=slice(None)) -> np.ndarray:
         raise ValueError("line_spectrum needs an ma_x or ma_y CFR")
     geom, cosines = cfr.geometry, np.asarray(cosines, float)
     indices = geom.x_indices if cfr.layout == "ma_x" else geom.y_indices
-
-    def beam(scale, cols):
-        return _conj_steer(indices, geom.d_wl, cosines, scale).T @ cfr.values[:, cols]
-    return _over_columns(cfr, cols, beam).reshape(cosines.shape + (-1,))
+    steer = functools.partial(_conj_steer, indices, geom.d_wl, cosines)
+    return _steered_sum(cfr, cfr.values, steer, cols).reshape(cosines.shape + (-1,))
 
 
 def _ma_beam(cfr_x: CfrSet, cfr_y: CfrSet, u: np.ndarray, v: np.ndarray, taper,
-             cols) -> np.ndarray:
+             cols, steering=None) -> np.ndarray:
     """Product of the two normalized sub-array sums at broadcastable cosines
-    (u, v), over frequency columns cols; shape broadcast(u, v) + (n_cols,)."""
+    (u, v), over frequency columns cols; shape broadcast(u, v) + (n_cols,).
+    steering = (steer_x, steer_y), each scale -> the conjugate steering
+    matrix over u or v, supplies prebuilt matrices; by default they are
+    built from (u, v) on each call."""
     geom = cfr_x.geometry
+    if steering is None:
+        steering = (functools.partial(_conj_steer, geom.x_indices, geom.d_wl, u),
+                    functools.partial(_conj_steer, geom.y_indices, geom.d_wl, v))
 
-    def line_sum(cfr, cosines, weights):
-        weighted = cfr.with_values(weights[:, None] * cfr.values)
-        return line_spectrum(weighted, cosines, cols) / np.sum(np.abs(weights))
+    def line_sum(cfr, cosines, steer, weights):
+        spectrum = _steered_sum(cfr, weights[:, None] * cfr.values, steer, cols)
+        return spectrum.reshape(cosines.shape + (-1,)) / np.sum(np.abs(weights))
     tx, ty = _weights(taper, (geom.x_count, geom.y_count))
-    return line_sum(cfr_x, u, tx) * line_sum(cfr_y, v, ty)
+    return line_sum(cfr_x, u, steering[0], tx) * line_sum(cfr_y, v, steering[1], ty)
 
 
 def cbf_ura(cfr: CfrSet, grid: ScanGrid, f_hz: float,
@@ -191,7 +223,10 @@ def cbf_ma(cfr_x: CfrSet, cfr_y: CfrSet, grid: ScanGrid, f_hz: float,
     if cfr_x.layout != "ma_x" or cfr_y.layout != "ma_y":
         raise ValueError("cbf_ma needs ma_x and ma_y CFRs")
     u, v = _scan_cosines(grid.theta_deg, grid.phi_deg)
-    b = _ma_beam(cfr_x, cfr_y, u, v, taper, [_freq_index(cfr_x.freqs, f_hz)])
+    key = (cfr_x.geometry, grid.theta_deg.tobytes(), grid.phi_deg.tobytes())
+    steering = (lambda scale: _scan_steering(*key, scale)[0],
+                lambda scale: _scan_steering(*key, scale)[1])
+    b = _ma_beam(cfr_x, cfr_y, u, v, taper, [_freq_index(cfr_x.freqs, f_hz)], steering)
     return BeamPattern(b[..., 0], grid.theta_deg, grid.phi_deg, f_hz, "ma")
 
 
@@ -208,6 +243,18 @@ def cbf_ma_uv(cfr_x: CfrSet, cfr_y: CfrSet, u_axis: np.ndarray,
     return UvBeam(b[..., 0], u_axis, v_axis, f_hz, "ma")
 
 
+@functools.lru_cache(maxsize=4)
+def _delay_phasors(freqs: FrequencyGrid, pad_factor: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only exp(+j 2 pi f_start tau) and exp(-j 2 pi f_start tau) on the
+    bins of delay_axis(freqs, pad_factor)."""
+    tau = delay_axis(freqs, pad_factor)
+    phasors = (np.exp(2j * np.pi * freqs.f_start_hz * tau),
+               np.exp(-2j * np.pi * freqs.f_start_hz * tau))
+    for phasor in phasors:
+        phasor.flags.writeable = False
+    return phasors
+
+
 def cfr_to_cir(values: np.ndarray, freqs: FrequencyGrid, pad_factor: int) -> np.ndarray:
     """Zero-padded sum over frequency of X(f) exp(+j 2 pi f tau), divided by L.
 
@@ -216,18 +263,22 @@ def cfr_to_cir(values: np.ndarray, freqs: FrequencyGrid, pad_factor: int) -> np.
     """
     L = freqs.n_points
     n = L * pad_factor
-    out = np.fft.ifft(values, n=n, axis=-1) * (n / L)
-    tau = delay_axis(freqs, pad_factor)
-    return out * np.exp(2j * np.pi * freqs.f_start_hz * tau)
+    screen, _ = _delay_phasors(freqs, pad_factor)
+    # The FFT output is a fresh array, so it is scaled in place. A
+    # single-precision one is promoted first, as the phasor product would.
+    out = np.fft.ifft(values, n=n, axis=-1)
+    out *= n / L
+    out = out.astype(np.result_type(out, screen), copy=False)
+    out *= screen
+    return out
 
 
 def cir_to_cfr(cir: np.ndarray, freqs: FrequencyGrid, pad_factor: int) -> np.ndarray:
     """Exact inverse of cfr_to_cir (delay bins back to the sweep)."""
     L = freqs.n_points
     n = L * pad_factor
-    tau = delay_axis(freqs, pad_factor)
-    descreened = cir * np.exp(-2j * np.pi * freqs.f_start_hz * tau)
-    return np.fft.fft(descreened, axis=-1)[..., :L] * (L / n)
+    _, descreen = _delay_phasors(freqs, pad_factor)
+    return np.fft.fft(cir * descreen, axis=-1)[..., :L] * (L / n)
 
 
 def _padp(spectrum: np.ndarray, cfr: CfrSet, theta_deg: float, phi_deg: np.ndarray,

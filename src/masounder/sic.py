@@ -136,8 +136,9 @@ def refine_delay(gated_x: np.ndarray, gated_y: np.ndarray, freqs: FrequencyGrid,
     # Imported here: scipy.optimize takes longer to import than the rest of
     # the package, and only estimation needs it.
     from scipy.optimize import minimize_scalar
+    w = 2j * np.pi * f
     result = minimize_scalar(
-        lambda t: -abs(np.exp(2j * np.pi * f * t) @ spectrum),
+        lambda t: -abs(np.exp(w * t) @ spectrum),
         bounds=(max(tau_hat - bin_s, 0.0),
                 min(tau_hat + bin_s, float(np.nextafter(limit, 0.0)))),
         method="bounded", options={"xatol": 1e-15})
@@ -272,7 +273,7 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
         diags.append(IterationDiagnostics(
             iteration=q + 1,
             beam_peak_db=float(beam.level_db().max()),
-            padp_peak_db=float(padp.level_db().max()),
+            padp_peak_db=float(level.max()),
             amplitude_db=20.0 * math.log10(max(magnitude, 1e-30)),
             gate_bins=gate_bins,
             gate_span_s=gate_span,

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
-from masounder.beamform import (BeamPattern, Padp, UvBeam, cbf_ma, cbf_ma_uv,
+from masounder.beamform import (BeamPattern, Padp, UvBeam, _delay_phasors,
+                                _scan_cosines, _scan_steering, cbf_ma, cbf_ma_uv,
                                 cbf_ura, cfr_to_cir, cir_to_cfr, find_peaks,
                                 padp_ma, padp_ura, predict_ma_terms)
 from masounder.channel import PathSet, gen_ma_cfr, gen_ura_cfr
 from masounder.geometry import (Direction, FrequencyGrid, MaGeometry,
                                 PathComponent, ScanGrid, UraGeometry,
                                 delay_axis, uv_map)
+from masounder.scenario import parse_scenario
+from masounder.sic import run_sic
+
+from conftest import scenario_path
 
 FREQS = FrequencyGrid(26e9, 30e9, 64)
 SHORT_PATHS = [
@@ -74,6 +79,72 @@ def test_cbf_ma_matches_brute_force():
             assert beam.values[i, j] == pytest.approx(expect, abs=1e-9)
 
 
+def uncached_ma_beam(cfr_x, cfr_y, grid, f_index, taper=None):
+    """cbf_ma with its steering built on the spot, out of place, as it was
+    before the steering cache: same arithmetic, so the same bits."""
+    geo = cfr_x.geometry
+    f = cfr_x.freqs.points[f_index]
+    scale = 1.0 if cfr_x.narrowband_phase else f / cfr_x.ref_freq_hz
+    u, v = _scan_cosines(grid.theta_deg, grid.phi_deg)
+
+    def line_sum(cfr, indices, cosines, weights):
+        steer = np.exp(-2j * np.pi * geo.d_wl * scale * np.outer(indices, cosines.ravel()))
+        weighted = weights[:, None] * cfr.values
+        return steer.T @ weighted[:, [f_index]] / np.sum(np.abs(weights))
+    tx, ty = taper if taper is not None else (np.ones(geo.x_count), np.ones(geo.y_count))
+    b = line_sum(cfr_x, geo.x_indices, u, tx) * line_sum(cfr_y, geo.y_indices, v, ty)
+    return b.reshape(u.shape)
+
+
+def test_cbf_ma_is_bitwise_equal_to_uncached_steering():
+    geo = MaGeometry(5, 9, 0.5)
+    grids = [ScanGrid(np.array([20.0, 60.0]), np.array([100.0, 200.0, 260.0])),
+             ScanGrid.regular(0.0, 90.0, 15.0, 90.0, 270.0, 20.0)]
+    taper = (np.array([0.3, 0.8, 1.0, 0.8, 0.3]), np.linspace(0.2, 1.0, 9))
+    narrow = gen_ma_cfr(PathSet(SHORT_PATHS), geo, FREQS)
+    wide = gen_ma_cfr(PathSet(SHORT_PATHS), geo, FREQS, narrowband_phase=False)
+    # Each grid twice in turn, so every call after the first pair both
+    # replaces an entry and hits one.
+    for grid in grids + grids:
+        for (cx, cy), tp in ((narrow, None), (wide, None), (narrow, taper), (wide, taper)):
+            for f_index in (FREQS.center_index, 3):
+                beam = cbf_ma(cx, cy, grid, FREQS.points[f_index], tp)
+                expect = uncached_ma_beam(cx, cy, grid, f_index, tp)
+                assert beam.values.tobytes() == expect.tobytes()
+
+
+def test_cbf_ma_steering_is_keyed_by_scan_values():
+    geo = MaGeometry(5, 9, 0.5)
+    cx, cy = gen_ma_cfr(PathSet(SHORT_PATHS), geo, FREQS)
+    grid = ScanGrid(np.array([20.0, 60.0]), np.array([100.0, 200.0, 260.0]))
+    first = cbf_ma(cx, cy, grid, FREQS.f_center_hz).values
+    grid.phi_deg[:] += 10.0
+    second = cbf_ma(cx, cy, grid, FREQS.f_center_hz).values
+    assert not np.array_equal(first, second)
+    expect = uncached_ma_beam(cx, cy, grid, FREQS.center_index)
+    assert second.tobytes() == expect.tobytes()
+
+
+def test_cached_steering_and_phasors_are_read_only():
+    grid = ScanGrid(np.array([20.0, 60.0]), np.array([100.0, 200.0]))
+    steering = _scan_steering(MaGeometry(5, 9), grid.theta_deg.tobytes(),
+                              grid.phi_deg.tobytes(), 1.0)
+    for array in steering + _delay_phasors(FREQS, 4):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_run_sic_builds_the_scan_steering_once():
+    s = parse_scenario(scenario_path("table1_small"))
+    cx, cy = gen_ma_cfr(s.paths, s.ma, s.freqs)
+    _scan_steering.cache_clear()
+    report = run_sic(cx, cy, s.estimator_config())
+    info = _scan_steering.cache_info()
+    assert len(report.diagnostics) > 1
+    assert info.misses == 1
+    assert info.hits > 0
+
+
 def test_matched_unit_path_gives_unit_beam():
     path = PathComponent.from_power_db(0, 60, 120, 2.0)
     geo = UraGeometry(5, 5)
@@ -134,6 +205,26 @@ def test_cir_round_trip_matches_transforms():
     cx, _ = gen_ma_cfr(PathSet(SHORT_PATHS), geo, FREQS)
     cir = cfr_to_cir(cx.values, FREQS, 4)
     np.testing.assert_allclose(cir_to_cfr(cir, FREQS, 4), cx.values, atol=1e-12)
+
+
+def test_cfr_to_cir_returns_a_fresh_array_with_the_same_bits():
+    rng = np.random.default_rng(5)
+    double = rng.normal(size=(3, FREQS.n_points)) + 1j * rng.normal(size=(3, FREQS.n_points))
+    for spectrum, pad in ((double, 1), (double, 3), (double, 4),
+                          (double.astype(np.complex64), 3)):
+        before = spectrum.copy()
+        n = FREQS.n_points * pad
+        tau = delay_axis(FREQS, pad)
+        profile = cfr_to_cir(spectrum, FREQS, pad)
+        assert profile.flags.writeable
+        expect = (np.fft.ifft(spectrum, n=n, axis=-1) * (n / FREQS.n_points)
+                  * np.exp(2j * np.pi * FREQS.f_start_hz * tau))
+        assert profile.tobytes() == expect.tobytes()
+        back = cir_to_cfr(profile, FREQS, pad)
+        expect = (np.fft.fft(profile * np.exp(-2j * np.pi * FREQS.f_start_hz * tau),
+                             axis=-1)[..., :FREQS.n_points] * (FREQS.n_points / n))
+        assert back.tobytes() == expect.tobytes()
+        assert spectrum.tobytes() == before.tobytes()
 
 
 def brute_force_padp_value(cfr, theta_deg, phi_deg, tau):
