@@ -10,7 +10,7 @@ import numpy as np
 from scipy import ndimage
 
 from .channel import CfrSet
-from .geometry import FrequencyGrid, MaGeometry, ScanGrid, delay_axis, uv_map
+from .geometry import FrequencyGrid, ScanGrid, delay_axis, uv_map
 
 DB_FLOOR = 1e-30
 
@@ -97,25 +97,6 @@ def _conj_steer(indices: np.ndarray, spacing_wl: float, cosines: np.ndarray,
     return np.exp(arg, out=arg)
 
 
-@functools.lru_cache(maxsize=1)
-def _scan_steering(geometry: MaGeometry, theta_bytes: bytes, phi_bytes: bytes,
-                   scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only conjugate steering matrices of the x and y sub-arrays over a
-    (theta, phi) scan, each (n_elem, n_theta * n_phi).
-
-    Keyed by the bytes of the scan axes, not by the ScanGrid, so an edited or
-    rebuilt grid never meets a stale entry. The one entry holds
-    16 B x (x_count + y_count) x scan points (100 MiB for a 199 + 199 element
-    MA over a 91 x 181 scan); a call on another scan replaces it.
-    """
-    u, v = _scan_cosines(np.frombuffer(theta_bytes), np.frombuffer(phi_bytes))
-    steering = (_conj_steer(geometry.x_indices, geometry.d_wl, u, scale),
-                _conj_steer(geometry.y_indices, geometry.d_wl, v, scale))
-    for matrix in steering:
-        matrix.flags.writeable = False
-    return steering
-
-
 def _resolve_window(window, n_points: int) -> np.ndarray | None:
     if window is None:
         return None
@@ -141,20 +122,11 @@ def _weights(taper, counts: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     return tx, ty
 
 
-def _over_columns(cfr: CfrSet, cols, beam) -> np.ndarray:
-    """beam(scale, cols) over frequency columns, stacked on the last axis.
-    Narrowband phase steers all columns at the reference wavelength in one
-    call; wideband phase scales the steering by f / ref_freq_hz per column."""
-    if cfr.narrowband_phase:
-        return beam(1.0, cols)
-    cols = np.arange(cfr.freqs.n_points)[cols]
-    return np.concatenate([beam(f / cfr.ref_freq_hz, [c])
-                           for c, f in zip(cols, cfr.freqs.points[cols])], axis=-1)
-
-
 def _ura_beam(cfr: CfrSet, u: np.ndarray, v: np.ndarray, taper, cols) -> np.ndarray:
     """Normalized URA delay-and-sum at paired cosines (u, v) of one shape,
-    over frequency columns cols; shape u.shape + (n_cols,)."""
+    over frequency columns cols; shape u.shape + (n_cols,). Narrowband phase
+    steers all columns at the reference wavelength in one call; wideband
+    phase scales the steering by f / ref_freq_hz per column."""
     geom = cfr.geometry
     tx, ty = _weights(taper, (geom.m_count, geom.n_count))
 
@@ -162,15 +134,51 @@ def _ura_beam(cfr: CfrSet, u: np.ndarray, v: np.ndarray, taper, cols) -> np.ndar
         ax = _conj_steer(geom.x_indices, geom.dx_wl, u, scale) * tx[:, None]
         ay = _conj_steer(geom.y_indices, geom.dy_wl, v, scale) * ty[:, None]
         return np.einsum("mp,mnl,np->pl", ax, cfr.values[:, :, cols], ay, optimize=True)
-    b = _over_columns(cfr, cols, beam) / (np.sum(np.abs(tx)) * np.sum(np.abs(ty)))
+    if cfr.narrowband_phase:
+        b = beam(1.0, cols)
+    else:
+        cols = np.arange(cfr.freqs.n_points)[cols]
+        b = np.concatenate([beam(f / cfr.ref_freq_hz, [c])
+                            for c, f in zip(cols, cfr.freqs.points[cols])], axis=-1)
+    b = b / (np.sum(np.abs(tx)) * np.sum(np.abs(ty)))
     return b.reshape(u.shape + (-1,))
 
 
-def _steered_sum(cfr: CfrSet, values: np.ndarray, steer, cols) -> np.ndarray:
-    """steer(scale)^T @ values of an MA sub-array over frequency columns cols,
-    shape (n_points, n_cols). values is cfr.values or a weighted copy of it;
-    steer(scale) gives the conjugate steering matrix at f / ref_freq_hz."""
-    return _over_columns(cfr, cols, lambda scale, cols: steer(scale).T @ values[:, cols])
+def check_ma_pair(cfr_x: CfrSet, cfr_y: CfrSet, caller: str) -> None:
+    """Raise ValueError unless cfr_x and cfr_y are the ma_x and ma_y halves
+    of one sounding: same frequency grid, geometry and phase model."""
+    if cfr_x.layout != "ma_x" or cfr_y.layout != "ma_y":
+        raise ValueError(f"{caller} needs ma_x and ma_y CFRs")
+    for name in ("freqs", "geometry", "ref_freq_hz", "narrowband_phase"):
+        if getattr(cfr_x, name) != getattr(cfr_y, name):
+            raise ValueError(f"sub-array CFRs must share {name}")
+
+
+def _steered_sum(cfr: CfrSet, values: np.ndarray, indices: np.ndarray,
+                 cosines: np.ndarray, cols) -> np.ndarray:
+    """Sum over elements k of values[k] exp(-j 2 pi d indices[k] c f / ref)
+    for an MA sub-array at each cosine c, over frequency columns cols;
+    shape (cosines.size, n_cols). values is cfr.values or a weighted copy of
+    it; f / ref is 1 with narrowband phase.
+
+    When every column shares one steering matrix (narrowband phase, more
+    than one column), it is built and multiplied. Otherwise the sum, a
+    polynomial in z = exp(-j 2 pi d c f / ref) over the consecutive indices,
+    is evaluated by Horner's rule and multiplied by z^indices[0].
+    """
+    values = values[:, cols]
+    if cfr.narrowband_phase and values.shape[1] > 1:
+        return _conj_steer(indices, cfr.geometry.d_wl, cosines, 1.0).T @ values
+    scale = (np.ones(1) if cfr.narrowband_phase
+             else cfr.freqs.points[cols] / cfr.ref_freq_hz)
+    arg = -2j * np.pi * cfr.geometry.d_wl * np.outer(cosines.ravel(), scale)
+    z = np.exp(arg)
+    total = np.zeros((z.shape[0], values.shape[1]), complex)
+    for row in values[::-1]:
+        total *= z
+        total += row
+    total *= np.exp(arg * indices[0])
+    return total
 
 
 def line_spectrum(cfr: CfrSet, cosines, cols=slice(None)) -> np.ndarray:
@@ -180,27 +188,22 @@ def line_spectrum(cfr: CfrSet, cosines, cols=slice(None)) -> np.ndarray:
         raise ValueError("line_spectrum needs an ma_x or ma_y CFR")
     geom, cosines = cfr.geometry, np.asarray(cosines, float)
     indices = geom.x_indices if cfr.layout == "ma_x" else geom.y_indices
-    steer = functools.partial(_conj_steer, indices, geom.d_wl, cosines)
-    return _steered_sum(cfr, cfr.values, steer, cols).reshape(cosines.shape + (-1,))
+    spectrum = _steered_sum(cfr, cfr.values, indices, cosines, cols)
+    return spectrum.reshape(cosines.shape + (-1,))
 
 
 def _ma_beam(cfr_x: CfrSet, cfr_y: CfrSet, u: np.ndarray, v: np.ndarray, taper,
-             cols, steering=None) -> np.ndarray:
+             cols) -> np.ndarray:
     """Product of the two normalized sub-array sums at broadcastable cosines
-    (u, v), over frequency columns cols; shape broadcast(u, v) + (n_cols,).
-    steering = (steer_x, steer_y), each scale -> the conjugate steering
-    matrix over u or v, supplies prebuilt matrices; by default they are
-    built from (u, v) on each call."""
+    (u, v), over frequency columns cols; shape broadcast(u, v) + (n_cols,)."""
     geom = cfr_x.geometry
-    if steering is None:
-        steering = (functools.partial(_conj_steer, geom.x_indices, geom.d_wl, u),
-                    functools.partial(_conj_steer, geom.y_indices, geom.d_wl, v))
 
-    def line_sum(cfr, cosines, steer, weights):
-        spectrum = _steered_sum(cfr, weights[:, None] * cfr.values, steer, cols)
+    def line_sum(cfr, indices, cosines, weights):
+        spectrum = _steered_sum(cfr, weights[:, None] * cfr.values, indices, cosines, cols)
         return spectrum.reshape(cosines.shape + (-1,)) / np.sum(np.abs(weights))
     tx, ty = _weights(taper, (geom.x_count, geom.y_count))
-    return line_sum(cfr_x, u, steering[0], tx) * line_sum(cfr_y, v, steering[1], ty)
+    return (line_sum(cfr_x, geom.x_indices, u, tx)
+            * line_sum(cfr_y, geom.y_indices, v, ty))
 
 
 def cbf_ura(cfr: CfrSet, grid: ScanGrid, f_hz: float,
@@ -220,13 +223,9 @@ def cbf_ura(cfr: CfrSet, grid: ScanGrid, f_hz: float,
 def cbf_ma(cfr_x: CfrSet, cfr_y: CfrSet, grid: ScanGrid, f_hz: float,
            taper: tuple[np.ndarray, np.ndarray] | None = None) -> BeamPattern:
     """Product of the two normalized sub-array beamforming sums."""
-    if cfr_x.layout != "ma_x" or cfr_y.layout != "ma_y":
-        raise ValueError("cbf_ma needs ma_x and ma_y CFRs")
+    check_ma_pair(cfr_x, cfr_y, "cbf_ma")
     u, v = _scan_cosines(grid.theta_deg, grid.phi_deg)
-    key = (cfr_x.geometry, grid.theta_deg.tobytes(), grid.phi_deg.tobytes())
-    steering = (lambda scale: _scan_steering(*key, scale)[0],
-                lambda scale: _scan_steering(*key, scale)[1])
-    b = _ma_beam(cfr_x, cfr_y, u, v, taper, [_freq_index(cfr_x.freqs, f_hz)], steering)
+    b = _ma_beam(cfr_x, cfr_y, u, v, taper, [_freq_index(cfr_x.freqs, f_hz)])
     return BeamPattern(b[..., 0], grid.theta_deg, grid.phi_deg, f_hz, "ma")
 
 
@@ -234,8 +233,7 @@ def cbf_ma_uv(cfr_x: CfrSet, cfr_y: CfrSet, u_axis: np.ndarray,
               v_axis: np.ndarray, f_hz: float,
               taper: tuple[np.ndarray, np.ndarray] | None = None) -> UvBeam:
     """MA beam pattern on a direction-cosine lattice (separable product)."""
-    if cfr_x.layout != "ma_x" or cfr_y.layout != "ma_y":
-        raise ValueError("cbf_ma_uv needs ma_x and ma_y CFRs")
+    check_ma_pair(cfr_x, cfr_y, "cbf_ma_uv")
     u_axis = np.asarray(u_axis, float)
     v_axis = np.asarray(v_axis, float)
     b = _ma_beam(cfr_x, cfr_y, u_axis[:, None], v_axis[None, :], taper,
@@ -305,8 +303,7 @@ def padp_ura(cfr: CfrSet, theta_deg: float, phi_deg: np.ndarray,
 def padp_ma(cfr_x: CfrSet, cfr_y: CfrSet, theta_deg: float, phi_deg: np.ndarray,
             pad_factor: int = 4, taper=None, window=None) -> Padp:
     """Inverse transform of the product MA beam pattern; true-path delays double."""
-    if cfr_x.layout != "ma_x" or cfr_y.layout != "ma_y":
-        raise ValueError("padp_ma needs ma_x and ma_y CFRs")
+    check_ma_pair(cfr_x, cfr_y, "padp_ma")
     phi_deg = np.asarray(phi_deg, float)
     u, v = _scan_cosines(np.array([theta_deg]), phi_deg)
     spectrum = _ma_beam(cfr_x, cfr_y, u, v, taper, slice(None))[0]

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamform import (BeamPattern, NoPeakError, cbf_ma, cfr_to_cir, cir_to_cfr,
-                       descending_cells, line_spectrum, padp_ma)
+from .beamform import (BeamPattern, NoPeakError, cbf_ma, cfr_to_cir, check_ma_pair,
+                       cir_to_cfr, descending_cells, line_spectrum, padp_ma)
 from .channel import CfrSet, PathSet, gen_ma_cfr
 from .geometry import (Direction, FrequencyGrid, MaGeometry, PathComponent,
                        ScanGrid, delay_axis, uv_map)
@@ -70,7 +70,6 @@ class IterationDiagnostics:
     amplitude_db: float
     gate_bins: int
     gate_span_s: tuple[float, float]
-    joint_capture: bool
     accepted: bool
     candidates_skipped: int = 0
 
@@ -192,18 +191,6 @@ def _gated_spectrum(cfr: CfrSet, cosine: float, gate: np.ndarray,
     return cir_to_cfr(extract_path_cir(cir, gate), cfr.freqs, pad_factor)
 
 
-def _joint_capture(gated_x: np.ndarray, freqs: FrequencyGrid, pad_factor: int) -> bool:
-    """Flag when the gated profile holds more than one comparable delay peak."""
-    bx = np.abs(cfr_to_cir(gated_x, freqs, pad_factor))
-    top = bx.max()
-    if top <= 0:
-        return False
-    main = int(np.argmax(bx))
-    lobe = pad_factor  # one resolution bin on the padded axis
-    mask = np.abs(np.arange(bx.size) - main) > 2 * lobe
-    return bool(np.any(bx[mask] > top * 10.0 ** (-3.0 / 20.0)))
-
-
 def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
             snapshot_hook=None) -> EstimationReport:
     """Iterate detect -> gate -> refine -> estimate -> subtract until the
@@ -211,9 +198,7 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
     reached. The reference amplitude is frozen at the first detected path.
     snapshot_hook(q, padp), when given, receives the residual angle-delay
     profile at the start of each iteration."""
-    for name in ("freqs", "geometry", "ref_freq_hz", "narrowband_phase"):
-        if getattr(cfr_x, name) != getattr(cfr_y, name):
-            raise ValueError(f"sub-array CFRs must share {name}")
+    check_ma_pair(cfr_x, cfr_y, "run_sic")
     if not (np.isfinite(cfr_x.values).all() and np.isfinite(cfr_y.values).all()):
         raise ValueError("input CFR has non-finite values")
     if cfr_x.total_power() == 0 and cfr_y.total_power() == 0:
@@ -255,7 +240,7 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
                 alpha = None
             if (alpha is not None and 20.0 * math.log10(abs(alpha))
                     >= level[r, c] - CONSISTENCY_MARGIN_DB):
-                found = (direction, tau_hat, alpha, gate, gx)
+                found = (direction, tau_hat, alpha, gate)
                 break
             # Cross-product artifact: strong in the product profile, but no
             # single-axis support at the halved delay. The walk hides it and
@@ -264,7 +249,7 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
         if found is None:
             stop_reason = "dynamic-range"
             break
-        direction, tau_hat, alpha, gate, gx = found
+        direction, tau_hat, alpha, gate = found
         magnitude = abs(alpha)
         if alpha_max is None:
             alpha_max = magnitude
@@ -277,7 +262,6 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
             amplitude_db=20.0 * math.log10(max(magnitude, 1e-30)),
             gate_bins=gate_bins,
             gate_span_s=gate_span,
-            joint_capture=_joint_capture(gx, freqs, pad),
             accepted=accepted,
             candidates_skipped=skipped,
         ))

@@ -1,18 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from masounder.beamform import (BeamPattern, Padp, UvBeam, _delay_phasors,
-                                _scan_cosines, _scan_steering, cbf_ma, cbf_ma_uv,
-                                cbf_ura, cfr_to_cir, cir_to_cfr, find_peaks,
+                                _scan_cosines, cbf_ma, cbf_ma_uv, cbf_ura,
+                                cfr_to_cir, cir_to_cfr, find_peaks, line_spectrum,
                                 padp_ma, padp_ura, predict_ma_terms)
 from masounder.channel import PathSet, gen_ma_cfr, gen_ura_cfr
 from masounder.geometry import (Direction, FrequencyGrid, MaGeometry,
                                 PathComponent, ScanGrid, UraGeometry,
                                 delay_axis, uv_map)
-from masounder.scenario import parse_scenario
-from masounder.sic import run_sic
-
-from conftest import scenario_path
 
 FREQS = FrequencyGrid(26e9, 30e9, 64)
 SHORT_PATHS = [
@@ -79,16 +77,21 @@ def test_cbf_ma_matches_brute_force():
             assert beam.values[i, j] == pytest.approx(expect, abs=1e-9)
 
 
+def conj_steer(indices, d_wl, cosines, scale):
+    """Conjugate steering matrix (n_elem, n_points), built out of place."""
+    return np.exp(-2j * np.pi * d_wl * scale * np.outer(indices, np.ravel(cosines)))
+
+
 def uncached_ma_beam(cfr_x, cfr_y, grid, f_index, taper=None):
-    """cbf_ma with its steering built on the spot, out of place, as it was
-    before the steering cache: same arithmetic, so the same bits."""
+    """cbf_ma as a product of two steering-matrix products, as it was
+    before Horner's rule."""
     geo = cfr_x.geometry
     f = cfr_x.freqs.points[f_index]
     scale = 1.0 if cfr_x.narrowband_phase else f / cfr_x.ref_freq_hz
     u, v = _scan_cosines(grid.theta_deg, grid.phi_deg)
 
     def line_sum(cfr, indices, cosines, weights):
-        steer = np.exp(-2j * np.pi * geo.d_wl * scale * np.outer(indices, cosines.ravel()))
+        steer = conj_steer(indices, geo.d_wl, cosines, scale)
         weighted = weights[:, None] * cfr.values
         return steer.T @ weighted[:, [f_index]] / np.sum(np.abs(weights))
     tx, ty = taper if taper is not None else (np.ones(geo.x_count), np.ones(geo.y_count))
@@ -96,21 +99,48 @@ def uncached_ma_beam(cfr_x, cfr_y, grid, f_index, taper=None):
     return b.reshape(u.shape)
 
 
-def test_cbf_ma_is_bitwise_equal_to_uncached_steering():
+def per_column_line_sums(cfr_x, cfr_y, cosines_x, cosines_y, taper=None):
+    """Normalized x and y sub-array sums over every sweep column, one
+    steering matrix per column; each shape (n_points, n_cols)."""
+    geo = cfr_x.geometry
+    tx, ty = taper if taper is not None else (np.ones(geo.x_count), np.ones(geo.y_count))
+    sums = []
+    for cfr, indices, cosines, weights in ((cfr_x, geo.x_indices, cosines_x, tx),
+                                           (cfr_y, geo.y_indices, cosines_y, ty)):
+        columns = []
+        for c, f in enumerate(cfr.freqs.points):
+            scale = 1.0 if cfr.narrowband_phase else f / cfr.ref_freq_hz
+            steer = conj_steer(indices, geo.d_wl, cosines, scale)
+            columns.append(steer.T @ (weights * cfr.values[:, c]))
+        sums.append(np.stack(columns, axis=-1) / np.sum(np.abs(weights)))
+    return sums
+
+
+# Horner's rule sums in another order than the steering-matrix product.
+# Each value must lie within HORNER_RTOL of the largest magnitude; for the
+# 9-element sub-arrays below, n eps is 2e-15.
+HORNER_RTOL = 1e-14
+
+
+def assert_close_to_peak(actual, expect):
+    np.testing.assert_allclose(actual, expect, rtol=0,
+                               atol=HORNER_RTOL * np.abs(expect).max())
+
+
+def test_cbf_ma_matches_uncached_steering():
     geo = MaGeometry(5, 9, 0.5)
     grids = [ScanGrid(np.array([20.0, 60.0]), np.array([100.0, 200.0, 260.0])),
              ScanGrid.regular(0.0, 90.0, 15.0, 90.0, 270.0, 20.0)]
     taper = (np.array([0.3, 0.8, 1.0, 0.8, 0.3]), np.linspace(0.2, 1.0, 9))
     narrow = gen_ma_cfr(PathSet(SHORT_PATHS), geo, FREQS)
     wide = gen_ma_cfr(PathSet(SHORT_PATHS), geo, FREQS, narrowband_phase=False)
-    # Each grid twice in turn, so every call after the first pair both
-    # replaces an entry and hits one.
-    for grid in grids + grids:
+    for grid in grids:
         for (cx, cy), tp in ((narrow, None), (wide, None), (narrow, taper), (wide, taper)):
             for f_index in (FREQS.center_index, 3):
                 beam = cbf_ma(cx, cy, grid, FREQS.points[f_index], tp)
                 expect = uncached_ma_beam(cx, cy, grid, f_index, tp)
-                assert beam.values.tobytes() == expect.tobytes()
+                assert_close_to_peak(beam.values, expect)
+                assert np.argmax(np.abs(beam.values)) == np.argmax(np.abs(expect))
 
 
 def test_cbf_ma_steering_is_keyed_by_scan_values():
@@ -121,28 +151,60 @@ def test_cbf_ma_steering_is_keyed_by_scan_values():
     grid.phi_deg[:] += 10.0
     second = cbf_ma(cx, cy, grid, FREQS.f_center_hz).values
     assert not np.array_equal(first, second)
-    expect = uncached_ma_beam(cx, cy, grid, FREQS.center_index)
-    assert second.tobytes() == expect.tobytes()
+    assert_close_to_peak(second, uncached_ma_beam(cx, cy, grid, FREQS.center_index))
 
 
-def test_cached_steering_and_phasors_are_read_only():
-    grid = ScanGrid(np.array([20.0, 60.0]), np.array([100.0, 200.0]))
-    steering = _scan_steering(MaGeometry(5, 9), grid.theta_deg.tobytes(),
-                              grid.phi_deg.tobytes(), 1.0)
-    for array in steering + _delay_phasors(FREQS, 4):
+def test_wideband_line_spectrum_and_padp_ma_match_per_column_steering():
+    geo = MaGeometry(5, 9, 0.5)
+    cx, cy = gen_ma_cfr(PathSet(SHORT_PATHS), geo, FREQS, narrowband_phase=False)
+    taper = (np.array([0.3, 0.8, 1.0, 0.8, 0.3]), np.linspace(0.2, 1.0, 9))
+    u, v = _scan_cosines(np.array([60.0]), np.array([100.0, 120.0, 200.0]))
+    x_sum, y_sum = per_column_line_sums(cx, cy, u, v)
+    assert_close_to_peak(line_spectrum(cx, u[0]), x_sum * geo.x_count)
+    assert_close_to_peak(line_spectrum(cy, v[0]), y_sum * geo.y_count)
+    for tp in (None, taper):
+        x_sum, y_sum = per_column_line_sums(cx, cy, u, v, tp)
+        padp = padp_ma(cx, cy, 60.0, np.array([100.0, 120.0, 200.0]), 2, taper=tp)
+        assert_close_to_peak(padp.values, cfr_to_cir(x_sum * y_sum, FREQS, 2).T)
+
+
+def test_narrowband_line_spectrum_and_padp_ma_are_bitwise_steering_products():
+    geo = MaGeometry(5, 9, 0.5)
+    cx, cy = gen_ma_cfr(PathSet(SHORT_PATHS), geo, FREQS)
+    taper = (np.array([0.3, 0.8, 1.0, 0.8, 0.3]), np.linspace(0.2, 1.0, 9))
+    phi = np.array([100.0, 120.0, 200.0])
+    u, v = _scan_cosines(np.array([60.0]), phi)
+    spectrum = line_spectrum(cx, u[0])
+    assert spectrum.tobytes() == (conj_steer(geo.x_indices, geo.d_wl, u, 1.0).T
+                                  @ cx.values).tobytes()
+    for tx, ty in ((np.ones(5), np.ones(9)), taper):
+        x_sum = (conj_steer(geo.x_indices, geo.d_wl, u, 1.0).T
+                 @ (tx[:, None] * cx.values) / np.sum(np.abs(tx)))
+        y_sum = (conj_steer(geo.y_indices, geo.d_wl, v, 1.0).T
+                 @ (ty[:, None] * cy.values) / np.sum(np.abs(ty)))
+        padp = padp_ma(cx, cy, 60.0, phi, 2, taper=(tx, ty))
+        assert padp.values.tobytes() == cfr_to_cir(x_sum * y_sum, FREQS, 2).T.tobytes()
+
+
+def test_cbf_ma_on_a_large_scan_allocates_no_steering_matrix():
+    # 199 + 199 elements over a 91 x 181 scan: a complex128 steering matrix
+    # pair would take 16 B x 398 x 16,471 = 100 MiB.
+    geo = MaGeometry(199, 199, 0.5)
+    cx, cy = gen_ma_cfr(PathSet(SHORT_PATHS), geo, FREQS)
+    grid = ScanGrid.regular(0.0, 90.0, 1.0, 0.0, 360.0, 2.0)
+    tracemalloc.start()
+    try:
+        cbf_ma(cx, cy, grid, FREQS.f_center_hz)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_cached_delay_phasors_are_read_only():
+    for array in _delay_phasors(FREQS, 4):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-
-
-def test_run_sic_builds_the_scan_steering_once():
-    s = parse_scenario(scenario_path("table1_small"))
-    cx, cy = gen_ma_cfr(s.paths, s.ma, s.freqs)
-    _scan_steering.cache_clear()
-    report = run_sic(cx, cy, s.estimator_config())
-    info = _scan_steering.cache_info()
-    assert len(report.diagnostics) > 1
-    assert info.misses == 1
-    assert info.hits > 0
 
 
 def test_matched_unit_path_gives_unit_beam():

@@ -3,8 +3,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from masounder.cfrfile import write_cfr
+from masounder.channel import PathSet, gen_ma_cfr
 from masounder.cli import main
-from masounder.geometry import Direction, uv_map
+from masounder.geometry import Direction, FrequencyGrid, uv_map
 from masounder.scenario import (Scenario, ScenarioError, parse_scenario,
                                 scenario_from_dict)
 
@@ -226,6 +228,22 @@ def test_cli_estimate_bad_gate_exits_2(tmp_path):
     assert r.exit_code == 2
     assert "gate_db" in r.output
     assert not (out / "paths.csv").exists()
+
+
+def test_cli_beamscan_mismatched_sub_arrays_exit_2(tmp_path):
+    cfg = str(_write_tiny(tmp_path))
+    out = tmp_path / "out"
+    assert _run(["simulate", "--config", cfg, "--out", str(out),
+                 "--quiet"]).exit_code == 0
+    scenario = parse_scenario(cfg)
+    # The same channel on ma_y, swept 1 GHz higher than ma_x.
+    shifted = FrequencyGrid(27e9, 31e9, scenario.freqs.n_points)
+    _, ma_y = gen_ma_cfr(PathSet(scenario.paths), scenario.ma, shifted)
+    write_cfr(out / "ma_y_cfr.csv", ma_y)
+    r = CliRunner().invoke(main, ["beamscan", "--config", cfg, "--out", str(out)])
+    assert r.exit_code == 2
+    assert "must share freqs" in r.output
+    assert not (out / "ma_beam.csv").exists()
 
 
 def test_cli_beam_csv_cosines_match_uv_map(tmp_path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from masounder.beamform import (BeamPattern, NoPeakError, cfr_to_cir,
-                                cir_to_cfr, line_spectrum, padp_ma)
+from masounder.beamform import (BeamPattern, NoPeakError, cbf_ma, cbf_ma_uv,
+                                cfr_to_cir, cir_to_cfr, line_spectrum, padp_ma)
 from masounder.channel import PathSet, add_noise, gen_ma_cfr
 from masounder.geometry import (Direction, FrequencyGrid, MaGeometry,
                                 PathComponent, ScanGrid, uv_map)
@@ -254,6 +254,12 @@ def test_run_sic_rejects_mismatched_grids(name):
     _, cy = gen_ma_cfr(PathSet(THREE_PATHS), *MISMATCHED_Y[name])
     with pytest.raises(ValueError, match=name):
         run_sic(cx, cy, EstimatorConfig(SCAN))
+    f = FREQS.f_center_hz
+    for call in (lambda: cbf_ma(cx, cy, SCAN, f),
+                 lambda: cbf_ma_uv(cx, cy, np.array([0.5]), np.array([0.1]), f),
+                 lambda: padp_ma(cx, cy, 90.0, SCAN.phi_deg)):
+        with pytest.raises(ValueError, match=name):
+            call()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
