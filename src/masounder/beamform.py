@@ -158,15 +158,14 @@ def _steered_sum(cfr: CfrSet, values: np.ndarray, indices: np.ndarray,
                  cosines: np.ndarray, cols) -> np.ndarray:
     """Sum over elements k of values[k] exp(-j 2 pi d indices[k] c f / ref)
     for an MA sub-array at each cosine c, over frequency columns cols;
-    shape (cosines.size, n_cols). values is cfr.values or a weighted copy of
-    it; f / ref is 1 with narrowband phase.
+    shape (cosines.size, n_cols). values is cfr.values[:, cols] or a
+    weighted copy of it; f / ref is 1 with narrowband phase.
 
     When every column shares one steering matrix (narrowband phase, more
     than one column), it is built and multiplied. Otherwise the sum, a
     polynomial in z = exp(-j 2 pi d c f / ref) over the consecutive indices,
     is evaluated by Horner's rule and multiplied by z^indices[0].
     """
-    values = values[:, cols]
     if cfr.narrowband_phase and values.shape[1] > 1:
         return _conj_steer(indices, cfr.geometry.d_wl, cosines, 1.0).T @ values
     scale = (np.ones(1) if cfr.narrowband_phase
@@ -188,7 +187,7 @@ def line_spectrum(cfr: CfrSet, cosines, cols=slice(None)) -> np.ndarray:
         raise ValueError("line_spectrum needs an ma_x or ma_y CFR")
     geom, cosines = cfr.geometry, np.asarray(cosines, float)
     indices = geom.x_indices if cfr.layout == "ma_x" else geom.y_indices
-    spectrum = _steered_sum(cfr, cfr.values, indices, cosines, cols)
+    spectrum = _steered_sum(cfr, cfr.values[:, cols], indices, cosines, cols)
     return spectrum.reshape(cosines.shape + (-1,))
 
 
@@ -199,7 +198,8 @@ def _ma_beam(cfr_x: CfrSet, cfr_y: CfrSet, u: np.ndarray, v: np.ndarray, taper,
     geom = cfr_x.geometry
 
     def line_sum(cfr, indices, cosines, weights):
-        spectrum = _steered_sum(cfr, weights[:, None] * cfr.values, indices, cosines, cols)
+        spectrum = _steered_sum(cfr, weights[:, None] * cfr.values[:, cols], indices,
+                                cosines, cols)
         return spectrum.reshape(cosines.shape + (-1,)) / np.sum(np.abs(weights))
     tx, ty = _weights(taper, (geom.x_count, geom.y_count))
     return (line_sum(cfr_x, geom.x_indices, u, tx)

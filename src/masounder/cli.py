@@ -17,7 +17,8 @@ from .beamform import NoPeakError, cbf_ma, cbf_ura, padp_ma, padp_ura
 from .cfrfile import CfrFormatError, read_cfr, write_cfr, write_rows
 from .channel import add_noise, gen_ma_cfr, gen_ura_cfr
 from .compare import compare_arrays
-from .patterns import check_conjugate_symmetry, ma_power_pattern, ura_power_pattern
+from .patterns import (check_conjugate_symmetry, ma_power_pattern, ura_power_pattern,
+                       uv_lattice)
 from .scenario import Scenario, ScenarioError, dump_scenario, parse_scenario
 from .sic import run_sic
 
@@ -97,14 +98,14 @@ def cmd_synth_pattern(config_path, out_dir, seed, quiet):
     if scenario.ura is None:
         raise ScenarioError("synth-pattern needs a URA geometry")
     wx, wy, wx_ma, wy_ma = scenario.steered_excitations()
-    axis = np.linspace(-1.0, 1.0, scenario.pattern_lattice)
-    ura_pat = ura_power_pattern(wx, wy, scenario.ura, axis, axis)
+    u_axis, v_axis = uv_lattice(scenario.pattern_lattice)
+    ura_pat = ura_power_pattern(wx, wy, scenario.ura, u_axis, v_axis)
     _write_uv_pattern(out / "ura_pattern.csv", ura_pat)
     if scenario.ma is None:
         if not quiet:
             click.echo("no MA geometry; URA pattern only")
         return
-    ma_pat = ma_power_pattern(wx_ma, wy_ma, scenario.ma, axis, axis)
+    ma_pat = ma_power_pattern(wx_ma, wy_ma, scenario.ma, u_axis, v_axis)
     _write_uv_pattern(out / "ma_pattern.csv", ma_pat)
     if not (check_conjugate_symmetry(wx) and check_conjugate_symmetry(wy)):
         click.echo("warning: excitations not conjugate-symmetric; "

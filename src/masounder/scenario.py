@@ -22,6 +22,21 @@ _ESTIMATOR_DEFAULTS = {"epsilon_db": 30.0, "max_iterations": 20,
                        "pad_factor": 4, "gate_db": None}
 _COMPARE_DEFAULTS = {"theta_deg": 90.0, "window": "hann",
                      "dynamic_range_db": 25.0, "min_separation": 6}
+# The keys each section may hold. Any other key, such as a misspelt
+# "noise": {"snr": 10}, would otherwise be ignored in favour of the default.
+_SECTION_KEYS = {
+    "frequency": ("start_hz", "stop_hz", "points"),
+    "ura": ("m", "n", "dx_wl", "dy_wl"),
+    "ma": ("x", "y", "d_wl"),
+    "paths": ("power_db", "phase_deg", "elevation_deg", "azimuth_deg", "delay_ns"),
+    "scan": tuple(_SCAN_DEFAULTS),
+    "estimator": tuple(_ESTIMATOR_DEFAULTS),
+    "taper": ("kind", "sidelobe_db"),
+    "steer": ("u0", "v0"),
+    "noise": ("snr_db",),
+    "compare": tuple(_COMPARE_DEFAULTS),
+}
+_SCENARIO_KEYS = (*_SECTION_KEYS, "pattern_lattice")
 
 
 @dataclass(frozen=True)
@@ -137,40 +152,63 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _checked(mapping, keys, context: str) -> dict:
+    """mapping, which must be an object holding no key outside keys."""
+    if not isinstance(mapping, dict):
+        raise ScenarioError(f"{context} must be an object")
+    for key in mapping:
+        if key not in keys:
+            raise ScenarioError(f"unknown key {context}.{key}")
+    return mapping
+
+
+def _section(data: dict, name: str) -> dict | None:
+    """The checked section name of data; None when absent or null."""
+    value = data.get(name)
+    return None if value is None else _checked(value, _SECTION_KEYS[name], name)
+
+
+def _path_entries(data: dict) -> list[dict]:
+    """The checked entries of data["paths"]; none when the key is absent."""
+    entries = data.get("paths", [])
+    if not isinstance(entries, list):
+        raise ScenarioError("paths must be a list")
+    return [_checked(p, _SECTION_KEYS["paths"], f"paths[{i}]")
+            for i, p in enumerate(entries)]
+
+
 def scenario_from_dict(data: dict) -> Scenario:
+    _checked(data, _SCENARIO_KEYS, "scenario")
     try:
-        fd = _require(data, "frequency", "scenario")
+        fd = _checked(_require(data, "frequency", "scenario"),
+                      _SECTION_KEYS["frequency"], "frequency")
         freqs = FrequencyGrid(float(_require(fd, "start_hz", "frequency")),
                               float(_require(fd, "stop_hz", "frequency")),
                               int(_require(fd, "points", "frequency")))
-        ura = None
-        if data.get("ura") is not None:
-            ud = data["ura"]
-            ura = UraGeometry(int(_require(ud, "m", "ura")),
-                              int(_require(ud, "n", "ura")),
-                              float(ud.get("dx_wl", 0.5)),
-                              float(ud.get("dy_wl", 0.5)))
-        ma = None
-        if data.get("ma") is not None:
-            md = data["ma"]
-            ma = MaGeometry(int(_require(md, "x", "ma")),
-                            int(_require(md, "y", "ma")),
-                            float(md.get("d_wl", 0.5)))
+        ud = _section(data, "ura")
+        ura = None if ud is None else UraGeometry(int(_require(ud, "m", "ura")),
+                                                  int(_require(ud, "n", "ura")),
+                                                  float(ud.get("dx_wl", 0.5)),
+                                                  float(ud.get("dy_wl", 0.5)))
+        md = _section(data, "ma")
+        ma = None if md is None else MaGeometry(int(_require(md, "x", "ma")),
+                                                int(_require(md, "y", "ma")),
+                                                float(md.get("d_wl", 0.5)))
         paths = PathSet([
             PathComponent.from_power_db(float(p.get("power_db", 0.0)),
                                         float(_require(p, "elevation_deg", "path")),
                                         float(_require(p, "azimuth_deg", "path")),
                                         float(_require(p, "delay_ns", "path")),
                                         float(p.get("phase_deg", 0.0)))
-            for p in data.get("paths", [])])
-        scan = {**_SCAN_DEFAULTS, **data.get("scan", {})}
-        est = {**_ESTIMATOR_DEFAULTS, **data.get("estimator", {})}
-        taper = data.get("taper")
+            for p in _path_entries(data)])
+        scan = {**_SCAN_DEFAULTS, **(_section(data, "scan") or {})}
+        est = {**_ESTIMATOR_DEFAULTS, **(_section(data, "estimator") or {})}
+        taper = _section(data, "taper")
         if taper is not None and taper.get("kind", "chebyshev") != "chebyshev":
             raise ScenarioError(f"unsupported taper kind {taper.get('kind')!r}")
-        steer_cfg = data.get("steer")
-        noise = data.get("noise") or {}
-        cmp_cfg = {**_COMPARE_DEFAULTS, **(data.get("compare") or {})}
+        steer_cfg = _section(data, "steer")
+        noise = _section(data, "noise") or {}
+        cmp_cfg = {**_COMPARE_DEFAULTS, **(_section(data, "compare") or {})}
         scenario = Scenario(
             freqs=freqs, ura=ura, ma=ma, paths=paths,
             scan_theta=tuple(float(x) for x in scan["theta"]),
@@ -224,8 +262,6 @@ def parse_scenario(path) -> Scenario:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{path}: top-level value must be an object")
     return scenario_from_dict(data)
 
 

@@ -1,13 +1,14 @@
 """Successive interference cancellation estimator for MA channel sounding.
 
 Each iteration detects the strongest beam maximum at the center frequency
-and tries the maxima of the residual angle-delay profile as path candidates.
+and walks the maxima of the residual angle-delay profile as path candidates.
 A candidate is tested on the two sub-array line spectra steered at its
-direction: both are gated around its halved delay, which is refined on
-their sum, and its amplitude comes from their gated product. A cross-product
-maximum has no single-axis support there and is skipped. An accepted path
-is regenerated on every element and subtracted; the cross products it
-spawned vanish with it.
+direction and gated around its halved delay: the amplitude of their gated
+product must reach the profile level, which a cross-product maximum does
+not. Only the candidate that passes is fitted: its delay is refined on the
+sum of the gated spectra, and its phase is that of their projection there.
+The path is regenerated on every element and subtracted; the cross
+products it spawned vanish with it.
 """
 
 from __future__ import annotations
@@ -116,56 +117,50 @@ def extract_path_cir(residual_cir: np.ndarray, gate: np.ndarray) -> np.ndarray:
 
 
 def refine_delay(gated_x: np.ndarray, gated_y: np.ndarray, freqs: FrequencyGrid,
-                 tau_hat: float, pad_factor: int = 4) -> float:
-    """Sub-bin delay refinement around the profile peak.
+                 tau_hat: float, pad_factor: int = 4) -> tuple[float, complex]:
+    """Sub-bin delay refinement around the profile peak, and the projection
+    exp(j 2 pi f tau) . (g_x + g_y) of a single-delay model onto the gated
+    line spectra at the refined delay.
 
     The padded delay axis quantizes the peak to a finite bin; the leftover
     offset turns into a phase ramp across the band that caps how deep the
-    later subtraction can cancel. Maximizing |exp(j 2 pi f tau) . (g_x + g_y)|,
-    the projection of a single-delay model onto the gated line spectra,
-    over a one-bin window removes that quantization. The window ends below
-    half the unambiguous delay, which no path delay may reach.
+    later subtraction can cancel. Maximizing |projection| over a one-bin
+    window removes that quantization, and its phase is the path's. The
+    window ends below half the unambiguous delay, which no path may reach.
     """
     spectrum = gated_x + gated_y
+    w = 2j * np.pi * freqs.points
+
+    def project(t):
+        return np.exp(w * t) @ spectrum
     if np.abs(spectrum).max() <= 1e-30:
-        return tau_hat
-    f = freqs.points
+        return tau_hat, project(tau_hat)
     bin_s = 1.0 / (freqs.n_points * pad_factor * freqs.spacing_hz)
     limit = 0.5 * freqs.unambiguous_delay_s
     # Imported here: scipy.optimize takes longer to import than the rest of
     # the package, and only estimation needs it.
     from scipy.optimize import minimize_scalar
-    w = 2j * np.pi * f
     result = minimize_scalar(
-        lambda t: -abs(np.exp(w * t) @ spectrum),
+        lambda t: -abs(project(t)),
         bounds=(max(tau_hat - bin_s, 0.0),
                 min(tau_hat + bin_s, float(np.nextafter(limit, 0.0)))),
         method="bounded", options={"xatol": 1e-15})
-    return float(result.x)
+    tau = float(result.x)
+    return tau, project(tau)
 
 
 def estimate_power(gated_x: np.ndarray, gated_y: np.ndarray, freqs: FrequencyGrid,
-                   tau_hat: float, geometry: MaGeometry,
-                   pad_factor: int = 4) -> complex:
-    """Complex amplitude of the gated single-path response.
-
-    The magnitude is the square root of the gated MA profile's peak,
-    cfr_to_cir(g_x g_y) / (N_x N_y), as a true MA term carries the squared
-    amplitude. The phase is that of the unit-path projection
-    exp(j 2 pi f tau) . (g_x + g_y): it absorbs the phase offset of the
-    finite delay-bin resolution, so the later subtraction is a
-    least-squares fit rather than a bin-quantized one.
+                   geometry: MaGeometry, pad_factor: int = 4) -> float:
+    """Magnitude of the gated single-path response: the square root of the
+    gated MA profile's peak, cfr_to_cir(g_x g_y) / (N_x N_y), as a true MA
+    term carries the squared amplitude. It does not depend on the delay
+    estimate, so it tests a candidate before any fit.
     """
     profile = np.abs(cfr_to_cir(gated_x * gated_y, freqs, pad_factor))
     peak = profile.max() / (geometry.x_count * geometry.y_count)
     if peak <= 1e-30:
         raise NoPeakError("gated response peak is below the numerical floor")
-    magnitude = math.sqrt(peak)
-    inner = np.exp(2j * np.pi * freqs.points * tau_hat) @ (gated_x + gated_y)
-    if abs(inner) <= 1e-30:
-        raise NoPeakError("gated response does not project onto the model path")
-    phase = float(np.angle(inner))
-    return magnitude * complex(math.cos(phase), math.sin(phase))
+    return math.sqrt(peak)
 
 
 def subtract_path(residual_x: CfrSet, residual_y: CfrSet,
@@ -193,9 +188,10 @@ def _gated_spectrum(cfr: CfrSet, cosine: float, gate: np.ndarray,
 
 def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
             snapshot_hook=None) -> EstimationReport:
-    """Iterate detect -> gate -> refine -> estimate -> subtract until the
-    next candidate falls outside the dynamic range or the iteration cap is
-    reached. The reference amplitude is frozen at the first detected path.
+    """Iterate detect -> test each candidate -> fit the one that passes ->
+    subtract until the next path falls outside the dynamic range or the
+    iteration cap is reached. The reference amplitude is frozen at the first
+    detected path.
     snapshot_hook(q, padp), when given, receives the residual angle-delay
     profile at the start of each iteration."""
     check_ma_pair(cfr_x, cfr_y, "run_sic")
@@ -222,7 +218,6 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
         if snapshot_hook is not None:
             snapshot_hook(q, padp)
         level = padp.level_db()
-        found = None
         skipped = 0
         for r, c in descending_cells(level, level.max() - config.epsilon_db,
                                      (2 * pad, 3)):
@@ -233,23 +228,24 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
             gate = build_label_vector(kernel, gate_db)
             gx = _gated_spectrum(rx, uv.u, gate, pad)
             gy = _gated_spectrum(ry, uv.v, gate, pad)
-            tau_hat = refine_delay(gx, gy, freqs, tau_hat, pad)
             try:
-                alpha = estimate_power(gx, gy, freqs, tau_hat, rx.geometry, pad)
+                magnitude = estimate_power(gx, gy, freqs, rx.geometry, pad)
             except NoPeakError:
-                alpha = None
-            if (alpha is not None and 20.0 * math.log10(abs(alpha))
+                magnitude = None
+            # A cross-product artifact is strong in the product profile, but
+            # has no single-axis support at the halved delay. The walk skips
+            # it; it disappears once its parent paths are subtracted.
+            if (magnitude is not None and 20.0 * math.log10(magnitude)
                     >= level[r, c] - CONSISTENCY_MARGIN_DB):
-                found = (direction, tau_hat, alpha, gate)
-                break
-            # Cross-product artifact: strong in the product profile, but no
-            # single-axis support at the halved delay. The walk hides it and
-            # moves on; it disappears once its parent paths are subtracted.
+                tau_hat, inner = refine_delay(gx, gy, freqs, tau_hat, pad)
+                if abs(inner) > 1e-30:
+                    break
             skipped += 1
-        if found is None:
+        else:
             stop_reason = "dynamic-range"
             break
-        direction, tau_hat, alpha, gate = found
+        phase = float(np.angle(inner))
+        alpha = magnitude * complex(math.cos(phase), math.sin(phase))
         magnitude = abs(alpha)
         if alpha_max is None:
             alpha_max = magnitude

@@ -83,6 +83,18 @@ def test_to_dict_round_trip(tmp_path):
     ({"estimator": {"epsilon_db": float("nan")}}, "estimator.epsilon_db"),
     ({"estimator": {"pad_factor": 0}}, "estimator.pad_factor"),
     ({"scan": {"theta": [0, float("nan"), 1]}}, "scan.theta"),
+    # misspelt keys used to be ignored in favour of the defaults
+    ({"noise": {"snr": 10}}, "unknown key noise.snr"),
+    ({"estimator": {"epsilon": 20}}, "unknown key estimator.epsilon"),
+    ({"paths": [{"power_db": 0, "elevation_deg": 60, "azimuth_deg": 120,
+                 "delay_ns": 1.0, "delay": 2.0}]}, r"unknown key paths\[0\]\.delay"),
+    ({"patern_lattice": 64}, "unknown key scenario.patern_lattice"),
+    # sections that are not objects used to raise AttributeError
+    ({"noise": 5}, "noise must be an object"),
+    ({"paths": [3]}, r"paths\[0\] must be an object"),
+    ({"paths": {"delay_ns": 1.0}}, "paths must be a list"),
+    ({"frequency": [26e9, 30e9, 24]}, "frequency must be an object"),
+    ({"ura": [3, 3]}, "ura must be an object"),
 ])
 def test_scenario_validation_errors(tmp_path, breakage, match):
     with pytest.raises(ScenarioError, match=match):
@@ -180,6 +192,15 @@ def test_cli_bad_config_exits_2(tmp_path):
     r = CliRunner().invoke(main, ["simulate", "--config", str(p),
                                   "--out", str(tmp_path / "o")])
     assert r.exit_code == 2
+
+
+def test_cli_unknown_scenario_key_exits_2(tmp_path):
+    cfg = str(_write_tiny(tmp_path, noise={"snr": 10}))
+    r = CliRunner().invoke(main, ["simulate", "--config", cfg,
+                                  "--out", str(tmp_path / "o")])
+    assert r.exit_code == 2
+    assert "unknown key noise.snr" in r.output
+    assert not (tmp_path / "o" / "ma_x_cfr.csv").exists()
 
 
 def test_cli_estimate_without_cfrs_exits_4(tmp_path):

@@ -6,6 +6,7 @@ from masounder.beamform import (BeamPattern, NoPeakError, cbf_ma, cbf_ma_uv,
 from masounder.channel import PathSet, add_noise, gen_ma_cfr
 from masounder.geometry import (Direction, FrequencyGrid, MaGeometry,
                                 PathComponent, ScanGrid, uv_map)
+from masounder import sic
 from masounder.scenario import parse_scenario
 from masounder.sic import (EstimatorConfig, build_label_vector,
                            detect_strongest, estimate_power, extract_path_cir,
@@ -103,11 +104,11 @@ def test_refine_delay_recovers_off_bin_delay():
     coarse_tau = padp.delay_s[int(np.argmax(np.abs(padp.values[:, 0])))] / 2.0
     assert abs(coarse_tau - true_tau) > 1e-13  # the bin really quantizes it
     gx, gy = _spectra(cx, cy, 60.0, 120.0)
-    refined = refine_delay(gx, gy, FREQS, coarse_tau, pad_factor=4)
+    refined, _ = refine_delay(gx, gy, FREQS, coarse_tau, pad_factor=4)
     assert refined == pytest.approx(true_tau, abs=2e-14)
     # an all-zero response is returned unrefined
     zero = np.zeros_like(gx)
-    assert refine_delay(zero, zero, FREQS, coarse_tau) == coarse_tau
+    assert refine_delay(zero, zero, FREQS, coarse_tau)[0] == coarse_tau
 
 
 def test_refine_delay_stays_below_half_the_unambiguous_delay():
@@ -116,7 +117,7 @@ def test_refine_delay_stays_below_half_the_unambiguous_delay():
     limit = 0.5 * FREQS.unambiguous_delay_s
     bin_s = 1.0 / (FREQS.n_points * 4 * FREQS.spacing_hz)
     g = np.exp(-2j * np.pi * FREQS.points * (limit + bin_s / 2))
-    refined = refine_delay(g, g, FREQS, limit - bin_s / 4, pad_factor=4)
+    refined, _ = refine_delay(g, g, FREQS, limit - bin_s / 4, pad_factor=4)
     assert limit - bin_s / 4 < refined < limit
 
 
@@ -128,26 +129,30 @@ def test_estimate_power_magnitude_and_phase():
     path = PathComponent.from_power_db(-6, 60, 120, 2.0, phase_deg=35.0)
     cx, cy = gen_ma_cfr(PathSet([path]), GEO, freqs)
     gx, gy = _spectra(cx, cy, 60.0, 120.0)
-    alpha = estimate_power(gx, gy, freqs, 2e-9, GEO)
-    assert abs(alpha) == pytest.approx(abs(path.amplitude), rel=1e-6)
-    assert np.angle(alpha) == pytest.approx(np.radians(35.0), abs=1e-6)
+    assert estimate_power(gx, gy, freqs, GEO) == pytest.approx(abs(path.amplitude),
+                                                               rel=1e-6)
+    # the phase is that of the projection at the refined delay
+    _, inner = refine_delay(gx, gy, freqs, 2e-9)
+    assert np.angle(inner) == pytest.approx(np.radians(35.0), abs=1e-6)
     with pytest.raises(NoPeakError):
-        estimate_power(np.zeros_like(gx), np.zeros_like(gy), freqs, 2e-9, GEO)
+        estimate_power(np.zeros_like(gx), np.zeros_like(gy), freqs, GEO)
 
 
 def test_estimate_power_off_bin_scalloping_is_small():
     path = PathComponent.from_power_db(-6, 60, 120, 2.0, phase_deg=35.0)
     cx, cy = _single_path_cfrs(path)
-    alpha = estimate_power(*_spectra(cx, cy, 60.0, 120.0), FREQS, 2e-9, GEO)
-    assert abs(alpha) == pytest.approx(abs(path.amplitude), rel=0.02)
-    assert np.angle(alpha) == pytest.approx(np.radians(35.0), abs=1e-6)
+    gx, gy = _spectra(cx, cy, 60.0, 120.0)
+    assert estimate_power(gx, gy, FREQS, GEO) == pytest.approx(abs(path.amplitude),
+                                                               rel=0.02)
+    _, inner = refine_delay(gx, gy, FREQS, 2e-9)
+    assert np.angle(inner) == pytest.approx(np.radians(35.0), abs=1e-6)
 
 
 def test_estimate_power_matches_per_element_oracle():
     # the per-element computation: gate every element's delay response,
     # take the magnitude from the MA profile of the extracted CFRs and the
-    # phase from their projection onto a regenerated unit-amplitude path;
-    # unequal sub-arrays tell the two element counts apart
+    # phase from their projection onto a regenerated unit-amplitude path at
+    # the refined delay; unequal sub-arrays tell the two element counts apart
     geo = MaGeometry(9, 5, 0.5)
     cx, cy = gen_ma_cfr(PathSet(THREE_PATHS), geo, FREQS)
     for path in THREE_PATHS:
@@ -158,14 +163,14 @@ def test_estimate_power_matches_per_element_oracle():
         ext_y = cy.with_values(_gated(cy.values, gate, FREQS))
         padp = padp_ma(ext_x, ext_y, theta, np.array([phi]), 4)
         magnitude = np.sqrt(np.abs(padp.values[:, 0]).max())
-        model = PathComponent(1.0 + 0j, path.direction, tau)
+        sx, sy = _spectra(cx, cy, theta, phi)
+        gx, gy = _gated(sx, gate, FREQS), _gated(sy, gate, FREQS)
+        refined, projection = refine_delay(gx, gy, FREQS, tau)
+        model = PathComponent(1.0 + 0j, path.direction, refined)
         mx, my = gen_ma_cfr(PathSet([model]), geo, FREQS)
         inner = np.vdot(mx.values, ext_x.values) + np.vdot(my.values, ext_y.values)
-        sx, sy = _spectra(cx, cy, theta, phi)
-        alpha = estimate_power(_gated(sx, gate, FREQS), _gated(sy, gate, FREQS),
-                               FREQS, tau, geo)
-        assert abs(alpha) == pytest.approx(magnitude, rel=1e-12)
-        assert np.angle(alpha) == pytest.approx(np.angle(inner), abs=1e-12)
+        assert estimate_power(gx, gy, FREQS, geo) == pytest.approx(magnitude, rel=1e-12)
+        assert np.angle(projection) == pytest.approx(np.angle(inner), abs=1e-12)
 
 
 def test_subtract_path_cancels_exactly():
@@ -330,3 +335,45 @@ def test_run_sic_wideband_matches_narrowband():
     for w, n in zip(wide.paths, narrow.paths):
         assert w.delay_s == pytest.approx(n.delay_s, abs=0.1e-12)
         assert w.amplitude_db == pytest.approx(n.amplitude_db, abs=0.005)
+
+
+def _count_calls(monkeypatch, name, result=lambda value, n: value):
+    """Replace masounder.sic.<name> by a wrapper that records each call and
+    returns result(real return value, 0-based call number)."""
+    real = getattr(sic, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return result(real(*args, **kwargs), len(calls) - 1)
+    monkeypatch.setattr(sic, name, wrapper)
+    return calls
+
+
+def test_run_sic_fits_only_the_candidates_that_pass(monkeypatch):
+    # this realisation skips 11 candidates before it stops; none is fitted
+    calls = _count_calls(monkeypatch, "refine_delay")
+    report = _table1_small(noise_seeds=(3, 4), snr_db=10.0)
+    assert sum(d.candidates_skipped for d in report.diagnostics) > 0
+    # one fit per iteration: each accepted path, plus the last candidate
+    # that passed the test but fell outside the dynamic range
+    assert len(calls) == len(report.diagnostics)
+    assert len(calls) == len(report.paths) + (not report.diagnostics[-1].accepted)
+
+
+def test_run_sic_skips_a_candidate_with_zero_projection(monkeypatch):
+    cx, cy = gen_ma_cfr(PathSet(THREE_PATHS), GEO, FREQS)
+    config = EstimatorConfig(SCAN, epsilon_db=30.0)
+    plain = run_sic(cx, cy, config)
+    # the first candidate that passes the test projects to zero
+    calls = _count_calls(monkeypatch, "refine_delay",
+                         lambda value, n: (value[0], 0j) if n == 0 else value)
+    report = run_sic(cx, cy, config)
+    first = report.diagnostics[0]
+    assert first.accepted
+    assert first.candidates_skipped == plain.diagnostics[0].candidates_skipped + 1
+    # a later candidate of the same iteration is fitted and kept
+    assert len(calls) > len(report.diagnostics)
+    assert report.paths[0].iteration == 1
+    assert (report.paths[0].direction, report.paths[0].delay_s) != \
+        (plain.paths[0].direction, plain.paths[0].delay_s)
