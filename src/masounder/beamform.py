@@ -10,7 +10,7 @@ import numpy as np
 from scipy import ndimage
 
 from .channel import CfrSet
-from .geometry import FrequencyGrid, ScanGrid, delay_axis, uv_map
+from .geometry import FrequencyGrid, ScanGrid, delay_axis, scan_cosines, uv_map
 
 DB_FLOOR = 1e-30
 
@@ -82,12 +82,11 @@ def _freq_index(freqs: FrequencyGrid, f_hz: float) -> int:
     return idx
 
 
-def _scan_cosines(theta_deg: np.ndarray, phi_deg: np.ndarray):
-    st = np.sin(np.radians(np.asarray(theta_deg, float)))
-    pp = np.radians(np.asarray(phi_deg, float))
-    u = st[:, None] * np.cos(pp)[None, :]
-    v = st[:, None] * np.sin(pp)[None, :]
-    return u, v
+def _cut_cosines(theta_deg: float, phi_deg: np.ndarray):
+    """scan_cosines along the azimuth cut at elevation theta_deg."""
+    if not 0.0 <= theta_deg <= 90.0:
+        raise ValueError(f"PADP cut elevation must lie in [0, 90] deg, not {theta_deg}")
+    return scan_cosines(np.array([theta_deg]), phi_deg)
 
 
 def _conj_steer(indices: np.ndarray, spacing_wl: float, cosines: np.ndarray,
@@ -215,7 +214,7 @@ def cbf_ura(cfr: CfrSet, grid: ScanGrid, f_hz: float,
     """
     if cfr.layout != "ura":
         raise ValueError("cbf_ura needs a URA-layout CFR")
-    u, v = _scan_cosines(grid.theta_deg, grid.phi_deg)
+    u, v = scan_cosines(grid.theta_deg, grid.phi_deg)
     b = _ura_beam(cfr, u, v, taper, [_freq_index(cfr.freqs, f_hz)])
     return BeamPattern(b[..., 0], grid.theta_deg, grid.phi_deg, f_hz, "ura")
 
@@ -224,7 +223,7 @@ def cbf_ma(cfr_x: CfrSet, cfr_y: CfrSet, grid: ScanGrid, f_hz: float,
            taper: tuple[np.ndarray, np.ndarray] | None = None) -> BeamPattern:
     """Product of the two normalized sub-array beamforming sums."""
     check_ma_pair(cfr_x, cfr_y, "cbf_ma")
-    u, v = _scan_cosines(grid.theta_deg, grid.phi_deg)
+    u, v = scan_cosines(grid.theta_deg, grid.phi_deg)
     b = _ma_beam(cfr_x, cfr_y, u, v, taper, [_freq_index(cfr_x.freqs, f_hz)])
     return BeamPattern(b[..., 0], grid.theta_deg, grid.phi_deg, f_hz, "ma")
 
@@ -295,7 +294,7 @@ def padp_ura(cfr: CfrSet, theta_deg: float, phi_deg: np.ndarray,
     if cfr.layout != "ura":
         raise ValueError("padp_ura needs a URA-layout CFR")
     phi_deg = np.asarray(phi_deg, float)
-    u, v = _scan_cosines(np.array([theta_deg]), phi_deg)
+    u, v = _cut_cosines(theta_deg, phi_deg)
     spectrum = _ura_beam(cfr, u, v, taper, slice(None))[0]
     return _padp(spectrum, cfr, theta_deg, phi_deg, pad_factor, window, "ura")
 
@@ -305,7 +304,7 @@ def padp_ma(cfr_x: CfrSet, cfr_y: CfrSet, theta_deg: float, phi_deg: np.ndarray,
     """Inverse transform of the product MA beam pattern; true-path delays double."""
     check_ma_pair(cfr_x, cfr_y, "padp_ma")
     phi_deg = np.asarray(phi_deg, float)
-    u, v = _scan_cosines(np.array([theta_deg]), phi_deg)
+    u, v = _cut_cosines(theta_deg, phi_deg)
     spectrum = _ma_beam(cfr_x, cfr_y, u, v, taper, slice(None))[0]
     return _padp(spectrum, cfr_x, theta_deg, phi_deg, pad_factor, window, "ma")
 

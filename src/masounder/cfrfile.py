@@ -73,21 +73,22 @@ def write_cfr(path, cfr: CfrSet) -> None:
 
 def read_cfr(path) -> CfrSet:
     """Parse a CFR file back into a CfrSet; round-trips write_cfr exactly."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
     headers: dict[str, str] = {}
-    body = []
-    for line in lines:
-        line = line.strip()
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
+    rows = np.empty(0, _ROW)
+    with open(path) as fh:
+        for skip, line in enumerate(fh):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                try:
+                    # The headers end at the first body row. loadtxt reads on from
+                    # there in C, and takes any later '#' line as a comment.
+                    rows = np.loadtxt(path, _ROW, delimiter=",", comments="#",
+                                      skiprows=skip, ndmin=1)
+                except ValueError as exc:
+                    raise CfrFormatError(f"malformed body row: {exc}") from exc
+                break
+            key, _, value = line[1:].partition("=")
             headers[key.strip()] = value.strip()
-        elif line:
-            if line.count(",") != 4:
-                raise CfrFormatError(f"malformed body row: {line!r}")
-            body.append(line)
-    rows = (np.loadtxt(body, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
-            if body else np.empty(0, _ROW))
     try:
         version = int(headers["format_version"])
         layout = headers["layout"]
@@ -118,16 +119,14 @@ def read_cfr(path) -> CfrSet:
     bad_l = np.flatnonzero((l < 0) | (l >= L))
     if bad_l.size:
         raise CfrFormatError(f"frequency index {l[bad_l[0]]} out of range")
-    if layout == "ma_x" and np.any(n != 0):
-        raise CfrFormatError("ma_x rows must have elem_index_y == 0")
-    if layout == "ma_y" and np.any(m != 0):
-        raise CfrFormatError("ma_y rows must have elem_index_x == 0")
     a, b = m - xs[0], n - ys[0]
     bad = np.flatnonzero((a < 0) | (a >= xs.size) | (b < 0) | (b >= ys.size))
     if bad.size:
-        i = bad[0]
-        where = f"({m[i]},{n[i]})" if layout == "ura" else (m[i] if layout == "ma_x" else n[i])
-        raise CfrFormatError(f"element index {where} out of range")
+        raise CfrFormatError(f"element index (elem_index_x, elem_index_y) out of range "
+                             f"for layout {layout} in body row {rows[bad[0]]}")
+    bad = np.flatnonzero(~(np.isfinite(rows["re"]) & np.isfinite(rows["im"])))
+    if bad.size:
+        raise CfrFormatError(f"non-finite value in body row {rows[bad[0]]}")
     shape = (xs.size, ys.size, L) if layout == "ura" else (xs.size * ys.size, L)
     flat = (a * ys.size + b) * L + l
     counts = np.bincount(flat, minlength=xs.size * ys.size * L)

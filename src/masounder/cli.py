@@ -17,6 +17,7 @@ from .beamform import NoPeakError, cbf_ma, cbf_ura, padp_ma, padp_ura
 from .cfrfile import CfrFormatError, read_cfr, write_cfr, write_rows
 from .channel import add_noise, gen_ma_cfr, gen_ura_cfr
 from .compare import compare_arrays
+from .geometry import scan_cosines
 from .patterns import (check_conjugate_symmetry, ma_power_pattern, ura_power_pattern,
                        uv_lattice)
 from .scenario import Scenario, ScenarioError, dump_scenario, parse_scenario
@@ -148,9 +149,8 @@ def cmd_simulate(config_path, out_dir, seed, quiet):
 
 
 def _write_beam_csv(path: Path, beam) -> None:
-    st = np.sin(np.radians(beam.theta_deg))[:, None]
-    phi = np.radians(beam.phi_deg % 360.0)
-    _write_csv(path, "u,v,level_db\n", st * np.cos(phi), st * np.sin(phi), beam.level_db())
+    u, v = scan_cosines(beam.theta_deg, beam.phi_deg % 360.0)
+    _write_csv(path, "u,v,level_db\n", u, v, beam.level_db())
 
 
 def _write_padp_csv(path: Path, padp) -> None:
@@ -163,7 +163,7 @@ def _write_padp_csv(path: Path, padp) -> None:
 @click.option("--cfr-dir", default=None, type=click.Path(file_okay=False),
               help="Directory holding CFR files (default: the output directory).")
 @click.option("--theta", "theta_deg", default=None, type=float,
-              help="Elevation for the PADP cut (default: compare.theta_deg).")
+              help="PADP cut elevation in [0, 90] deg (default: compare.theta_deg).")
 @_guarded
 def cmd_beamscan(config_path, out_dir, seed, quiet, cfr_dir, theta_deg):
     """Beam pattern at the center frequency and a PADP cut, per array."""

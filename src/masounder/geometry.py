@@ -40,6 +40,13 @@ def uv_map(direction: Direction) -> UvPoint:
     return UvPoint(st * math.cos(phi), st * math.sin(phi))
 
 
+def scan_cosines(theta_deg, phi_deg) -> tuple[np.ndarray, np.ndarray]:
+    """uv_map over the grid of two angle axes: u, v of shape (theta.size, phi.size)."""
+    st = np.sin(np.radians(np.asarray(theta_deg, float)))
+    pp = np.radians(np.asarray(phi_deg, float))
+    return st[:, None] * np.cos(pp)[None, :], st[:, None] * np.sin(pp)[None, :]
+
+
 def uv_unmap(point: UvPoint) -> Direction:
     """Invert uv_map. At the origin the azimuth is degenerate; 0 by convention."""
     r2 = point.u ** 2 + point.v ** 2

@@ -17,26 +17,30 @@ class ScenarioError(ValueError):
     """Invalid or inconsistent scenario configuration."""
 
 
-_SCAN_DEFAULTS = {"theta": [0.0, 90.0, 1.0], "phi": [90.0, 270.0, 1.0]}
-_ESTIMATOR_DEFAULTS = {"epsilon_db": 30.0, "max_iterations": 20,
-                       "pad_factor": 4, "gate_db": None}
-_COMPARE_DEFAULTS = {"theta_deg": 90.0, "window": "hann",
-                     "dynamic_range_db": 25.0, "min_separation": 6}
-# The keys each section may hold. Any other key, such as a misspelt
-# "noise": {"snr": 10}, would otherwise be ignored in favour of the default.
-_SECTION_KEYS = {
-    "frequency": ("start_hz", "stop_hz", "points"),
-    "ura": ("m", "n", "dx_wl", "dy_wl"),
-    "ma": ("x", "y", "d_wl"),
-    "paths": ("power_db", "phase_deg", "elevation_deg", "azimuth_deg", "delay_ns"),
-    "scan": tuple(_SCAN_DEFAULTS),
-    "estimator": tuple(_ESTIMATOR_DEFAULTS),
-    "taper": ("kind", "sidelobe_db"),
-    "steer": ("u0", "v0"),
-    "noise": ("snr_db",),
-    "compare": tuple(_COMPARE_DEFAULTS),
+_REQUIRED = object()
+# Every key a scenario may hold, with its default or _REQUIRED; "scenario"
+# is the top level. Any other key, such as a misspelt "noise": {"snr": 10},
+# is rejected: it would otherwise be ignored in favour of the default. An
+# absent or null object section takes its top-level default, where None
+# means "not declared" and {} means "all defaults".
+_SCHEMA = {
+    "scenario": {"frequency": _REQUIRED, "ura": None, "ma": None, "paths": [],
+                 "scan": {}, "estimator": {}, "taper": None, "steer": None,
+                 "noise": {}, "compare": {}, "pattern_lattice": 512},
+    "frequency": {"start_hz": _REQUIRED, "stop_hz": _REQUIRED, "points": _REQUIRED},
+    "ura": {"m": _REQUIRED, "n": _REQUIRED, "dx_wl": 0.5, "dy_wl": 0.5},
+    "ma": {"x": _REQUIRED, "y": _REQUIRED, "d_wl": 0.5},
+    "paths": {"power_db": 0.0, "phase_deg": 0.0, "elevation_deg": _REQUIRED,
+              "azimuth_deg": _REQUIRED, "delay_ns": _REQUIRED},
+    "scan": {"theta": [0.0, 90.0, 1.0], "phi": [90.0, 270.0, 1.0]},
+    "estimator": {"epsilon_db": 30.0, "max_iterations": 20, "pad_factor": 4,
+                  "gate_db": None},
+    "taper": {"kind": "chebyshev", "sidelobe_db": _REQUIRED},
+    "steer": {"u0": _REQUIRED, "v0": _REQUIRED},
+    "noise": {"snr_db": None},
+    "compare": {"theta_deg": 90.0, "window": "hann", "dynamic_range_db": 25.0,
+                "min_separation": 6},
 }
-_SCENARIO_KEYS = (*_SECTION_KEYS, "pattern_lattice")
 
 
 @dataclass(frozen=True)
@@ -103,9 +107,8 @@ class Scenario:
 
     def is_ura_equivalent_ma(self) -> bool:
         return (self.ura is not None and self.ma is not None
-                and self.ma.x_count == 2 * self.ura.m_count - 1
-                and self.ma.y_count == 2 * self.ura.n_count - 1
-                and self.ura.dx_wl == self.ura.dy_wl == self.ma.d_wl)
+                and self.ura.dx_wl == self.ura.dy_wl
+                and self.ma == MaGeometry.equivalent_to(self.ura))
 
     def to_dict(self) -> dict:
         """Normalized dump with every default materialized."""
@@ -146,69 +149,55 @@ class Scenario:
         return out
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ScenarioError(f"missing field {key!r} in {context}")
-    return mapping[key]
-
-
-def _checked(mapping, keys, context: str) -> dict:
-    """mapping, which must be an object holding no key outside keys."""
+def _fields(mapping, section: str, context: str) -> dict:
+    """mapping with the defaults of section filled in. mapping must be an
+    object that holds every required key of section and no other key."""
     if not isinstance(mapping, dict):
         raise ScenarioError(f"{context} must be an object")
+    schema = _SCHEMA[section]
     for key in mapping:
-        if key not in keys:
+        if key not in schema:
             raise ScenarioError(f"unknown key {context}.{key}")
-    return mapping
+    for key, default in schema.items():
+        if default is _REQUIRED and key not in mapping:
+            raise ScenarioError(f"missing field {key!r} in {context}")
+    return {**schema, **mapping}
 
 
-def _section(data: dict, name: str) -> dict | None:
-    """The checked section name of data; None when absent or null."""
-    value = data.get(name)
-    return None if value is None else _checked(value, _SECTION_KEYS[name], name)
-
-
-def _path_entries(data: dict) -> list[dict]:
-    """The checked entries of data["paths"]; none when the key is absent."""
-    entries = data.get("paths", [])
-    if not isinstance(entries, list):
-        raise ScenarioError("paths must be a list")
-    return [_checked(p, _SECTION_KEYS["paths"], f"paths[{i}]")
-            for i, p in enumerate(entries)]
+def _section(top: dict, name: str) -> dict | None:
+    """Section name of the top-level fields top, with its defaults filled in."""
+    value = _SCHEMA["scenario"][name] if top[name] is None else top[name]
+    return None if value is None else _fields(value, name, name)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    _checked(data, _SCENARIO_KEYS, "scenario")
+    top = _fields(data, "scenario", "scenario")
     try:
-        fd = _checked(_require(data, "frequency", "scenario"),
-                      _SECTION_KEYS["frequency"], "frequency")
-        freqs = FrequencyGrid(float(_require(fd, "start_hz", "frequency")),
-                              float(_require(fd, "stop_hz", "frequency")),
-                              int(_require(fd, "points", "frequency")))
-        ud = _section(data, "ura")
-        ura = None if ud is None else UraGeometry(int(_require(ud, "m", "ura")),
-                                                  int(_require(ud, "n", "ura")),
-                                                  float(ud.get("dx_wl", 0.5)),
-                                                  float(ud.get("dy_wl", 0.5)))
-        md = _section(data, "ma")
-        ma = None if md is None else MaGeometry(int(_require(md, "x", "ma")),
-                                                int(_require(md, "y", "ma")),
-                                                float(md.get("d_wl", 0.5)))
+        fd = _section(top, "frequency")
+        freqs = FrequencyGrid(float(fd["start_hz"]), float(fd["stop_hz"]),
+                              int(fd["points"]))
+        ud = _section(top, "ura")
+        ura = None if ud is None else UraGeometry(int(ud["m"]), int(ud["n"]),
+                                                  float(ud["dx_wl"]), float(ud["dy_wl"]))
+        md = _section(top, "ma")
+        ma = None if md is None else MaGeometry(int(md["x"]), int(md["y"]),
+                                                float(md["d_wl"]))
+        if not isinstance(top["paths"], list):
+            raise ScenarioError("paths must be a list")
+        entries = [_fields(p, "paths", f"paths[{i}]") for i, p in enumerate(top["paths"])]
         paths = PathSet([
-            PathComponent.from_power_db(float(p.get("power_db", 0.0)),
-                                        float(_require(p, "elevation_deg", "path")),
-                                        float(_require(p, "azimuth_deg", "path")),
-                                        float(_require(p, "delay_ns", "path")),
-                                        float(p.get("phase_deg", 0.0)))
-            for p in _path_entries(data)])
-        scan = {**_SCAN_DEFAULTS, **(_section(data, "scan") or {})}
-        est = {**_ESTIMATOR_DEFAULTS, **(_section(data, "estimator") or {})}
-        taper = _section(data, "taper")
-        if taper is not None and taper.get("kind", "chebyshev") != "chebyshev":
-            raise ScenarioError(f"unsupported taper kind {taper.get('kind')!r}")
-        steer_cfg = _section(data, "steer")
-        noise = _section(data, "noise") or {}
-        cmp_cfg = {**_COMPARE_DEFAULTS, **(_section(data, "compare") or {})}
+            PathComponent.from_power_db(float(p["power_db"]), float(p["elevation_deg"]),
+                                        float(p["azimuth_deg"]), float(p["delay_ns"]),
+                                        float(p["phase_deg"]))
+            for p in entries])
+        scan = _section(top, "scan")
+        est = _section(top, "estimator")
+        taper = _section(top, "taper")
+        if taper is not None and taper["kind"] != "chebyshev":
+            raise ScenarioError(f"unsupported taper kind {taper['kind']!r}")
+        steer_cfg = _section(top, "steer")
+        noise = _section(top, "noise")
+        cmp_cfg = _section(top, "compare")
         scenario = Scenario(
             freqs=freqs, ura=ura, ma=ma, paths=paths,
             scan_theta=tuple(float(x) for x in scan["theta"]),
@@ -217,17 +206,15 @@ def scenario_from_dict(data: dict) -> Scenario:
             max_iterations=int(est["max_iterations"]),
             pad_factor=int(est["pad_factor"]),
             gate_db=None if est["gate_db"] is None else float(est["gate_db"]),
-            taper_sidelobe_db=(None if taper is None
-                               else float(_require(taper, "sidelobe_db", "taper"))),
+            taper_sidelobe_db=None if taper is None else float(taper["sidelobe_db"]),
             steer_uv=(None if steer_cfg is None
-                      else (float(_require(steer_cfg, "u0", "steer")),
-                            float(_require(steer_cfg, "v0", "steer")))),
-            snr_db=None if noise.get("snr_db") is None else float(noise["snr_db"]),
+                      else (float(steer_cfg["u0"]), float(steer_cfg["v0"]))),
+            snr_db=None if noise["snr_db"] is None else float(noise["snr_db"]),
             compare_theta_deg=float(cmp_cfg["theta_deg"]),
             compare_window=cmp_cfg["window"],
             compare_dynamic_range_db=float(cmp_cfg["dynamic_range_db"]),
             compare_min_separation=int(cmp_cfg["min_separation"]),
-            pattern_lattice=int(data.get("pattern_lattice", 512)),
+            pattern_lattice=int(top["pattern_lattice"]),
         )
     except ScenarioError:
         raise
@@ -247,6 +234,13 @@ def _validate(s: Scenario) -> None:
         if (len(axis) != 3 or not np.all(np.isfinite(axis)) or axis[2] <= 0
                 or axis[1] < axis[0]):
             raise ScenarioError(f"{name} must be [start, stop, positive step]")
+    theta = s.scan_grid().theta_deg
+    if not 0.0 <= theta[0] <= theta[-1] <= 90.0:
+        raise ScenarioError(f"scan.theta runs from {theta[0]:g} to {theta[-1]:g} deg; "
+                            "elevations must lie in [0, 90]")
+    if not 0.0 <= s.compare_theta_deg <= 90.0:
+        raise ScenarioError(f"compare.theta_deg must lie in [0, 90], "
+                            f"not {s.compare_theta_deg:g}")
     try:
         s.estimator_config()
     except ValueError as exc:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from masounder.beamform import (BeamPattern, Padp, UvBeam, _delay_phasors,
-                                _scan_cosines, cbf_ma, cbf_ma_uv, cbf_ura,
+                                cbf_ma, cbf_ma_uv, cbf_ura,
                                 cfr_to_cir, cir_to_cfr, find_peaks, line_spectrum,
                                 padp_ma, padp_ura, predict_ma_terms)
 from masounder.channel import PathSet, gen_ma_cfr, gen_ura_cfr
 from masounder.geometry import (Direction, FrequencyGrid, MaGeometry,
                                 PathComponent, ScanGrid, UraGeometry,
-                                delay_axis, uv_map)
+                                delay_axis, scan_cosines, uv_map)
 
 FREQS = FrequencyGrid(26e9, 30e9, 64)
 SHORT_PATHS = [
@@ -88,7 +88,7 @@ def uncached_ma_beam(cfr_x, cfr_y, grid, f_index, taper=None):
     geo = cfr_x.geometry
     f = cfr_x.freqs.points[f_index]
     scale = 1.0 if cfr_x.narrowband_phase else f / cfr_x.ref_freq_hz
-    u, v = _scan_cosines(grid.theta_deg, grid.phi_deg)
+    u, v = scan_cosines(grid.theta_deg, grid.phi_deg)
 
     def line_sum(cfr, indices, cosines, weights):
         steer = conj_steer(indices, geo.d_wl, cosines, scale)
@@ -158,7 +158,7 @@ def test_wideband_line_spectrum_and_padp_ma_match_per_column_steering():
     geo = MaGeometry(5, 9, 0.5)
     cx, cy = gen_ma_cfr(PathSet(SHORT_PATHS), geo, FREQS, narrowband_phase=False)
     taper = (np.array([0.3, 0.8, 1.0, 0.8, 0.3]), np.linspace(0.2, 1.0, 9))
-    u, v = _scan_cosines(np.array([60.0]), np.array([100.0, 120.0, 200.0]))
+    u, v = scan_cosines(np.array([60.0]), np.array([100.0, 120.0, 200.0]))
     x_sum, y_sum = per_column_line_sums(cx, cy, u, v)
     assert_close_to_peak(line_spectrum(cx, u[0]), x_sum * geo.x_count)
     assert_close_to_peak(line_spectrum(cy, v[0]), y_sum * geo.y_count)
@@ -173,7 +173,7 @@ def test_narrowband_line_spectrum_and_padp_ma_are_bitwise_steering_products():
     cx, cy = gen_ma_cfr(PathSet(SHORT_PATHS), geo, FREQS)
     taper = (np.array([0.3, 0.8, 1.0, 0.8, 0.3]), np.linspace(0.2, 1.0, 9))
     phi = np.array([100.0, 120.0, 200.0])
-    u, v = _scan_cosines(np.array([60.0]), phi)
+    u, v = scan_cosines(np.array([60.0]), phi)
     spectrum = line_spectrum(cx, u[0])
     assert spectrum.tobytes() == (conj_steer(geo.x_indices, geo.d_wl, u, 1.0).T
                                   @ cx.values).tobytes()
@@ -315,6 +315,17 @@ def test_padp_ma_doubles_path_delay():
     padp = padp_ma(cx, cy, 90.0, np.array([180.0]), pad_factor=4)
     tau_peak = padp.delay_s[int(np.argmax(np.abs(padp.values[:, 0])))]
     assert tau_peak == pytest.approx(4e-9, abs=padp.delay_s[1])
+
+
+@pytest.mark.parametrize("theta", [float("nan"), 150.0, -1.0])
+def test_padp_rejects_cut_elevation_outside_0_90(theta):
+    ura = gen_ura_cfr(PathSet(SHORT_PATHS), UraGeometry(3, 3), FREQS)
+    cx, cy = gen_ma_cfr(PathSet(SHORT_PATHS), MaGeometry(5, 5), FREQS)
+    phi = np.array([120.0, 200.0])
+    with pytest.raises(ValueError, match=r"cut elevation must lie in \[0, 90\]"):
+        padp_ura(ura, theta, phi)
+    with pytest.raises(ValueError, match=r"cut elevation must lie in \[0, 90\]"):
+        padp_ma(cx, cy, theta, phi)
 
 
 def test_padp_window_suppresses_delay_sidelobes():

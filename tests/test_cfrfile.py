@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -157,6 +160,55 @@ def test_read_malformed_row(tmp_path):
     p = _tiny_file(tmp_path, FULL_MA_BODY + ["1,0,0"])
     with pytest.raises(CfrFormatError, match="malformed"):
         read_cfr(p)
+
+
+def test_read_non_numeric_field_keeps_its_position(tmp_path):
+    p = _tiny_file(tmp_path, FULL_MA_BODY[:-1] + ["1,0,1,abc,1.0"])
+    with pytest.raises(CfrFormatError, match="malformed body row: .*'abc'.*row"):
+        read_cfr(p)
+
+
+def test_read_non_finite_value(tmp_path):
+    for bad in ("nan,0", "1.0,inf", "-inf,nan"):
+        p = _tiny_file(tmp_path, FULL_MA_BODY[:-1] + [f"1,0,1,{bad}"])
+        with pytest.raises(CfrFormatError, match=r"non-finite value in body row \(1, 0, 1"):
+            read_cfr(p)
+
+
+def test_header_only_file_reports_coverage_without_a_warning(tmp_path):
+    p = _tiny_file(tmp_path, [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CfrFormatError, match="body covers 0 entries"):
+            read_cfr(p)
+
+
+def test_hash_line_after_the_first_body_row_is_a_comment(tmp_path):
+    p = _tiny_file(tmp_path, FULL_MA_BODY[:3] + ["# layout=ma_y"] + FULL_MA_BODY[3:]
+                   + ["# layout=ma_y"])
+    cfr = read_cfr(p)
+    assert cfr.layout == "ma_x"
+    assert cfr.values[2, 0] == complex(2.0, 0.5)
+
+
+def test_header_lines_may_be_indented_or_blank(tmp_path):
+    lines = _tiny_file(tmp_path, FULL_MA_BODY).read_text().splitlines()
+    p = tmp_path / "indented.csv"
+    p.write_text("\n".join(["   "] + ["  " + line for line in lines[:9]] + lines[9:]) + "\n")
+    assert read_cfr(p).values[2, 0] == complex(2.0, 0.5)
+
+
+def test_read_peak_memory_is_below_two_and_a_half_file_sizes(tmp_path):
+    cfr = gen_ura_cfr(PATHS, UraGeometry(9, 9, 0.5, 0.5), FrequencyGrid(26e9, 30e9, 2000))
+    p = tmp_path / "ura.csv"
+    write_cfr(p, cfr)
+    tracemalloc.start()
+    try:
+        read_cfr(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * p.stat().st_size
 
 
 def test_read_ma_x_rejects_nonzero_y_index(tmp_path):

@@ -95,6 +95,13 @@ def test_to_dict_round_trip(tmp_path):
     ({"paths": {"delay_ns": 1.0}}, "paths must be a list"),
     ({"frequency": [26e9, 30e9, 24]}, "frequency must be an object"),
     ({"ura": [3, 3]}, "ura must be an object"),
+    # elevations outside [0, 90] scanned mirrored directions or the wrong cut
+    ({"scan": {"theta": [0, 120, 10]}}, r"scan\.theta runs from 0 to 120"),
+    ({"scan": {"theta": [0, 90, 7]}}, r"scan\.theta runs from 0 to 91"),
+    ({"compare": {"theta_deg": 150}}, r"compare\.theta_deg must lie in \[0, 90\]"),
+    ({"compare": {"theta_deg": float("nan")}}, r"compare\.theta_deg"),
+    ({"paths": [{"elevation_deg": 60, "azimuth_deg": 120}]},
+     r"missing field 'delay_ns' in paths\[0\]"),
 ])
 def test_scenario_validation_errors(tmp_path, breakage, match):
     with pytest.raises(ScenarioError, match=match):
@@ -238,6 +245,35 @@ def test_cli_estimate_non_finite_cfr_exits_2(tmp_path):
     r = CliRunner().invoke(main, ["estimate", "--config", cfg, "--out", str(out)])
     assert r.exit_code == 2
     assert "non-finite" in r.output
+
+
+def test_cli_beamscan_non_finite_cfr_exits_2(tmp_path):
+    cfg = str(_write_tiny(tmp_path))
+    out = tmp_path / "out"
+    assert _run(["simulate", "--config", cfg, "--out", str(out),
+                 "--quiet"]).exit_code == 0
+    cfr_file = out / "ma_x_cfr.csv"
+    lines = cfr_file.read_text().splitlines()
+    m, n, l, _, _ = lines[-1].split(",")
+    lines[-1] = f"{m},{n},{l},nan,0"
+    cfr_file.write_text("\n".join(lines) + "\n")
+    r = CliRunner().invoke(main, ["beamscan", "--config", cfg, "--out", str(out)])
+    assert r.exit_code == 2
+    assert "non-finite" in r.output
+    assert not (out / "ma_padp.csv").exists()
+
+
+@pytest.mark.parametrize("theta", ["nan", "150", "-1"])
+def test_cli_beamscan_cut_elevation_outside_0_90_exits_2(tmp_path, theta):
+    cfg = str(_write_tiny(tmp_path, overrides={"ura": None}))
+    out = tmp_path / "out"
+    assert _run(["simulate", "--config", cfg, "--out", str(out),
+                 "--quiet"]).exit_code == 0
+    r = CliRunner().invoke(main, ["beamscan", "--config", cfg, "--out", str(out),
+                                  "--theta", theta])
+    assert r.exit_code == 2
+    assert "PADP cut elevation must lie in [0, 90]" in r.output
+    assert not (out / "ma_padp.csv").exists()
 
 
 def test_cli_estimate_bad_gate_exits_2(tmp_path):
