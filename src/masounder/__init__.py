@@ -6,7 +6,7 @@ from .beamform import (BeamPattern, NoPeakError, Padp, Peak, PredictedTerm,
                        padp_ma, padp_ura, predict_ma_terms)
 from .channel import CfrSet, PathSet, add_noise, gen_ma_cfr, gen_ura_cfr
 from .cfrfile import CfrFormatError, read_cfr, write_cfr
-from .compare import ComparisonRow, compare_arrays, ura_cbf_estimate
+from .compare import ComparisonRow, compare_arrays
 from .geometry import (Direction, FrequencyGrid, MaGeometry, PathComponent,
                        ScanGrid, UraGeometry, UvPoint, delay_axis, uv_map,
                        uv_unmap)

@@ -7,7 +7,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .channel import CfrSet
 from .geometry import FrequencyGrid, ScanGrid, delay_axis, scan_cosines, uv_map
@@ -377,6 +376,8 @@ def descending_cells(level: np.ndarray, floor: float,
 def _plateau_peaks(level: np.ndarray) -> np.ndarray:
     """level at cells >= all 8 neighbours, -inf elsewhere. An equal-valued
     plateau keeps only its first cell in C order."""
+    # Imported here: scipy.ndimage is slow to import, and only compare needs it.
+    from scipy import ndimage
     neigh = ndimage.maximum_filter(level, size=3, mode="constant", cval=-np.inf)
     labels, _ = ndimage.label(level >= neigh, structure=np.ones((3, 3), int))
     labs, first = np.unique(labels, return_index=True)

@@ -81,10 +81,10 @@ class CfrSet:
 def _axis_phase(indices: np.ndarray, spacing_wl: float, cosine: float,
                 freqs: FrequencyGrid, ref_freq_hz: float,
                 narrowband_phase: bool) -> np.ndarray:
-    """Spatial phase factor, shape (n_elem, L)."""
+    """Spatial phase factor, shape (n_elem, L), or (n_elem, 1) with
+    narrowband phase, which is the same at every frequency."""
     if narrowband_phase:
-        col = np.exp(2j * np.pi * spacing_wl * indices * cosine)
-        return np.repeat(col[:, None], freqs.n_points, axis=1)
+        return np.exp(2j * np.pi * spacing_wl * indices * cosine)[:, None]
     scale = freqs.points / ref_freq_hz
     return np.exp(2j * np.pi * spacing_wl * np.outer(indices, scale * cosine))
 

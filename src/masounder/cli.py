@@ -31,11 +31,10 @@ EQUIVALENCE_TOL_DB = 1e-6
 
 
 def _common_options(fn):
-    """Add the --config, --out, --seed and --quiet options every command takes."""
+    """Add the --config, --out and --quiet options every command takes."""
     # Applied innermost first, so --help lists them from --config down.
     for option in (
             click.option("--quiet", is_flag=True, help="Suppress progress messages."),
-            click.option("--seed", default=0, type=int, help="RNG seed for noise."),
             click.option("--out", "out_dir", default=".", type=click.Path(file_okay=False),
                          help="Output directory."),
             click.option("--config", "config_path", required=True,
@@ -43,6 +42,10 @@ def _common_options(fn):
                          help="Scenario JSON file.")):
         fn = option(fn)
     return fn
+
+
+# Only the commands that draw noise take a seed.
+_seed_option = click.option("--seed", default=0, type=int, help="RNG seed for noise.")
 
 
 def _load(config_path: str, out_dir: str, quiet: bool) -> tuple[Scenario, Path]:
@@ -93,7 +96,7 @@ def _write_uv_pattern(path: Path, pattern) -> None:
 @main.command("synth-pattern")
 @_common_options
 @_guarded
-def cmd_synth_pattern(config_path, out_dir, seed, quiet):
+def cmd_synth_pattern(config_path, out_dir, quiet):
     """Narrowband URA and MA power patterns on a (u, v) lattice."""
     scenario, out = _load(config_path, out_dir, quiet)
     if scenario.ura is None:
@@ -124,6 +127,7 @@ def cmd_synth_pattern(config_path, out_dir, seed, quiet):
 
 @main.command("simulate")
 @_common_options
+@_seed_option
 @_guarded
 def cmd_simulate(config_path, out_dir, seed, quiet):
     """Generate per-element CFR files for the scenario's arrays."""
@@ -165,34 +169,33 @@ def _write_padp_csv(path: Path, padp) -> None:
 @click.option("--theta", "theta_deg", default=None, type=float,
               help="PADP cut elevation in [0, 90] deg (default: compare.theta_deg).")
 @_guarded
-def cmd_beamscan(config_path, out_dir, seed, quiet, cfr_dir, theta_deg):
+def cmd_beamscan(config_path, out_dir, quiet, cfr_dir, theta_deg):
     """Beam pattern at the center frequency and a PADP cut, per array."""
     scenario, out = _load(config_path, out_dir, quiet)
     src = Path(cfr_dir) if cfr_dir is not None else out
     theta = scenario.compare_theta_deg if theta_deg is None else theta_deg
     grid = scenario.scan_grid()
     fc = scenario.freqs.f_center_hz
-    found = False
+    results = {}  # every result is computed before any file is written
     ura_file = src / "ura_cfr.csv"
     if ura_file.exists():
         cfr = read_cfr(ura_file)
         taper = scenario.ura_taper()
-        _write_beam_csv(out / "ura_beam.csv", cbf_ura(cfr, grid, fc, taper))
-        _write_padp_csv(out / "ura_padp.csv",
-                        padp_ura(cfr, theta, grid.phi_deg, scenario.pad_factor,
-                                 taper=taper))
-        found = True
+        results["ura"] = (cbf_ura(cfr, grid, fc, taper),
+                          padp_ura(cfr, theta, grid.phi_deg, scenario.pad_factor,
+                                   taper=taper))
     ma_x_file, ma_y_file = src / "ma_x_cfr.csv", src / "ma_y_cfr.csv"
     if ma_x_file.exists() and ma_y_file.exists():
         ma_x, ma_y = read_cfr(ma_x_file), read_cfr(ma_y_file)
         taper = scenario.ma_taper()
-        _write_beam_csv(out / "ma_beam.csv", cbf_ma(ma_x, ma_y, grid, fc, taper))
-        _write_padp_csv(out / "ma_padp.csv",
-                        padp_ma(ma_x, ma_y, theta, grid.phi_deg,
-                                scenario.pad_factor, taper=taper))
-        found = True
-    if not found:
+        results["ma"] = (cbf_ma(ma_x, ma_y, grid, fc, taper),
+                         padp_ma(ma_x, ma_y, theta, grid.phi_deg,
+                                 scenario.pad_factor, taper=taper))
+    if not results:
         raise OSError(f"no CFR files found under {src}")
+    for kind, (beam, padp) in results.items():
+        _write_beam_csv(out / f"{kind}_beam.csv", beam)
+        _write_padp_csv(out / f"{kind}_padp.csv", padp)
     if not quiet:
         click.echo(f"beam/PADP CSVs written to {out}")
 
@@ -202,7 +205,7 @@ def cmd_beamscan(config_path, out_dir, seed, quiet, cfr_dir, theta_deg):
 @click.option("--cfr-dir", default=None, type=click.Path(file_okay=False),
               help="Directory holding MA CFR files (default: the output directory).")
 @_guarded
-def cmd_estimate(config_path, out_dir, seed, quiet, cfr_dir):
+def cmd_estimate(config_path, out_dir, quiet, cfr_dir):
     """Run the SIC estimator on MA CFR files and emit the path table."""
     scenario, out = _load(config_path, out_dir, quiet)
     src = Path(cfr_dir) if cfr_dir is not None else out
@@ -227,6 +230,7 @@ def cmd_estimate(config_path, out_dir, seed, quiet, cfr_dir):
 
 @main.command("compare")
 @_common_options
+@_seed_option
 @_guarded
 def cmd_compare(config_path, out_dir, seed, quiet):
     """URA CBF vs MA SIC estimates on the same synthetic channel."""
@@ -240,9 +244,9 @@ def cmd_compare(config_path, out_dir, seed, quiet):
                  "ma_delay_ns,ma_azimuth_deg,ma_power_db,"
                  "err_delay_ns,err_azimuth_deg,err_power_db\n")
         fh.writelines(("%d" + ",%.9g" * 9 + "\n") % (
-            row.index, row.ura_delay_ns, row.ura_azimuth_deg, row.ura_power_db,
-            row.ma_delay_ns, row.ma_azimuth_deg, row.ma_power_db, *row.errors)
-            for row in result.rows)
+            row.index, row.ura.delay_s * 1e9, row.ura.phi_deg, row.ura.level_db,
+            row.ma.delay_s * 1e9, row.ma.direction.phi_deg, row.ma.amplitude_db,
+            *row.errors) for row in result.rows)
     if not quiet:
         click.echo(f"comparison table in {out / 'comparison.csv'}")
 

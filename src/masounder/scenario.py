@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,7 +62,10 @@ class Scenario:
     compare_window: str | None
     compare_dynamic_range_db: float
     compare_min_separation: int
-    pattern_lattice: int = 512
+    pattern_lattice: int
+    # JSON text of the input as parsed, defaults filled in: what to_dict()
+    # returns, so a dump re-parses to this scenario exactly.
+    _normalized: str = field(compare=False, repr=False)
 
     def scan_grid(self) -> ScanGrid:
         t0, t1, dt = self.scan_theta
@@ -111,42 +114,8 @@ class Scenario:
                 and self.ma == MaGeometry.equivalent_to(self.ura))
 
     def to_dict(self) -> dict:
-        """Normalized dump with every default materialized."""
-        out: dict = {
-            "frequency": {"start_hz": self.freqs.f_start_hz,
-                          "stop_hz": self.freqs.f_stop_hz,
-                          "points": self.freqs.n_points},
-            "paths": [
-                {"power_db": p.power_db,
-                 "phase_deg": float(np.degrees(np.angle(p.amplitude))),
-                 "elevation_deg": p.direction.theta_deg,
-                 "azimuth_deg": p.direction.phi_deg,
-                 "delay_ns": p.delay_s * 1e9}
-                for p in self.paths],
-            "scan": {"theta": list(self.scan_theta), "phi": list(self.scan_phi)},
-            "estimator": {"epsilon_db": self.epsilon_db,
-                          "max_iterations": self.max_iterations,
-                          "pad_factor": self.pad_factor,
-                          "gate_db": self.gate_db},
-            "taper": (None if self.taper_sidelobe_db is None
-                      else {"kind": "chebyshev",
-                            "sidelobe_db": self.taper_sidelobe_db}),
-            "steer": (None if self.steer_uv is None
-                      else {"u0": self.steer_uv[0], "v0": self.steer_uv[1]}),
-            "noise": {"snr_db": self.snr_db},
-            "compare": {"theta_deg": self.compare_theta_deg,
-                        "window": self.compare_window,
-                        "dynamic_range_db": self.compare_dynamic_range_db,
-                        "min_separation": self.compare_min_separation},
-            "pattern_lattice": self.pattern_lattice,
-        }
-        if self.ura is not None:
-            out["ura"] = {"m": self.ura.m_count, "n": self.ura.n_count,
-                          "dx_wl": self.ura.dx_wl, "dy_wl": self.ura.dy_wl}
-        if self.ma is not None:
-            out["ma"] = {"x": self.ma.x_count, "y": self.ma.y_count,
-                         "d_wl": self.ma.d_wl}
-        return out
+        """The validated input with every default filled in, as a new dict."""
+        return json.loads(self._normalized)
 
 
 def _fields(mapping, section: str, context: str) -> dict:
@@ -164,40 +133,39 @@ def _fields(mapping, section: str, context: str) -> dict:
     return {**schema, **mapping}
 
 
-def _section(top: dict, name: str) -> dict | None:
-    """Section name of the top-level fields top, with its defaults filled in."""
-    value = _SCHEMA["scenario"][name] if top[name] is None else top[name]
-    return None if value is None else _fields(value, name, name)
+def _normalize(data) -> dict:
+    """data with every section's defaults filled in, keys in schema order."""
+    top = _fields(data, "scenario", "scenario")
+    for name, value in top.items():
+        if name == "paths":
+            if not isinstance(value, list):
+                raise ScenarioError("paths must be a list")
+            top[name] = [_fields(p, name, f"paths[{i}]") for i, p in enumerate(value)]
+        elif name in _SCHEMA:
+            value = _SCHEMA["scenario"][name] if value is None else value
+            top[name] = None if value is None else _fields(value, name, name)
+    return top
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    top = _fields(data, "scenario", "scenario")
+    norm = _normalize(data)
     try:
-        fd = _section(top, "frequency")
+        fd, ud, md = norm["frequency"], norm["ura"], norm["ma"]
         freqs = FrequencyGrid(float(fd["start_hz"]), float(fd["stop_hz"]),
                               int(fd["points"]))
-        ud = _section(top, "ura")
         ura = None if ud is None else UraGeometry(int(ud["m"]), int(ud["n"]),
                                                   float(ud["dx_wl"]), float(ud["dy_wl"]))
-        md = _section(top, "ma")
         ma = None if md is None else MaGeometry(int(md["x"]), int(md["y"]),
                                                 float(md["d_wl"]))
-        if not isinstance(top["paths"], list):
-            raise ScenarioError("paths must be a list")
-        entries = [_fields(p, "paths", f"paths[{i}]") for i, p in enumerate(top["paths"])]
         paths = PathSet([
             PathComponent.from_power_db(float(p["power_db"]), float(p["elevation_deg"]),
                                         float(p["azimuth_deg"]), float(p["delay_ns"]),
                                         float(p["phase_deg"]))
-            for p in entries])
-        scan = _section(top, "scan")
-        est = _section(top, "estimator")
-        taper = _section(top, "taper")
+            for p in norm["paths"]])
+        scan, est, taper = norm["scan"], norm["estimator"], norm["taper"]
         if taper is not None and taper["kind"] != "chebyshev":
             raise ScenarioError(f"unsupported taper kind {taper['kind']!r}")
-        steer_cfg = _section(top, "steer")
-        noise = _section(top, "noise")
-        cmp_cfg = _section(top, "compare")
+        steer_cfg, noise, cmp_cfg = norm["steer"], norm["noise"], norm["compare"]
         scenario = Scenario(
             freqs=freqs, ura=ura, ma=ma, paths=paths,
             scan_theta=tuple(float(x) for x in scan["theta"]),
@@ -214,7 +182,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             compare_window=cmp_cfg["window"],
             compare_dynamic_range_db=float(cmp_cfg["dynamic_range_db"]),
             compare_min_separation=int(cmp_cfg["min_separation"]),
-            pattern_lattice=int(top["pattern_lattice"]),
+            pattern_lattice=int(norm["pattern_lattice"]),
+            _normalized=json.dumps(norm),
         )
     except ScenarioError:
         raise

@@ -7,10 +7,12 @@ from masounder.cfrfile import write_cfr
 from masounder.channel import PathSet, gen_ma_cfr
 from masounder.cli import main
 from masounder.geometry import Direction, FrequencyGrid, uv_map
-from masounder.scenario import (Scenario, ScenarioError, parse_scenario,
+from masounder.scenario import (_SCHEMA, Scenario, ScenarioError, parse_scenario,
                                 scenario_from_dict)
 
 from conftest import scenario_path
+
+BUNDLED = ("fig2", "fig4", "fig5", "table1", "table1_small", "table2_mimic")
 
 TINY = {
     "frequency": {"start_hz": 26e9, "stop_hz": 30e9, "points": 24},
@@ -37,8 +39,7 @@ def _write_tiny(tmp_path, overrides=None, **top):
 
 
 def test_bundled_scenarios_parse():
-    for name in ("fig2", "fig4", "fig5", "table1", "table1_small",
-                 "table2_mimic"):
+    for name in BUNDLED:
         scenario = parse_scenario(scenario_path(name))
         assert isinstance(scenario, Scenario)
 
@@ -61,12 +62,45 @@ def test_defaults_are_materialized(tmp_path):
     assert s.pattern_lattice == 512
 
 
-def test_to_dict_round_trip(tmp_path):
-    s = parse_scenario(_write_tiny(tmp_path, taper={"sidelobe_db": 30},
-                                   steer={"u0": 0.2, "v0": -0.1},
-                                   noise={"snr_db": 25}))
+def _assert_round_trip(s):
+    """The dump re-parses to s, and the re-parsed scenario dumps the same text."""
     again = scenario_from_dict(s.to_dict())
     assert again == s
+    assert json.dumps(again.to_dict()) == json.dumps(s.to_dict())
+
+
+def test_to_dict_round_trip(tmp_path):
+    _assert_round_trip(parse_scenario(_write_tiny(tmp_path, taper={"sidelobe_db": 30},
+                                                  steer={"u0": 0.2, "v0": -0.1},
+                                                  noise={"snr_db": 25})))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_scenario_to_dict_round_trip(name):
+    _assert_round_trip(parse_scenario(scenario_path(name)))
+
+
+def test_to_dict_is_the_input_with_defaults(tmp_path):
+    p = tmp_path / "minimal.json"
+    p.write_text(json.dumps({
+        "frequency": {"start_hz": 26e9, "stop_hz": 30e9, "points": 401},
+        "ma": {"x": 5, "y": 5},
+        "paths": [{"power_db": -7.8, "elevation_deg": 60, "azimuth_deg": 120,
+                   "delay_ns": 12}],
+    }))
+    s = parse_scenario(p)
+    d = s.to_dict()
+    assert d["paths"] == [{"power_db": -7.8, "phase_deg": 0.0, "elevation_deg": 60,
+                           "azimuth_deg": 120, "delay_ns": 12}]
+    assert d["ura"] is None and d["ma"] == {"x": 5, "y": 5, "d_wl": 0.5}
+    assert d["scan"] == {"theta": [0.0, 90.0, 1.0], "phi": [90.0, 270.0, 1.0]}
+    schema = repr(_SCHEMA)
+    d["scan"]["theta"][0] = 45.0
+    d["paths"][0]["delay_ns"] = 3
+    d["noise"]["snr_db"] = 10
+    assert s.to_dict() == scenario_from_dict(s.to_dict()).to_dict() != d
+    assert s.scan_theta == (0.0, 90.0, 1.0) and s.snr_db is None
+    assert repr(_SCHEMA) == schema
 
 
 @pytest.mark.parametrize("breakage,match", [
@@ -193,6 +227,16 @@ def test_cli_outputs_are_deterministic(tmp_path):
     assert texts[0] == texts[1]
 
 
+def test_cli_simulate_from_normalized_dump_writes_the_same_cfrs(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert _run(["simulate", "--config", str(scenario_path("table1_small")),
+                 "--out", str(first), "--quiet"]).exit_code == 0
+    assert _run(["simulate", "--config", str(first / "scenario_normalized.json"),
+                 "--out", str(second), "--quiet"]).exit_code == 0
+    for name in ("ma_x_cfr.csv", "ma_y_cfr.csv", "scenario_normalized.json"):
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+
 def test_cli_bad_config_exits_2(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -273,7 +317,7 @@ def test_cli_beamscan_cut_elevation_outside_0_90_exits_2(tmp_path, theta):
                                   "--theta", theta])
     assert r.exit_code == 2
     assert "PADP cut elevation must lie in [0, 90]" in r.output
-    assert not (out / "ma_padp.csv").exists()
+    assert not list(out.glob("*_beam.csv")) + list(out.glob("*_padp.csv"))
 
 
 def test_cli_estimate_bad_gate_exits_2(tmp_path):
