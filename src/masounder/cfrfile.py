@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .channel import CfrSet
@@ -10,8 +12,8 @@ from .geometry import FrequencyGrid, MaGeometry, UraGeometry
 FORMAT_VERSION = 2
 # Body row: element index x, element index y, frequency index, Re, Im.
 _ROW = [("m", int), ("n", int), ("l", int), ("re", float), ("im", float)]
-# Rows formatted per writelines call; bounds the Python objects held at once.
-_ROWS_PER_CHUNK = 1 << 16
+# One printf field of a row format, or an escaped '%'.
+_FIELD = re.compile(r"%%|%[-#0 +\d.]*[a-zA-Z]")
 
 
 class CfrFormatError(ValueError):
@@ -50,25 +52,53 @@ def _element_axes(layout: str, geometry) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_rows(fh, fmt: str, *columns) -> None:
-    """Write fmt % row for every row of the equal-size columns (raveled)."""
-    columns = [np.ravel(c) for c in columns]
-    for start in range(0, columns[0].size, _ROWS_PER_CHUNK):
-        chunk = (c[start:start + _ROWS_PER_CHUNK].tolist() for c in columns)
-        fh.writelines(fmt % row for row in zip(*chunk))
+    """Write fmt % row for every cell of the columns' broadcast shape, in C
+    order, with one write per run of the last axis. Each field is formatted
+    at its column's own shape: once per file if the column varies only along
+    the last axis, once per run if it is constant along it, else per cell."""
+    columns = np.broadcast_arrays(*(np.atleast_1d(c) for c in columns))
+    literals, tokens = _FIELD.split(fmt), _FIELD.findall(fmt)
+    specs = [t for t in tokens if t != "%%"]
+    if len(specs) != len(columns):
+        raise ValueError(f"row format {fmt!r} has {len(specs)} fields "
+                         f"for {len(columns)} columns")
+    if not columns[0].size:
+        return
+    *outer, run = columns[0].shape
+    per_file = {i: [spec % x for x in c[(0,) * len(outer)].tolist()]
+                for i, (spec, c) in enumerate(zip(specs, columns))
+                if c.strides[-1] and not any(c.strides[:-1])}
+    for idx in np.ndindex(*outer):
+        # fmt with the run's constant fields filled in and the per-file ones as %s
+        run_fmt, seqs, i = literals[0], [], 0
+        for token, literal in zip(tokens, literals[1:]):
+            if token != "%%":
+                if i in per_file:
+                    token = "%s"
+                    seqs.append(per_file[i])
+                elif columns[i].strides[-1]:
+                    seqs.append(columns[i][idx].tolist())
+                else:
+                    token = (token % columns[i].item(*idx, 0)).replace("%", "%%")
+                i += 1
+            run_fmt += token + literal
+        rows = zip(*seqs) if seqs else [()] * run
+        fh.write("".join([run_fmt % row for row in rows]))
 
 
 def write_cfr(path, cfr: CfrSet) -> None:
     """Serialize one CFR set; complex values keep 17 significant digits."""
     fields = _header_fields(cfr)
     xs, ys = _element_axes(cfr.layout, cfr.geometry)
-    m, n, l = np.meshgrid(xs, ys, np.arange(cfr.freqs.n_points), indexing="ij")
+    values = cfr.values.reshape(xs.size, ys.size, cfr.freqs.n_points)
     with open(path, "w") as fh:
         for key, value in fields.items():
             if isinstance(value, float):
                 fh.write(f"# {key}={value:.17g}\n")
             else:
                 fh.write(f"# {key}={value}\n")
-        write_rows(fh, "%d,%d,%d,%.17g,%.17g\n", m, n, l, cfr.values.real, cfr.values.imag)
+        write_rows(fh, "%d,%d,%d,%.17g,%.17g\n", xs[:, None, None], ys[:, None],
+                   np.arange(cfr.freqs.n_points), values.real, values.imag)
 
 
 def read_cfr(path) -> CfrSet:

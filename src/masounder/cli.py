@@ -82,15 +82,17 @@ def main():
 
 
 def _write_csv(path: Path, header: str, x, y, level) -> None:
-    """One line per cell of the equal-shape x, y and level grids, 9 digits each."""
+    """One line per cell of the broadcast shape of x, y and level, in C order,
+    9 significant digits each. A column that follows one grid axis is passed
+    as that axis, not as a meshgrid, and is then formatted once per value."""
     with open(path, "w") as fh:
         fh.write(header)
         write_rows(fh, "%.9g,%.9g,%.9g\n", x, y, level)
 
 
 def _write_uv_pattern(path: Path, pattern) -> None:
-    u, v = np.meshgrid(pattern.u_axis, pattern.v_axis, indexing="ij")
-    _write_csv(path, "u,v,level_db\n", u, v, pattern.level_db())
+    _write_csv(path, "u,v,level_db\n", pattern.u_axis[:, None], pattern.v_axis,
+               pattern.level_db())
 
 
 @main.command("synth-pattern")
@@ -158,8 +160,8 @@ def _write_beam_csv(path: Path, beam) -> None:
 
 
 def _write_padp_csv(path: Path, padp) -> None:
-    phi, tau_ns = np.meshgrid(padp.phi_deg, padp.delay_s * 1e9, indexing="ij")
-    _write_csv(path, "azimuth_deg,delay_ns,level_db\n", phi, tau_ns, padp.level_db().T)
+    _write_csv(path, "azimuth_deg,delay_ns,level_db\n", padp.phi_deg[:, None],
+               padp.delay_s * 1e9, padp.level_db().T)
 
 
 @main.command("beamscan")

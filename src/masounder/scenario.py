@@ -133,6 +133,16 @@ def _fields(mapping, section: str, context: str) -> dict:
     return {**schema, **mapping}
 
 
+def _integer(value, name: str) -> int:
+    """value as an int. A JSON number with no fraction reads (24.0 as 24); a
+    boolean, a fraction or a non-number is rejected rather than truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ScenarioError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def _normalize(data) -> dict:
     """data with every section's defaults filled in, keys in schema order."""
     top = _fields(data, "scenario", "scenario")
@@ -152,11 +162,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     try:
         fd, ud, md = norm["frequency"], norm["ura"], norm["ma"]
         freqs = FrequencyGrid(float(fd["start_hz"]), float(fd["stop_hz"]),
-                              int(fd["points"]))
-        ura = None if ud is None else UraGeometry(int(ud["m"]), int(ud["n"]),
-                                                  float(ud["dx_wl"]), float(ud["dy_wl"]))
-        ma = None if md is None else MaGeometry(int(md["x"]), int(md["y"]),
-                                                float(md["d_wl"]))
+                              _integer(fd["points"], "frequency.points"))
+        ura = None if ud is None else UraGeometry(
+            _integer(ud["m"], "ura.m"), _integer(ud["n"], "ura.n"),
+            float(ud["dx_wl"]), float(ud["dy_wl"]))
+        ma = None if md is None else MaGeometry(
+            _integer(md["x"], "ma.x"), _integer(md["y"], "ma.y"), float(md["d_wl"]))
         paths = PathSet([
             PathComponent.from_power_db(float(p["power_db"]), float(p["elevation_deg"]),
                                         float(p["azimuth_deg"]), float(p["delay_ns"]),
@@ -171,8 +182,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             scan_theta=tuple(float(x) for x in scan["theta"]),
             scan_phi=tuple(float(x) for x in scan["phi"]),
             epsilon_db=float(est["epsilon_db"]),
-            max_iterations=int(est["max_iterations"]),
-            pad_factor=int(est["pad_factor"]),
+            max_iterations=_integer(est["max_iterations"], "estimator.max_iterations"),
+            pad_factor=_integer(est["pad_factor"], "estimator.pad_factor"),
             gate_db=None if est["gate_db"] is None else float(est["gate_db"]),
             taper_sidelobe_db=None if taper is None else float(taper["sidelobe_db"]),
             steer_uv=(None if steer_cfg is None
@@ -181,8 +192,9 @@ def scenario_from_dict(data: dict) -> Scenario:
             compare_theta_deg=float(cmp_cfg["theta_deg"]),
             compare_window=cmp_cfg["window"],
             compare_dynamic_range_db=float(cmp_cfg["dynamic_range_db"]),
-            compare_min_separation=int(cmp_cfg["min_separation"]),
-            pattern_lattice=int(norm["pattern_lattice"]),
+            compare_min_separation=_integer(cmp_cfg["min_separation"],
+                                            "compare.min_separation"),
+            pattern_lattice=_integer(norm["pattern_lattice"], "pattern_lattice"),
             _normalized=json.dumps(norm),
         )
     except ScenarioError:

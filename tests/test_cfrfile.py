@@ -1,10 +1,12 @@
+import io
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from masounder.cfrfile import FORMAT_VERSION, CfrFormatError, read_cfr, write_cfr
+from masounder.cfrfile import (FORMAT_VERSION, CfrFormatError, _element_axes, read_cfr,
+                               write_cfr, write_rows)
 from masounder.channel import CfrSet, PathSet, gen_ma_cfr, gen_ura_cfr
 from masounder.geometry import (FrequencyGrid, MaGeometry, PathComponent,
                                 UraGeometry)
@@ -100,6 +102,97 @@ def test_write_matches_row_by_row_reference(tmp_path):
         lines = p.read_text().splitlines()
         assert lines[-len(body):] == body
         assert all(line.startswith("#") for line in lines[:-len(body)])
+
+
+def _reference_rows(fmt, *columns):
+    """fmt % row for every cell of the broadcast columns, one row at a time."""
+    cells = [c.ravel().tolist() for c in np.broadcast_arrays(*map(np.atleast_1d, columns))]
+    return "".join(fmt % row for row in zip(*cells))
+
+
+def _written_rows(fmt, *columns):
+    fh = io.StringIO()
+    write_rows(fh, fmt, *columns)
+    return fh.getvalue()
+
+
+# -0.0, subnormals, large exponents and non-finite values
+EDGE = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308,
+                 -1.7976931348623157e308, 1.2345678901234567e-300, 123456789.0,
+                 0.1, np.nan, np.inf, -np.inf])
+
+
+def test_write_rows_padp_shape_matches_reference(rng):
+    phi = np.arange(90.0, 271.0, 7.0)
+    delay_ns = np.arange(40) * 0.3125
+    level = 20 * np.log10(np.abs(rng.standard_normal((40, phi.size))))
+    fmt = "%.9g,%.9g,%.9g\n"
+    assert not level.T.flags.c_contiguous
+    expected = _reference_rows(fmt, phi[:, None], delay_ns, level.T)
+    assert _written_rows(fmt, phi[:, None], delay_ns, level.T) == expected
+    assert expected.splitlines()[1] == f"90,0.3125,{level[1, 0]:.9g}"
+
+
+@pytest.mark.parametrize("layout", ["ura", "ma_x", "ma_y"])
+def test_write_rows_cfr_shape_matches_reference(tmp_path, layout):
+    if layout == "ura":
+        cfr = gen_ura_cfr(PATHS, UraGeometry(3, 5, 0.5, 0.5), FREQS)
+    else:
+        cfr = gen_ma_cfr(PATHS, MaGeometry(5, 7, 0.5), FREQS)[layout == "ma_y"]
+    xs, ys = _element_axes(layout, cfr.geometry)
+    values = cfr.values.reshape(xs.size, ys.size, FREQS.n_points)
+    fmt = "%d,%d,%d,%.17g,%.17g\n"
+    columns = (xs[:, None, None], ys[:, None], np.arange(FREQS.n_points),
+               values.real, values.imag)
+    expected = _reference_rows(fmt, *columns)
+    assert _written_rows(fmt, *columns) == expected
+    p = tmp_path / "cfr.csv"
+    write_cfr(p, cfr)
+    assert p.read_text().endswith(expected)
+
+
+def test_write_rows_length_one_last_axis_matches_reference(rng):
+    x, level = np.arange(5.0)[:, None], rng.standard_normal((5, 1))
+    for columns in ((x, 0.5, level), (x, [0.5], level), (x, level, level[:, :1])):
+        expected = _reference_rows("%.9g,%.9g,%.9g\n", *columns)
+        assert _written_rows("%.9g,%.9g,%.9g\n", *columns) == expected
+        assert len(expected.splitlines()) == 5
+    for empty, axis in ((np.empty((0, 1)), np.arange(5.0)), (np.empty((3, 0)), x[:3])):
+        assert _written_rows("%.9g,%.9g,%.9g\n", empty, axis, 1.0) == ""
+
+
+@pytest.mark.parametrize("fmt", ["%.9g,%.9g,%.9g\n", "%.17g,%.17g,%.17g\n"])
+def test_write_rows_edge_values_match_reference(fmt):
+    n = np.arange(EDGE.size)
+    grid = EDGE[np.add.outer(n, 3 * n) % EDGE.size]  # every value in every row
+    # each edge value as a per-run, a per-file and a per-cell column
+    for columns in ((EDGE[:, None], EDGE, grid), (EDGE[:, None], EDGE, grid.T[::-1])):
+        expected = _reference_rows(fmt, *columns)
+        assert _written_rows(fmt, *columns) == expected
+        assert "e-324" in expected and "e+308" in expected and "nan" in expected
+    assert _written_rows(fmt, EDGE[:, None], EDGE, grid).startswith("-0,-0,-0\n")
+
+
+def test_write_rows_integer_and_literal_columns_match_reference():
+    m = np.arange(-3, 4)
+    n = np.array([-(2 ** 40), 0, 7])
+    cell = np.arange(7 * 3 * 4).reshape(7, 3, 4) - 40
+    fmt = "%d;%+d|%5d,%.3g%%\n"
+    columns = (m[:, None, None], n[:, None], np.arange(4), cell * 0.5)
+    expected = _reference_rows(fmt, *columns)
+    assert _written_rows(fmt, *columns) == expected
+    assert expected.startswith("-3;-1099511627776|    0,-20%\n")
+    assert _written_rows("%d,%d\n", m, cell[:, 0, 0]) == _reference_rows("%d,%d\n", m,
+                                                                       cell[:, 0, 0])
+    labels = np.array(["5%", "a%%b%d"])[:, None]  # a run constant holding '%'
+    assert _written_rows("%s,%d\n", labels, m) == _reference_rows("%s,%d\n", labels, m)
+
+
+def test_write_rows_rejects_mismatched_columns():
+    with pytest.raises(ValueError, match="2 fields for 3 columns"):
+        _written_rows("%d,%d\n", [1], [2], [3])
+    with pytest.raises(ValueError):
+        _written_rows("%d,%d\n", np.arange(3), np.arange(4))
 
 
 def test_write_rejects_anisotropic_ura(tmp_path):

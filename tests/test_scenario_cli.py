@@ -136,10 +136,34 @@ def test_to_dict_is_the_input_with_defaults(tmp_path):
     ({"compare": {"theta_deg": float("nan")}}, r"compare\.theta_deg"),
     ({"paths": [{"elevation_deg": 60, "azimuth_deg": 120}]},
      r"missing field 'delay_ns' in paths\[0\]"),
+    # integer fields used to truncate a fraction with int()
+    ({"frequency": {"start_hz": 26e9, "stop_hz": 30e9, "points": 24.7}},
+     r"frequency\.points must be an integer, not 24\.7"),
+    ({"frequency": {"start_hz": 26e9, "stop_hz": 30e9, "points": float("inf")}},
+     r"frequency\.points must be an integer, not inf"),
+    ({"ura": {"m": True, "n": 3}}, r"ura\.m must be an integer, not True"),
+    ({"ura": {"m": 3, "n": 3.5}}, r"ura\.n must be an integer, not 3\.5"),
+    ({"ma": {"x": 5.9, "y": 5}}, r"ma\.x must be an integer, not 5\.9"),
+    ({"ma": {"x": 5, "y": "5"}}, r"ma\.y must be an integer, not '5'"),
+    ({"estimator": {"max_iterations": 2.9}},
+     r"estimator\.max_iterations must be an integer, not 2\.9"),
+    ({"estimator": {"pad_factor": False}},
+     r"estimator\.pad_factor must be an integer, not False"),
+    ({"compare": {"min_separation": 6.5}},
+     r"compare\.min_separation must be an integer, not 6\.5"),
+    ({"pattern_lattice": 32.5}, r"pattern_lattice must be an integer, not 32\.5"),
 ])
 def test_scenario_validation_errors(tmp_path, breakage, match):
     with pytest.raises(ScenarioError, match=match):
         parse_scenario(_write_tiny(tmp_path, overrides=breakage))
+
+
+def test_integral_float_integer_fields_read(tmp_path):
+    s = parse_scenario(_write_tiny(tmp_path, overrides={
+        "frequency": {"start_hz": 26e9, "stop_hz": 30e9, "points": 24.0},
+        "ura": {"m": 3.0, "n": 3}, "pattern_lattice": 32.0}))
+    assert s.freqs.n_points == 24 and s.ura.m_count == 3 and s.pattern_lattice == 32
+    assert type(s.pattern_lattice) is int
 
 
 def test_bad_json_reports_line(tmp_path):
@@ -251,6 +275,15 @@ def test_cli_unknown_scenario_key_exits_2(tmp_path):
                                   "--out", str(tmp_path / "o")])
     assert r.exit_code == 2
     assert "unknown key noise.snr" in r.output
+    assert not (tmp_path / "o" / "ma_x_cfr.csv").exists()
+
+
+def test_cli_fractional_integer_field_exits_2(tmp_path):
+    cfg = str(_write_tiny(tmp_path, ma={"x": 5.9, "y": 5, "d_wl": 0.5}))
+    r = CliRunner().invoke(main, ["simulate", "--config", cfg,
+                                  "--out", str(tmp_path / "o")])
+    assert r.exit_code == 2
+    assert "ma.x must be an integer, not 5.9" in r.output
     assert not (tmp_path / "o" / "ma_x_cfr.csv").exists()
 
 
