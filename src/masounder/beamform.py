@@ -373,17 +373,35 @@ def descending_cells(level: np.ndarray, floor: float,
         work[max(r - dr, 0):r + dr + 1, max(c - dc, 0):c + dc + 1] = -np.inf
 
 
+def _box3(grid: np.ndarray, fill, reduce) -> np.ndarray:
+    """reduce (np.maximum or np.minimum) over each cell's 3 x 3 neighbourhood,
+    cells off the grid reading as fill: first across rows, then columns."""
+    p = np.pad(grid, 1, constant_values=fill)
+    p = reduce(reduce(p[:-2], p[1:-1]), p[2:])
+    return reduce(reduce(p[:, :-2], p[:, 1:-1]), p[:, 2:])
+
+
 def _plateau_peaks(level: np.ndarray) -> np.ndarray:
     """level at cells >= all 8 neighbours, -inf elsewhere. An equal-valued
     plateau keeps only its first cell in C order."""
-    # Imported here: scipy.ndimage is slow to import, and only compare needs it.
-    from scipy import ndimage
-    neigh = ndimage.maximum_filter(level, size=3, mode="constant", cval=-np.inf)
-    labels, _ = ndimage.label(level >= neigh, structure=np.ones((3, 3), int))
-    labs, first = np.unique(labels, return_index=True)
-    cells = np.unravel_index(first[labs > 0], level.shape)  # label 0: background
+    mask = level >= _box3(level, -np.inf, np.maximum)
+    # Adjacent local maxima have equal levels, so each 8-connected component
+    # of the mask is one plateau. Labels are flat indices; off-plateau cells
+    # hold n. Each cell takes the least label in its neighbourhood, then the
+    # label of the cell that one names (pointer jumping), until nothing
+    # changes: every label then names its plateau's first cell.
+    n = level.size
+    index = np.arange(n).reshape(level.shape)
+    label = np.where(mask, index, n)
+    while True:
+        low = np.where(mask, _box3(label, n, np.minimum), n)
+        low = np.append(low.ravel(), n)[low]
+        if np.array_equal(low, label):
+            break
+        label = low
     peaks = np.full(level.shape, -np.inf)
-    peaks[cells] = level[cells]
+    first = label == index
+    peaks[first] = level[first]
     return peaks
 
 

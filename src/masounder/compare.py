@@ -12,6 +12,11 @@ from .scenario import Scenario, ScenarioError
 from .sic import EstimatedPath, run_sic
 
 
+def _wrap_deg(d: float) -> float:
+    """An azimuth difference wrapped into [-180, 180]; exact for |d| < 180."""
+    return d - 360.0 * round(d / 360.0)
+
+
 @dataclass(frozen=True)
 class ComparisonRow:
     """A URA PADP peak and the MA SIC path matched to it."""
@@ -22,9 +27,10 @@ class ComparisonRow:
 
     @property
     def errors(self) -> tuple[float, float, float]:
-        """(delay in ns, azimuth in deg, power in dB) differences, MA minus URA."""
+        """(delay in ns, azimuth in deg, power in dB) differences, MA minus URA;
+        the azimuth difference is taken the short way round the circle."""
         return (self.ma.delay_s * 1e9 - self.ura.delay_s * 1e9,
-                self.ma.direction.phi_deg - self.ura.phi_deg,
+                _wrap_deg(self.ma.direction.phi_deg - self.ura.phi_deg),
                 self.ma.amplitude_db - self.ura.level_db)
 
 
@@ -71,7 +77,7 @@ def compare_arrays(scenario: Scenario, seed: int = 0) -> ComparisonResult:
         if not remaining:
             break
         dist = [abs(mp.delay_s - peak.delay_s) / delay_scale +
-                abs(mp.direction.phi_deg - peak.phi_deg) / phi_scale
+                abs(_wrap_deg(mp.direction.phi_deg - peak.phi_deg)) / phi_scale
                 for mp in remaining]
         rows.append(ComparisonRow(i + 1, peak, remaining.pop(int(np.argmin(dist)))))
     return ComparisonResult(tuple(rows), len(ura_peaks), len(report.paths))

@@ -116,6 +116,71 @@ def extract_path_cir(residual_cir: np.ndarray, gate: np.ndarray) -> np.ndarray:
     return residual_cir * gate
 
 
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def _brent_bounded(f, a: float, b: float, xatol: float) -> float:
+    """Minimizer of f on [a, b] by Brent's bounded search (Brent 1973, ch. 5;
+    the fmin of Forsythe, Malcolm and Moler): a parabolic step through the
+    three best points when it falls inside the bracket and shrinks, a
+    golden-section step otherwise. Its steps and floating-point operations
+    are those of scipy.optimize.minimize_scalar(method="bounded"), so it
+    returns the same x, after at most 500 evaluations of f."""
+    # xf, nfc, fulc: the best, second-best and third-best points so far.
+    x = fulc = nfc = xf = a + _GOLDEN * (b - a)
+    fx = ffulc = fnfc = f(x)
+    rat = e = 0.0
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return float(xf)
+
+
 def refine_delay(gated_x: np.ndarray, gated_y: np.ndarray, freqs: FrequencyGrid,
                  tau_hat: float, pad_factor: int = 4) -> tuple[float, complex]:
     """Sub-bin delay refinement around the profile peak, and the projection
@@ -137,15 +202,9 @@ def refine_delay(gated_x: np.ndarray, gated_y: np.ndarray, freqs: FrequencyGrid,
         return tau_hat, project(tau_hat)
     bin_s = 1.0 / (freqs.n_points * pad_factor * freqs.spacing_hz)
     limit = 0.5 * freqs.unambiguous_delay_s
-    # Imported here: scipy.optimize takes longer to import than the rest of
-    # the package, and only estimation needs it.
-    from scipy.optimize import minimize_scalar
-    result = minimize_scalar(
-        lambda t: -abs(project(t)),
-        bounds=(max(tau_hat - bin_s, 0.0),
-                min(tau_hat + bin_s, float(np.nextafter(limit, 0.0)))),
-        method="bounded", options={"xatol": 1e-15})
-    tau = float(result.x)
+    tau = _brent_bounded(lambda t: -abs(project(t)), max(tau_hat - bin_s, 0.0),
+                         min(tau_hat + bin_s, float(np.nextafter(limit, 0.0))),
+                         xatol=1e-15)
     return tau, project(tau)
 
 

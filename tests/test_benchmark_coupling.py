@@ -6,6 +6,7 @@ modules bound; a renamed or unbound name would make traced runs fail.
 
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -30,12 +31,32 @@ def test_every_traced_name_is_bound():
             f"{module_name}.{attr}"
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    """Only estimate needs scipy.optimize and only compare scipy.ndimage; the
-    other commands should not pay for importing them."""
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    """The package runs on numpy and click alone: with scipy blocked, simulate
+    and estimate on table1_small and compare on table2_mimic exit 0 and load
+    no scipy module."""
     src = str(Path(masounder.__file__).resolve().parent.parent)
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import masounder.cli; "
-            "print([m for m in ('scipy.optimize', 'scipy.ndimage') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    scenarios = Path(masounder.__file__).resolve().parent / "scenarios"
+    small, mimic = str(scenarios / "table1_small.json"), str(scenarios / "table2_mimic.json")
+    commands = [["simulate", "--config", small, "--out", str(tmp_path / "small"), "--quiet"],
+                ["estimate", "--config", small, "--out", str(tmp_path / "small"), "--quiet"],
+                ["compare", "--config", mimic, "--out", str(tmp_path / "mimic"), "--quiet"]]
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = None  # any import of scipy raises ImportError\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from masounder.cli import main\n"
+            "codes = []\n"
+            "for args in json.loads(sys.argv[2]):\n"
+            "    try:\n"
+            "        main.main(args, standalone_mode=False)\n"
+            "        codes.append(0)\n"
+            "    except SystemExit as exc:\n"
+            "        codes.append(exc.code)\n"
+            "print(json.dumps([codes, sorted(m for m, v in sys.modules.items()\n"
+            "                                if m.startswith('scipy') and v is not None)]))\n")
+    out = subprocess.run([sys.executable, "-c", code, src, json.dumps(commands)],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [[0, 0, 0], []]
+    assert (tmp_path / "small" / "paths.csv").stat().st_size > 0
+    assert (tmp_path / "mimic" / "comparison.csv").stat().st_size > 0

@@ -3,8 +3,9 @@
 `_argmax_walk` is the former SIC candidate loop: an `np.nonzero` +
 `np.lexsort` tie-break over the whole grid, then box masking. `_greedy_peaks`
 is the former `find_peaks` selection: the lexsort plateau picker, a
-threshold filter, a sort and a greedy separation check. Both are kept here
-as references. Grids of integer dB levels make exact ties common.
+threshold filter, a sort and a greedy separation check.
+`_ndimage_plateau_peaks` is the former `scipy.ndimage` plateau picker. All
+are kept here as references. Grids of integer dB levels make exact ties common.
 """
 
 from itertools import islice
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from masounder.beamform import (BeamPattern, Padp, UvBeam, descending_cells,
-                                find_peaks, padp_ura)
+from masounder.beamform import (BeamPattern, Padp, UvBeam, _plateau_peaks,
+                                descending_cells, find_peaks, padp_ura)
 from masounder.channel import gen_ura_cfr
 from masounder.scenario import parse_scenario
 from masounder.sic import detect_strongest
@@ -52,6 +53,16 @@ def _lexsort_plateau_peaks(level):
     first = np.nonzero(np.r_[True, sorted_labs[1:] != sorted_labs[:-1]])[0]
     keep = order[first]
     return [(int(r), int(c)) for r, c in zip(rows[keep], cols[keep])]
+
+
+def _ndimage_plateau_peaks(level):
+    neigh = ndimage.maximum_filter(level, size=3, mode="constant", cval=-np.inf)
+    labels, _ = ndimage.label(level >= neigh, structure=np.ones((3, 3), int))
+    labs, first = np.unique(labels, return_index=True)
+    cells = np.unravel_index(first[labs > 0], level.shape)
+    peaks = np.full(level.shape, -np.inf)
+    peaks[cells] = level[cells]
+    return peaks
 
 
 def _greedy_peaks(pattern, dynamic_range_db, min_separation):
@@ -156,3 +167,39 @@ def test_detect_strongest_matches_lexsort_oracle():
         c, r = _argmax_cell(np.abs(beam.values).T)
         direction = detect_strongest(beam)
         assert (direction.theta_deg, direction.phi_deg) == (r, c)
+
+
+def _u_plateau():
+    """A U-shaped plateau: its first cell in C order tops the left arm, and
+    the right arm reaches it only through the bottom."""
+    level = np.full((12, 9), -3.0)
+    level[1:11, 1] = level[1:11, 7] = level[10, 1:8] = 0.0
+    return level
+
+
+def _snake_plateau():
+    """A one-cell-wide serpentine plateau whose first cell is its far end."""
+    level = np.full((15, 15), -1.0)
+    level[::4, :-1] = level[2::4, 1:] = 0.0
+    level[1::4, -2] = level[3::4, 1] = 0.0
+    return level
+
+
+@pytest.mark.parametrize("level", [
+    _integer_levels(0, shape=(1, 40), low=-2), _integer_levels(1, shape=(40, 1), low=-2),
+    np.zeros((1, 1)), np.zeros((7, 5)), np.full((6, 6), -np.inf),
+    _u_plateau(), _u_plateau()[::-1, ::-1], _snake_plateau(), _snake_plateau().T,
+], ids=["1xN", "Nx1", "1x1", "constant", "all-minus-inf", "U", "U-flipped",
+        "snake", "snake-T"])
+def test_plateau_peaks_matches_ndimage_on_shaped_grids(level):
+    np.testing.assert_array_equal(_plateau_peaks(level), _ndimage_plateau_peaks(level))
+
+
+def test_plateau_peaks_matches_ndimage_on_integer_grids():
+    rng = np.random.default_rng(3)
+    for seed in range(300):
+        shape = tuple(int(k) for k in rng.integers(1, 40, size=2))
+        level = _integer_levels(seed, shape=shape, low=-int(rng.integers(0, 6)))
+        for grid in (level, level.T, np.asfortranarray(level)):
+            np.testing.assert_array_equal(_plateau_peaks(grid),
+                                          _ndimage_plateau_peaks(grid))

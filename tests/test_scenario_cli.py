@@ -237,6 +237,27 @@ def test_cli_full_pipeline(tmp_path):
     assert lines[0].startswith("path,ura_delay_ns,")
 
 
+def test_cli_compare_pairs_paths_across_zero_azimuth(tmp_path):
+    """A scan across 0 deg: the URA reports -10 deg where the MA reports
+    350 deg. Rows pair and errors count the short way round the circle."""
+    with open(scenario_path("table2_mimic")) as fh:
+        data = json.load(fh)
+    data["scan"]["phi"] = [-90, 90, 1]
+    data["paths"] = [
+        {"power_db": 0.0, "elevation_deg": 90, "azimuth_deg": 350, "delay_ns": 14.0},
+        {"power_db": -6.0, "elevation_deg": 90, "azimuth_deg": 20, "delay_ns": 20.0}]
+    cfg = tmp_path / "wrap.json"
+    cfg.write_text(json.dumps(data))
+    r = _run(["compare", "--config", str(cfg), "--out", str(tmp_path), "--quiet"])
+    assert r.exit_code == 0, r.output
+    rows = [[float(v) for v in line.split(",")] for line in
+            (tmp_path / "comparison.csv").read_text().splitlines()[1:]]
+    assert [(row[2], row[5]) for row in rows] == [(-10.0, 350.0), (20.0, 20.0)]
+    for row in rows:
+        err_delay_ns, err_azimuth_deg = row[7], row[8]
+        assert abs(err_delay_ns) < 0.05 and err_azimuth_deg == 0.0
+
+
 def test_cli_outputs_are_deterministic(tmp_path):
     cfg = str(_write_tiny(tmp_path, noise={"snr_db": 30}))
     texts = []

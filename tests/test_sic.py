@@ -377,3 +377,46 @@ def test_run_sic_skips_a_candidate_with_zero_projection(monkeypatch):
     assert report.paths[0].iteration == 1
     assert (report.paths[0].direction, report.paths[0].delay_s) != \
         (plain.paths[0].direction, plain.paths[0].delay_s)
+
+
+def _projection_objectives(seed: int, count: int):
+    """Seeded objectives -|exp(j 2 pi f t) . s| of refine_delay's form, with s a
+    few noisy paths, each with a one-bin window (some clipped at 0) around a
+    delay and an xatol. Half are in GHz and ns, where xatol runs from 1e-16
+    to 1e-3 of a window near 1; half in Hz and s, as refine_delay runs them."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        ns = i % 2 == 1
+        unit = 1e-9 if ns else 1.0  # frequencies in GHz or in Hz
+        n = int(rng.integers(8, 200))
+        spacing = rng.uniform(1e6, 50e6) * unit
+        f = rng.uniform(1e9, 30e9) * unit + spacing * np.arange(n)
+        taus = rng.uniform(0.0, 0.5 / spacing, size=int(rng.integers(1, 4)))
+        amps = rng.standard_normal(len(taus)) + 1j * rng.standard_normal(len(taus))
+        s = amps @ np.exp(-2j * np.pi * np.outer(taus, f))
+        s += 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        w = 2j * np.pi * f
+        bin_t = 1.0 / (4 * n * spacing)
+        tau_hat = rng.uniform(0.0, bin_t) if i % 3 == 0 else taus[0]
+        xatol = 10.0 ** (rng.uniform(-16, -3) if ns else rng.uniform(-16, -12))
+        yield (lambda t, w=w, s=s: -abs(np.exp(w * t) @ s),
+               max(tau_hat - bin_t, 0.0), tau_hat + bin_t, xatol)
+
+
+def test_brent_search_matches_scipy_bounded_minimizer():
+    from scipy.optimize import minimize_scalar
+    evaluations = []
+    for objective, lo, hi, xatol in _projection_objectives(11, 1200):
+        want = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
+                               options={"xatol": xatol})
+        assert sic._brent_bounded(objective, lo, hi, xatol) == want.x
+        evaluations.append(want.nfev)
+    assert min(evaluations) > 1  # every search takes steps
+    # A minimum on the lower bound 0, where the tolerance vanishes, runs to
+    # the cap of 500 evaluations.
+    calls = []
+    x = sic._brent_bounded(lambda t: calls.append(t) or t, 0.0, 1e-10, 1e-300)
+    want = minimize_scalar(lambda t: t, bounds=(0.0, 1e-10), method="bounded",
+                           options={"xatol": 1e-300})
+    assert (len(calls), want.nfev, want.status) == (500, 500, 1)
+    assert x == want.x
