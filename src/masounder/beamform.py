@@ -98,15 +98,9 @@ def _conj_steer(indices: np.ndarray, spacing_wl: float, cosines: np.ndarray,
 def _resolve_window(window, n_points: int) -> np.ndarray | None:
     if window is None:
         return None
-    if isinstance(window, str):
-        if window == "hann":
-            win = np.hanning(n_points)
-        else:
-            raise ValueError(f"unknown window {window!r}")
-    else:
-        win = np.asarray(window, float)
-        if win.shape != (n_points,):
-            raise ValueError("window length must match the frequency grid")
+    if not isinstance(window, str) or window != "hann":
+        raise ValueError(f"unknown window {window!r}")
+    win = np.hanning(n_points)
     return win / win.mean()
 
 

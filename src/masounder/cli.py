@@ -87,7 +87,7 @@ def _write_csv(path: Path, header: str, x, y, level) -> None:
     as that axis, not as a meshgrid, and is then formatted once per value."""
     with open(path, "w") as fh:
         fh.write(header)
-        write_rows(fh, "%.9g,%.9g,%.9g\n", x, y, level)
+        write_rows(fh, ["%.9g"] * 3, x, y, level)
 
 
 def _write_uv_pattern(path: Path, pattern) -> None:
@@ -246,7 +246,7 @@ def cmd_compare(config_path, out_dir, seed, quiet):
                  "ma_delay_ns,ma_azimuth_deg,ma_power_db,"
                  "err_delay_ns,err_azimuth_deg,err_power_db\n")
         fh.writelines(("%d" + ",%.9g" * 9 + "\n") % (
-            row.index, row.ura.delay_s * 1e9, row.ura.phi_deg, row.ura.level_db,
+            row.index, row.ura.delay_s * 1e9, row.ura.phi_deg % 360.0, row.ura.level_db,
             row.ma.delay_s * 1e9, row.ma.direction.phi_deg, row.ma.amplitude_db,
             *row.errors) for row in result.rows)
     if not quiet:

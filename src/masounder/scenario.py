@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,14 +134,27 @@ def _fields(mapping, section: str, context: str) -> dict:
     return {**schema, **mapping}
 
 
-def _integer(value, name: str) -> int:
-    """value as an int. A JSON number with no fraction reads (24.0 as 24); a
-    boolean, a fraction or a non-number is rejected rather than truncated."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioError(f"{name} must be an integer, not {value!r}")
-    return value
+def _number(value, name: str, kind=float):
+    """value as kind, float or int. Only a JSON number that is finite as a
+    double reads, and as an int only one with no fraction (24.0 as 24). A
+    boolean, a string or a fraction is rejected, naming the field, rather
+    than converted."""
+    # abs(nan) and abs(inf) fail the bound too; an int is compared exactly.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max
+            or (kind is int and value != int(value))):
+        what = "an integer" if kind is int else "a finite number"
+        raise ScenarioError(f"{name} must be {what}, not {value!r}")
+    return kind(value)
+
+
+def _scan_axis(value, name: str) -> tuple[float, float, float]:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ScenarioError(f"{name} must be [start, stop, positive step]")
+    start, stop, step = (_number(x, f"{name}[{i}]") for i, x in enumerate(value))
+    if step <= 0 or stop < start:
+        raise ScenarioError(f"{name} must be [start, stop, positive step]")
+    return start, stop, step
 
 
 def _normalize(data) -> dict:
@@ -159,42 +173,45 @@ def _normalize(data) -> dict:
 
 def scenario_from_dict(data: dict) -> Scenario:
     norm = _normalize(data)
+
+    def num(section: str, key: str, kind=float):
+        value = norm[section][key]
+        if value is None and _SCHEMA[section][key] is None:
+            return None  # a number whose default is null may be null
+        return _number(value, f"{section}.{key}", kind)
+
     try:
-        fd, ud, md = norm["frequency"], norm["ura"], norm["ma"]
-        freqs = FrequencyGrid(float(fd["start_hz"]), float(fd["stop_hz"]),
-                              _integer(fd["points"], "frequency.points"))
-        ura = None if ud is None else UraGeometry(
-            _integer(ud["m"], "ura.m"), _integer(ud["n"], "ura.n"),
-            float(ud["dx_wl"]), float(ud["dy_wl"]))
-        ma = None if md is None else MaGeometry(
-            _integer(md["x"], "ma.x"), _integer(md["y"], "ma.y"), float(md["d_wl"]))
-        paths = PathSet([
-            PathComponent.from_power_db(float(p["power_db"]), float(p["elevation_deg"]),
-                                        float(p["azimuth_deg"]), float(p["delay_ns"]),
-                                        float(p["phase_deg"]))
-            for p in norm["paths"]])
-        scan, est, taper = norm["scan"], norm["estimator"], norm["taper"]
+        freqs = FrequencyGrid(num("frequency", "start_hz"), num("frequency", "stop_hz"),
+                              num("frequency", "points", int))
+        ura = None if norm["ura"] is None else UraGeometry(
+            num("ura", "m", int), num("ura", "n", int), num("ura", "dx_wl"),
+            num("ura", "dy_wl"))
+        ma = None if norm["ma"] is None else MaGeometry(
+            num("ma", "x", int), num("ma", "y", int), num("ma", "d_wl"))
+        paths = PathSet([PathComponent.from_power_db(*(
+            _number(p[key], f"paths[{i}].{key}") for key in
+            ("power_db", "elevation_deg", "azimuth_deg", "delay_ns", "phase_deg")))
+            for i, p in enumerate(norm["paths"])])
+        taper = norm["taper"]
         if taper is not None and taper["kind"] != "chebyshev":
             raise ScenarioError(f"unsupported taper kind {taper['kind']!r}")
-        steer_cfg, noise, cmp_cfg = norm["steer"], norm["noise"], norm["compare"]
         scenario = Scenario(
             freqs=freqs, ura=ura, ma=ma, paths=paths,
-            scan_theta=tuple(float(x) for x in scan["theta"]),
-            scan_phi=tuple(float(x) for x in scan["phi"]),
-            epsilon_db=float(est["epsilon_db"]),
-            max_iterations=_integer(est["max_iterations"], "estimator.max_iterations"),
-            pad_factor=_integer(est["pad_factor"], "estimator.pad_factor"),
-            gate_db=None if est["gate_db"] is None else float(est["gate_db"]),
-            taper_sidelobe_db=None if taper is None else float(taper["sidelobe_db"]),
-            steer_uv=(None if steer_cfg is None
-                      else (float(steer_cfg["u0"]), float(steer_cfg["v0"]))),
-            snr_db=None if noise["snr_db"] is None else float(noise["snr_db"]),
-            compare_theta_deg=float(cmp_cfg["theta_deg"]),
-            compare_window=cmp_cfg["window"],
-            compare_dynamic_range_db=float(cmp_cfg["dynamic_range_db"]),
-            compare_min_separation=_integer(cmp_cfg["min_separation"],
-                                            "compare.min_separation"),
-            pattern_lattice=_integer(norm["pattern_lattice"], "pattern_lattice"),
+            scan_theta=_scan_axis(norm["scan"]["theta"], "scan.theta"),
+            scan_phi=_scan_axis(norm["scan"]["phi"], "scan.phi"),
+            epsilon_db=num("estimator", "epsilon_db"),
+            max_iterations=num("estimator", "max_iterations", int),
+            pad_factor=num("estimator", "pad_factor", int),
+            gate_db=num("estimator", "gate_db"),
+            taper_sidelobe_db=None if taper is None else num("taper", "sidelobe_db"),
+            steer_uv=(None if norm["steer"] is None
+                      else (num("steer", "u0"), num("steer", "v0"))),
+            snr_db=num("noise", "snr_db"),
+            compare_theta_deg=num("compare", "theta_deg"),
+            compare_window=norm["compare"]["window"],
+            compare_dynamic_range_db=num("compare", "dynamic_range_db"),
+            compare_min_separation=num("compare", "min_separation", int),
+            pattern_lattice=_number(norm["pattern_lattice"], "pattern_lattice", int),
             _normalized=json.dumps(norm),
         )
     except ScenarioError:
@@ -211,10 +228,6 @@ def _validate(s: Scenario) -> None:
             s.paths.validate_against(s.freqs)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
-    for axis, name in ((s.scan_theta, "scan.theta"), (s.scan_phi, "scan.phi")):
-        if (len(axis) != 3 or not np.all(np.isfinite(axis)) or axis[2] <= 0
-                or axis[1] < axis[0]):
-            raise ScenarioError(f"{name} must be [start, stop, positive step]")
     theta = s.scan_grid().theta_deg
     if not 0.0 <= theta[0] <= theta[-1] <= 90.0:
         raise ScenarioError(f"scan.theta runs from {theta[0]:g} to {theta[-1]:g} deg; "
@@ -222,6 +235,12 @@ def _validate(s: Scenario) -> None:
     if not 0.0 <= s.compare_theta_deg <= 90.0:
         raise ScenarioError(f"compare.theta_deg must lie in [0, 90], "
                             f"not {s.compare_theta_deg:g}")
+    if s.compare_window not in ("hann", None):
+        raise ScenarioError(f'compare.window must be "hann" or null, '
+                            f"not {s.compare_window!r}")
+    if s.compare_dynamic_range_db <= 0:
+        raise ScenarioError(f"compare.dynamic_range_db must be > 0, "
+                            f"not {s.compare_dynamic_range_db:g}")
     try:
         s.estimator_config()
     except ValueError as exc:

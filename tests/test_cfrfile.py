@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from masounder.cfrfile import (FORMAT_VERSION, CfrFormatError, _element_axes, read_cfr,
-                               write_cfr, write_rows)
+from masounder.cfrfile import (FORMAT_VERSION, CfrFormatError, read_cfr, write_cfr,
+                               write_rows)
 from masounder.channel import CfrSet, PathSet, gen_ma_cfr, gen_ura_cfr
 from masounder.geometry import (FrequencyGrid, MaGeometry, PathComponent,
                                 UraGeometry)
@@ -104,15 +104,17 @@ def test_write_matches_row_by_row_reference(tmp_path):
         assert all(line.startswith("#") for line in lines[:-len(body)])
 
 
-def _reference_rows(fmt, *columns):
-    """fmt % row for every cell of the broadcast columns, one row at a time."""
+def _reference_rows(specs, *columns):
+    """The comma-joined specs % row for every cell of the broadcast columns,
+    one row at a time."""
+    fmt = ",".join(specs) + "\n"
     cells = [c.ravel().tolist() for c in np.broadcast_arrays(*map(np.atleast_1d, columns))]
     return "".join(fmt % row for row in zip(*cells))
 
 
-def _written_rows(fmt, *columns):
+def _written_rows(specs, *columns):
     fh = io.StringIO()
-    write_rows(fh, fmt, *columns)
+    write_rows(fh, specs, *columns)
     return fh.getvalue()
 
 
@@ -126,7 +128,7 @@ def test_write_rows_padp_shape_matches_reference(rng):
     phi = np.arange(90.0, 271.0, 7.0)
     delay_ns = np.arange(40) * 0.3125
     level = 20 * np.log10(np.abs(rng.standard_normal((40, phi.size))))
-    fmt = "%.9g,%.9g,%.9g\n"
+    fmt = ["%.9g"] * 3
     assert not level.T.flags.c_contiguous
     expected = _reference_rows(fmt, phi[:, None], delay_ns, level.T)
     assert _written_rows(fmt, phi[:, None], delay_ns, level.T) == expected
@@ -139,9 +141,11 @@ def test_write_rows_cfr_shape_matches_reference(tmp_path, layout):
         cfr = gen_ura_cfr(PATHS, UraGeometry(3, 5, 0.5, 0.5), FREQS)
     else:
         cfr = gen_ma_cfr(PATHS, MaGeometry(5, 7, 0.5), FREQS)[layout == "ma_y"]
-    xs, ys = _element_axes(layout, cfr.geometry)
+    g, zero = cfr.geometry, np.zeros(1, int)
+    xs, ys = {"ura": (g.x_indices, g.y_indices), "ma_x": (g.x_indices, zero),
+              "ma_y": (zero, g.y_indices)}[layout]
     values = cfr.values.reshape(xs.size, ys.size, FREQS.n_points)
-    fmt = "%d,%d,%d,%.17g,%.17g\n"
+    fmt = ["%d"] * 3 + ["%.17g"] * 2
     columns = (xs[:, None, None], ys[:, None], np.arange(FREQS.n_points),
                values.real, values.imag)
     expected = _reference_rows(fmt, *columns)
@@ -154,15 +158,16 @@ def test_write_rows_cfr_shape_matches_reference(tmp_path, layout):
 def test_write_rows_length_one_last_axis_matches_reference(rng):
     x, level = np.arange(5.0)[:, None], rng.standard_normal((5, 1))
     for columns in ((x, 0.5, level), (x, [0.5], level), (x, level, level[:, :1])):
-        expected = _reference_rows("%.9g,%.9g,%.9g\n", *columns)
-        assert _written_rows("%.9g,%.9g,%.9g\n", *columns) == expected
+        expected = _reference_rows(["%.9g"] * 3, *columns)
+        assert _written_rows(["%.9g"] * 3, *columns) == expected
         assert len(expected.splitlines()) == 5
     for empty, axis in ((np.empty((0, 1)), np.arange(5.0)), (np.empty((3, 0)), x[:3])):
-        assert _written_rows("%.9g,%.9g,%.9g\n", empty, axis, 1.0) == ""
+        assert _written_rows(["%.9g"] * 3, empty, axis, 1.0) == ""
 
 
-@pytest.mark.parametrize("fmt", ["%.9g,%.9g,%.9g\n", "%.17g,%.17g,%.17g\n"])
-def test_write_rows_edge_values_match_reference(fmt):
+@pytest.mark.parametrize("spec", ["%.9g", "%.17g"])
+def test_write_rows_edge_values_match_reference(spec):
+    fmt = [spec] * 3
     n = np.arange(EDGE.size)
     grid = EDGE[np.add.outer(n, 3 * n) % EDGE.size]  # every value in every row
     # each edge value as a per-run, a per-file and a per-cell column
@@ -177,22 +182,23 @@ def test_write_rows_integer_and_literal_columns_match_reference():
     m = np.arange(-3, 4)
     n = np.array([-(2 ** 40), 0, 7])
     cell = np.arange(7 * 3 * 4).reshape(7, 3, 4) - 40
-    fmt = "%d;%+d|%5d,%.3g%%\n"
+    fmt = ["%d", "%+d", "%5d", "%.3g"]
     columns = (m[:, None, None], n[:, None], np.arange(4), cell * 0.5)
     expected = _reference_rows(fmt, *columns)
     assert _written_rows(fmt, *columns) == expected
-    assert expected.startswith("-3;-1099511627776|    0,-20%\n")
-    assert _written_rows("%d,%d\n", m, cell[:, 0, 0]) == _reference_rows("%d,%d\n", m,
-                                                                       cell[:, 0, 0])
+    assert expected.startswith("-3,-1099511627776,    0,-20\n")
+    assert _written_rows(["%d"] * 2, m, cell[:, 0, 0]) == _reference_rows(["%d"] * 2, m,
+                                                                         cell[:, 0, 0])
     labels = np.array(["5%", "a%%b%d"])[:, None]  # a run constant holding '%'
-    assert _written_rows("%s,%d\n", labels, m) == _reference_rows("%s,%d\n", labels, m)
+    specs = ["%s", "%d"]
+    assert _written_rows(specs, labels, m) == _reference_rows(specs, labels, m)
 
 
 def test_write_rows_rejects_mismatched_columns():
     with pytest.raises(ValueError, match="2 fields for 3 columns"):
-        _written_rows("%d,%d\n", [1], [2], [3])
+        _written_rows(["%d"] * 2, [1], [2], [3])
     with pytest.raises(ValueError):
-        _written_rows("%d,%d\n", np.arange(3), np.arange(4))
+        _written_rows(["%d"] * 2, np.arange(3), np.arange(4))
 
 
 def test_write_rejects_anisotropic_ura(tmp_path):
@@ -214,6 +220,32 @@ def test_read_missing_header_key(tmp_path):
     p = _tiny_file(tmp_path, FULL_MA_BODY, n_freq=None)
     with pytest.raises(CfrFormatError, match="missing header key"):
         read_cfr(p)
+
+
+def test_read_unparsable_header_value_names_its_key(tmp_path):
+    for key, value, kind in (("n_freq", "abc", "int"), ("format_version", "2.0", "int"),
+                             ("f_start_hz", "26 GHz", "float"), ("n_elem_y", "", "int")):
+        p = _tiny_file(tmp_path, FULL_MA_BODY, **{key: value})
+        with pytest.raises(CfrFormatError, match=f"header {key} must be {kind}, not '"):
+            read_cfr(p)
+
+
+@pytest.mark.parametrize("n_elem_x", [200001, 10 ** 20 + 1])
+def test_read_sizes_nothing_from_header_counts_until_the_body_has_the_rows(
+        tmp_path, n_elem_x):
+    # an 11-line file that declares n_elem_x * 16 entries and holds one
+    p = _tiny_file(tmp_path, ["0,0,0,1.0,2.0"], format_version=2, narrowband_phase=1,
+                   n_freq=16, n_elem_x=n_elem_x)
+    assert len(p.read_text().splitlines()) == 11
+    tracemalloc.start()
+    try:
+        with pytest.raises(CfrFormatError, match=f"body covers 1 entries at most, "
+                                                 f"header implies {n_elem_x * 16}$"):
+            read_cfr(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_read_bad_version(tmp_path):

@@ -152,6 +152,41 @@ def test_to_dict_is_the_input_with_defaults(tmp_path):
     ({"compare": {"min_separation": 6.5}},
      r"compare\.min_separation must be an integer, not 6\.5"),
     ({"pattern_lattice": 32.5}, r"pattern_lattice must be an integer, not 32\.5"),
+    ({"estimator": {"max_iterations": float("nan")}},
+     r"estimator\.max_iterations must be an integer, not nan"),
+    # other number fields used to go through float(), which took booleans,
+    # numeric strings and non-finite values
+    ({"estimator": {"epsilon_db": True}},
+     r"estimator\.epsilon_db must be a finite number, not True"),
+    ({"paths": [{"power_db": float("nan"), "elevation_deg": 60, "azimuth_deg": 120,
+                 "delay_ns": 1.0}]},
+     r"paths\[0\]\.power_db must be a finite number, not nan"),
+    ({"paths": [{"elevation_deg": 60, "azimuth_deg": 120, "delay_ns": "12"}]},
+     r"paths\[0\]\.delay_ns must be a finite number, not '12'"),
+    ({"frequency": {"start_hz": "26e9", "stop_hz": 30e9, "points": 24}},
+     r"frequency\.start_hz must be a finite number, not '26e9'"),
+    ({"noise": {"snr_db": "10"}}, r"noise\.snr_db must be a finite number, not '10'"),
+    ({"ma": {"x": 5, "y": 5, "d_wl": "abc"}},
+     r"ma\.d_wl must be a finite number, not 'abc'"),
+    ({"ura": {"m": 3, "n": 3, "dy_wl": float("inf")}},
+     r"ura\.dy_wl must be a finite number"),
+    ({"estimator": {"gate_db": False}}, r"estimator\.gate_db must be a finite number"),
+    ({"taper": {"sidelobe_db": [30]}}, r"taper\.sidelobe_db must be a finite number"),
+    ({"steer": {"u0": 0.1, "v0": None}}, r"steer\.v0 must be a finite number, not None"),
+    ({"compare": {"theta_deg": "90"}}, r"compare\.theta_deg must be a finite number"),
+    ({"scan": {"phi": [90, "270", 1]}},
+     r"scan\.phi\[1\] must be a finite number, not '270'"),
+    ({"scan": {"theta": 5}}, r"scan\.theta must be \[start, stop, positive step\]"),
+    # compare settings used to be checked only when compare ran, or never
+    ({"compare": {"dynamic_range_db": -5}},
+     r"compare\.dynamic_range_db must be > 0, not -5"),
+    ({"compare": {"dynamic_range_db": 0}},
+     r"compare\.dynamic_range_db must be > 0, not 0"),
+    ({"compare": {"dynamic_range_db": float("nan")}},
+     r"compare\.dynamic_range_db must be a finite number, not nan"),
+    ({"compare": {"window": "hamming"}},
+     r"compare\.window must be \"hann\" or null, not 'hamming'"),
+    ({"compare": {"window": [1.0] * 24}}, r"compare\.window must be \"hann\" or null"),
 ])
 def test_scenario_validation_errors(tmp_path, breakage, match):
     with pytest.raises(ScenarioError, match=match):
@@ -238,8 +273,9 @@ def test_cli_full_pipeline(tmp_path):
 
 
 def test_cli_compare_pairs_paths_across_zero_azimuth(tmp_path):
-    """A scan across 0 deg: the URA reports -10 deg where the MA reports
-    350 deg. Rows pair and errors count the short way round the circle."""
+    """A scan across 0 deg: the URA peaks at -10 deg where the MA reports
+    350 deg. Rows pair, errors count the short way round the circle, and
+    both azimuth columns read in [0, 360)."""
     with open(scenario_path("table2_mimic")) as fh:
         data = json.load(fh)
     data["scan"]["phi"] = [-90, 90, 1]
@@ -252,7 +288,7 @@ def test_cli_compare_pairs_paths_across_zero_azimuth(tmp_path):
     assert r.exit_code == 0, r.output
     rows = [[float(v) for v in line.split(",")] for line in
             (tmp_path / "comparison.csv").read_text().splitlines()[1:]]
-    assert [(row[2], row[5]) for row in rows] == [(-10.0, 350.0), (20.0, 20.0)]
+    assert [(row[2], row[5]) for row in rows] == [(350.0, 350.0), (20.0, 20.0)]
     for row in rows:
         err_delay_ns, err_azimuth_deg = row[7], row[8]
         assert abs(err_delay_ns) < 0.05 and err_azimuth_deg == 0.0
@@ -306,6 +342,17 @@ def test_cli_fractional_integer_field_exits_2(tmp_path):
     assert r.exit_code == 2
     assert "ma.x must be an integer, not 5.9" in r.output
     assert not (tmp_path / "o" / "ma_x_cfr.csv").exists()
+
+
+def test_cli_estimate_boolean_number_field_exits_2(tmp_path):
+    out = tmp_path / "out"
+    assert _run(["simulate", "--config", str(_write_tiny(tmp_path)),
+                 "--out", str(out), "--quiet"]).exit_code == 0
+    cfg = str(_write_tiny(tmp_path, estimator={"epsilon_db": True}))
+    r = CliRunner().invoke(main, ["estimate", "--config", cfg, "--out", str(out)])
+    assert r.exit_code == 2
+    assert "estimator.epsilon_db must be a finite number, not True" in r.output
+    assert not (out / "paths.csv").exists()
 
 
 def test_cli_estimate_without_cfrs_exits_4(tmp_path):
