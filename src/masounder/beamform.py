@@ -21,9 +21,14 @@ class NoPeakError(RuntimeError):
 def _level_db(values: np.ndarray, kind: str) -> np.ndarray:
     """Display convention: URA quantities are field-like (20 log10), MA
     quantities are products of two fields (10 log10)."""
-    mag = np.maximum(np.abs(values), DB_FLOOR)
-    scale = 20.0 if kind == "ura" else 10.0
-    return scale * np.log10(mag)
+    # One full-grid array, computed in place: the magnitude of an integer
+    # grid is promoted first, as np.maximum with DB_FLOOR would.
+    mag = np.abs(values)
+    mag = mag.astype(np.result_type(mag, DB_FLOOR), copy=False)
+    np.maximum(mag, DB_FLOOR, out=mag)
+    np.log10(mag, out=mag)
+    mag *= 20.0 if kind == "ura" else 10.0
+    return mag
 
 
 @dataclass(frozen=True)
@@ -354,17 +359,27 @@ def descending_cells(level: np.ndarray, floor: float,
                      half_box: tuple[int, int]) -> Iterator[tuple[int, int]]:
     """Cells of a 2-D grid from the strongest down to floor, -inf excluded.
     Each step yields the first maximum in C order (ties go to the lowest row,
-    then column) and hides the cells within half_box = (rows, cols) of it."""
-    # Copied in C order: Padp.values is a transposed view, and np.argmax
-    # over a copy that kept its F order takes about four times as long.
-    work = np.array(level, dtype=float, order="C")
+    then column) and hides the cells within half_box = (rows, cols) of it.
+    A NaN anywhere ends the walk before its first cell."""
+    # Each column of level is one contiguous row of work, so the columns a
+    # box hides are re-reduced alone: top[c] is column c's maximum and
+    # first[c] the row where it first occurs.
+    work = np.array(np.asarray(level, dtype=float).T, order="C")
+    if work.size == 0:
+        raise ValueError("empty grid")
+    top, first = work.max(axis=1), work.argmax(axis=1)
     dr, dc = half_box
     while True:
-        r, c = np.unravel_index(np.argmax(work), work.shape)
-        if not (work[r, c] >= floor and work[r, c] > -np.inf):
+        peak = top.max()
+        if not (peak >= floor and peak > -np.inf):
             return
-        yield int(r), int(c)
-        work[max(r - dr, 0):r + dr + 1, max(c - dc, 0):c + dc + 1] = -np.inf
+        cols = np.flatnonzero(top == peak)
+        c = int(cols[np.argmin(first[cols])])
+        r = int(first[c])
+        yield r, c
+        hidden = slice(max(c - dc, 0), c + dc + 1)
+        work[hidden, max(r - dr, 0):r + dr + 1] = -np.inf
+        top[hidden], first[hidden] = work[hidden].max(axis=1), work[hidden].argmax(axis=1)
 
 
 def _box3(grid: np.ndarray, fill, reduce) -> np.ndarray:

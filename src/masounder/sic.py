@@ -237,14 +237,6 @@ def _gate_diag(gate: np.ndarray, delays: np.ndarray) -> tuple[int, tuple[float, 
     return len(idx), (float(delays[idx[0]]), float(delays[idx[-1]]))
 
 
-def _gated_spectrum(cfr: CfrSet, cosine: float, gate: np.ndarray,
-                    pad_factor: int) -> np.ndarray:
-    """Line spectrum of cfr steered at cosine, with every delay bin outside
-    the gate zeroed."""
-    cir = cfr_to_cir(line_spectrum(cfr, cosine), cfr.freqs, pad_factor)
-    return cir_to_cfr(extract_path_cir(cir, gate), cfr.freqs, pad_factor)
-
-
 def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
             snapshot_hook=None) -> EstimationReport:
     """Iterate detect -> test each candidate -> fit the one that passes ->
@@ -263,6 +255,8 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
     gate_db = config.epsilon_db if config.gate_db is None else config.gate_db
     delays = delay_axis(freqs, pad)
     rx, ry = cfr_x, cfr_y
+    # A candidate's gate depends only on its delay bin, for the whole call.
+    gates: dict[int, np.ndarray] = {}
     alpha_max: float | None = None
     paths: list[EstimatedPath] = []
     diags: list[IterationDiagnostics] = []
@@ -277,16 +271,25 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
         if snapshot_hook is not None:
             snapshot_hook(q, padp)
         level = padp.level_db()
+        # The delay responses of both line spectra steered at a column's
+        # direction, computed when a candidate first visits the column.
+        responses: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         skipped = 0
         for r, c in descending_cells(level, level.max() - config.epsilon_db,
                                      (2 * pad, 3)):
             tau_hat = float(padp.delay_s[r]) / 2.0
             direction = Direction(coarse.theta_deg, float(padp.phi_deg[c]) % 360.0)
-            uv = uv_map(direction)
-            kernel = cfr_to_cir(np.exp(-2j * np.pi * freqs.points * tau_hat), freqs, pad)
-            gate = build_label_vector(kernel, gate_db)
-            gx = _gated_spectrum(rx, uv.u, gate, pad)
-            gy = _gated_spectrum(ry, uv.v, gate, pad)
+            if r not in gates:
+                kernel = cfr_to_cir(np.exp(-2j * np.pi * freqs.points * tau_hat),
+                                    freqs, pad)
+                gates[r] = build_label_vector(kernel, gate_db)
+            gate = gates[r]
+            if c not in responses:
+                uv = uv_map(direction)
+                responses[c] = (cfr_to_cir(line_spectrum(rx, uv.u), freqs, pad),
+                                cfr_to_cir(line_spectrum(ry, uv.v), freqs, pad))
+            gx, gy = (cir_to_cfr(extract_path_cir(cir, gate), freqs, pad)
+                      for cir in responses[c])
             try:
                 magnitude = estimate_power(gx, gy, freqs, rx.geometry, pad)
             except NoPeakError:

@@ -1,9 +1,10 @@
 """CLI outputs on bundled scenarios, compared byte for byte with committed copies.
 
-The files under tests/golden/ were written by the CLI at the default seed;
-any change to them must be a deliberate change of the estimator's output.
+The files under tests/golden/ were written by the CLI at the default seed,
+or at the seed the test names; any change to them must be a deliberate change of the estimator's output.
 """
 
+import json
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -26,6 +27,18 @@ def test_table1_small_paths_match_golden(tmp_path):
     _run("estimate", "--config", cfg, "--out", str(tmp_path))
     assert (tmp_path / "paths.csv").read_bytes() == \
         (GOLDEN / "table1_small_paths.csv").read_bytes()
+
+
+def test_table1_small_noisy_paths_match_golden(tmp_path):
+    # noise seeds 9 and 10 at 10 dB: a 13-path run whose walk skips many
+    # cross-product candidates
+    scenario = json.loads(Path(scenario_path("table1_small")).read_text())
+    cfg = tmp_path / "table1_small_noisy.json"
+    cfg.write_text(json.dumps({**scenario, "noise": {"snr_db": 10}}))
+    _run("simulate", "--config", str(cfg), "--out", str(tmp_path), "--seed", "8")
+    _run("estimate", "--config", str(cfg), "--out", str(tmp_path))
+    assert (tmp_path / "paths.csv").read_bytes() == \
+        (GOLDEN / "table1_small_noisy_paths.csv").read_bytes()
 
 
 def test_table2_mimic_comparison_matches_golden(tmp_path):

@@ -113,6 +113,48 @@ def test_walk_matches_lexsort_oracle(fortran, pad, depth_db):
         assert got == _argmax_walk(level, floor, (2 * pad, 3))
 
 
+def _tied_columns():
+    """Equal maxima in several columns at different rows: the first in C
+    order is neither the lowest column nor the last one reduced."""
+    level = np.full((9, 11), -5.0)
+    level[6, 1] = level[2, 8] = level[2, 4] = level[4, 0] = 0.0
+    level[0, 9] = level[7, 9] = -1.0
+    return level
+
+
+@pytest.mark.parametrize("level, half_box", [
+    (_tied_columns(), (0, 0)), (_tied_columns(), (1, 1)), (_tied_columns(), (3, 0)),
+    (_integer_levels(2, shape=(1, 40), low=-2), (0, 1)),
+    (_integer_levels(3, shape=(40, 1), low=-2), (2, 0)),
+    (_integer_levels(4, shape=(6, 5)), (10, 10)),
+    (_integer_levels(5, shape=(6, 5)), (1, 9)),
+    (_integer_levels(6, shape=(23, 37)).T, (4, 3)),
+    (_integer_levels(7, shape=(23, 37))[::2, 1::3].T, (2, 1)),
+], ids=["ties", "ties-box1", "ties-rows", "1xN", "Nx1", "box-over-grid",
+        "box-over-cols", "transposed", "strided-transposed"])
+def test_walk_matches_lexsort_oracle_on_shaped_grids(level, half_box):
+    floor = level.max() - 12.0
+    assert list(descending_cells(level, floor, half_box)) == \
+        _argmax_walk(level, floor, half_box)
+
+
+def test_walk_orders_tied_columns_by_row_then_column():
+    got = list(descending_cells(_tied_columns(), -0.5, (0, 0)))
+    assert got == [(2, 4), (2, 8), (4, 0), (6, 1)]
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])
+def test_walk_rejects_an_empty_grid(shape):
+    with pytest.raises(ValueError):
+        next(descending_cells(np.zeros(shape), 0.0, (1, 1)))
+
+
+def test_walk_ends_at_a_nan():
+    level = _integer_levels(8, shape=(7, 6)).astype(float)
+    level[5, 4] = np.nan
+    assert list(descending_cells(level, -np.inf, (0, 0))) == []
+
+
 def test_walk_skips_minus_inf_and_leaves_input_alone():
     level = np.full((4, 5), -np.inf)
     level[1, 2] = level[3, 0] = 0.0

@@ -361,6 +361,35 @@ def test_run_sic_fits_only_the_candidates_that_pass(monkeypatch):
     assert len(calls) == len(report.paths) + (not report.diagnostics[-1].accepted)
 
 
+def test_run_sic_tests_candidates_from_per_run_caches(monkeypatch):
+    # noise seeds 9 and 10 at 10 dB: many candidates share a column or a
+    # delay bin. A column's two line spectra are computed once per
+    # iteration, a delay bin's gate once per run.
+    spectra = _count_calls(monkeypatch, "line_spectrum")
+    gates = _count_calls(monkeypatch, "build_label_vector")
+    walks = []
+    real_walk = sic.descending_cells
+
+    def walk(*args):
+        walks.append([])
+        for cell in real_walk(*args):
+            walks[-1].append(cell)
+            yield cell
+    monkeypatch.setattr(sic, "descending_cells", walk)
+    counts = []
+    for _ in range(2):
+        spectra.clear(), gates.clear(), walks.clear()
+        report = _table1_small(noise_seeds=(9, 10), snr_db=10.0)
+        visited = sum(len(cells) for cells in walks)
+        columns = sum(len({c for _, c in cells}) for cells in walks)
+        bins = len({r for cells in walks for r, _ in cells})
+        assert visited > columns and visited > bins
+        assert len(spectra) == 2 * columns
+        assert len(gates) == bins
+        counts.append((len(report.paths), len(spectra), len(gates)))
+    assert counts[0] == counts[1]
+
+
 def test_run_sic_skips_a_candidate_with_zero_projection(monkeypatch):
     cx, cy = gen_ma_cfr(PathSet(THREE_PATHS), GEO, FREQS)
     config = EstimatorConfig(SCAN, epsilon_db=30.0)
