@@ -4,7 +4,7 @@ from .beamform import (BeamPattern, NoPeakError, Padp, Peak, PredictedTerm,
                        UvBeam, cbf_ma, cbf_ma_uv, cbf_ura, cfr_to_cir,
                        cir_to_cfr, descending_cells, find_peaks, line_spectrum,
                        padp_ma, padp_ura, predict_ma_terms)
-from .channel import CfrSet, PathSet, add_noise, gen_ma_cfr, gen_ura_cfr
+from .channel import CfrSet, add_noise, gen_ma_cfr, gen_ura_cfr
 from .cfrfile import CfrFormatError, read_cfr, write_cfr
 from .compare import ComparisonRow, compare_arrays
 from .geometry import (Direction, FrequencyGrid, MaGeometry, PathComponent,

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -11,32 +12,23 @@ from .geometry import FrequencyGrid, MaGeometry, PathComponent, UraGeometry, uv_
 _LAYOUT_SHAPES = ("ura", "ma_x", "ma_y")
 
 
-@dataclass(frozen=True)
-class PathSet:
-    """Ordered collection of propagation paths."""
-
-    paths: tuple[PathComponent, ...]
-
-    def __init__(self, paths):
-        object.__setattr__(self, "paths", tuple(paths))
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def __iter__(self):
-        return iter(self.paths)
-
-    def max_delay_s(self) -> float:
-        return max((p.delay_s for p in self.paths), default=0.0)
-
-    def validate_against(self, freqs: FrequencyGrid) -> None:
-        """Reject delays that would alias once the MA doubles them."""
-        limit = 0.5 * freqs.unambiguous_delay_s
-        if self.max_delay_s() >= limit:
-            raise ValueError(
-                f"path delay {self.max_delay_s() * 1e9:.3f} ns exceeds half the "
-                f"unambiguous range ({limit * 1e9:.3f} ns); doubled MA delays would alias"
-            )
+def sounded_paths(paths: Iterable[PathComponent], geometry: UraGeometry | MaGeometry,
+                  freqs: FrequencyGrid) -> tuple[PathComponent, ...]:
+    """paths as a tuple, once no delay reaches the longest one the array can
+    sound over freqs: 1/df for a URA, and half that for an MA, whose product
+    of sub-array outputs doubles every delay."""
+    paths = tuple(paths)
+    delay = max((p.delay_s for p in paths), default=0.0)
+    limit = freqs.unambiguous_delay_s
+    if isinstance(geometry, MaGeometry):
+        limit *= 0.5
+        range_name, why = "half the unambiguous range", "doubled MA delays would alias"
+    else:
+        range_name, why = "the unambiguous range", "URA delays would alias"
+    if delay >= limit:
+        raise ValueError(f"path delay {delay * 1e9:.3f} ns exceeds {range_name} "
+                         f"({limit * 1e9:.3f} ns); {why}")
+    return paths
 
 
 @dataclass(frozen=True)
@@ -89,12 +81,11 @@ def _axis_phase(indices: np.ndarray, spacing_wl: float, cosine: float,
     return np.exp(2j * np.pi * spacing_wl * np.outer(indices, scale * cosine))
 
 
-def gen_ura_cfr(paths: PathSet, geometry: UraGeometry, freqs: FrequencyGrid,
-                narrowband_phase: bool = True,
+def gen_ura_cfr(paths: Iterable[PathComponent], geometry: UraGeometry,
+                freqs: FrequencyGrid, narrowband_phase: bool = True,
                 ref_freq_hz: float | None = None) -> CfrSet:
     """Superpose plane-wave path contributions at every URA element."""
-    paths = paths if isinstance(paths, PathSet) else PathSet(paths)
-    paths.validate_against(freqs)
+    paths = sounded_paths(paths, geometry, freqs)
     ref = freqs.reference_hz if ref_freq_hz is None else ref_freq_hz
     f = freqs.points
     out = np.zeros((geometry.m_count, geometry.n_count, freqs.n_points), complex)
@@ -109,12 +100,11 @@ def gen_ura_cfr(paths: PathSet, geometry: UraGeometry, freqs: FrequencyGrid,
     return CfrSet("ura", out, freqs, geometry, ref, narrowband_phase)
 
 
-def gen_ma_cfr(paths: PathSet, geometry: MaGeometry, freqs: FrequencyGrid,
-               narrowband_phase: bool = True,
+def gen_ma_cfr(paths: Iterable[PathComponent], geometry: MaGeometry,
+               freqs: FrequencyGrid, narrowband_phase: bool = True,
                ref_freq_hz: float | None = None) -> tuple[CfrSet, CfrSet]:
     """Superpose path contributions on both MA sub-arrays."""
-    paths = paths if isinstance(paths, PathSet) else PathSet(paths)
-    paths.validate_against(freqs)
+    paths = sounded_paths(paths, geometry, freqs)
     ref = freqs.reference_hz if ref_freq_hz is None else ref_freq_hz
     f = freqs.points
     out_x = np.zeros((geometry.x_count, freqs.n_points), complex)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import PathSet
+from .channel import sounded_paths
 from .geometry import FrequencyGrid, MaGeometry, PathComponent, ScanGrid, UraGeometry
 from .patterns import auto_convolve, chebyshev_taper, steer
 from .sic import EstimatorConfig
@@ -49,7 +49,7 @@ class Scenario:
     freqs: FrequencyGrid
     ura: UraGeometry | None
     ma: MaGeometry | None
-    paths: PathSet
+    paths: tuple[PathComponent, ...]
     scan_theta: tuple[float, float, float]
     scan_phi: tuple[float, float, float]
     epsilon_db: float
@@ -188,10 +188,10 @@ def scenario_from_dict(data: dict) -> Scenario:
             num("ura", "dy_wl"))
         ma = None if norm["ma"] is None else MaGeometry(
             num("ma", "x", int), num("ma", "y", int), num("ma", "d_wl"))
-        paths = PathSet([PathComponent.from_power_db(*(
+        paths = tuple(PathComponent.from_power_db(*(
             _number(p[key], f"paths[{i}].{key}") for key in
             ("power_db", "elevation_deg", "azimuth_deg", "delay_ns", "phase_deg")))
-            for i, p in enumerate(norm["paths"])])
+            for i, p in enumerate(norm["paths"]))
         taper = norm["taper"]
         if taper is not None and taper["kind"] != "chebyshev":
             raise ScenarioError(f"unsupported taper kind {taper['kind']!r}")
@@ -223,11 +223,12 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def _validate(s: Scenario) -> None:
-    if len(s.paths) and s.ma is not None:
-        try:
-            s.paths.validate_against(s.freqs)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+    try:  # the MA's range, half the URA's, is the one a path reaches first
+        for geometry in (s.ma, s.ura):
+            if geometry is not None:
+                sounded_paths(s.paths, geometry, s.freqs)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     theta = s.scan_grid().theta_deg
     if not 0.0 <= theta[0] <= theta[-1] <= 90.0:
         raise ScenarioError(f"scan.theta runs from {theta[0]:g} to {theta[-1]:g} deg; "

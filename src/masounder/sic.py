@@ -20,7 +20,7 @@ import numpy as np
 
 from .beamform import (BeamPattern, NoPeakError, cbf_ma, cfr_to_cir, check_ma_pair,
                        cir_to_cfr, descending_cells, line_spectrum, padp_ma)
-from .channel import CfrSet, PathSet, gen_ma_cfr
+from .channel import CfrSet, gen_ma_cfr
 from .geometry import (Direction, FrequencyGrid, MaGeometry, PathComponent,
                        ScanGrid, delay_axis, uv_map)
 
@@ -225,7 +225,7 @@ def estimate_power(gated_x: np.ndarray, gated_y: np.ndarray, freqs: FrequencyGri
 def subtract_path(residual_x: CfrSet, residual_y: CfrSet,
                   path: PathComponent) -> tuple[CfrSet, CfrSet]:
     """Regenerate the path's CFR on both sub-arrays and subtract it."""
-    hx, hy = gen_ma_cfr(PathSet([path]), residual_x.geometry, residual_x.freqs,
+    hx, hy = gen_ma_cfr([path], residual_x.geometry, residual_x.freqs,
                         narrowband_phase=residual_x.narrowband_phase,
                         ref_freq_hz=residual_x.ref_freq_hz)
     return (residual_x.with_values(residual_x.values - hx.values),

@@ -111,15 +111,12 @@ def _sic_recovery_ok(scenario_name):
     start = time.perf_counter()
     s = parse_scenario(scenario_path(scenario_name))
     cx, cy = gen_ma_cfr(s.paths, s.ma, s.freqs)
-    report = run_sic(cx, cy, EstimatorConfig(
-        s.scan_grid(), epsilon_db=s.epsilon_db,
-        max_iterations=s.max_iterations, gate_db=s.gate_db,
-        pad_factor=s.pad_factor))
+    report = run_sic(cx, cy, s.estimator_config())
     elapsed = time.perf_counter() - start
     ok = len(report.paths) == 3 and report.stop_reason == "dynamic-range"
     if ok:
         est = sorted(report.paths, key=lambda p: -abs(p.amplitude))
-        true = sorted(s.paths.paths, key=lambda p: -abs(p.amplitude))
+        true = sorted(s.paths, key=lambda p: -abs(p.amplitude))
         for e, t in zip(est, true):
             ok = ok and abs(e.direction.theta_deg - t.direction.theta_deg) <= 1.0
             ok = ok and abs(e.direction.phi_deg - t.direction.phi_deg) <= 1.0

@@ -7,7 +7,7 @@ from masounder.beamform import (BeamPattern, Padp, UvBeam, _delay_phasors,
                                 cbf_ma, cbf_ma_uv, cbf_ura,
                                 cfr_to_cir, cir_to_cfr, find_peaks, line_spectrum,
                                 padp_ma, padp_ura, predict_ma_terms)
-from masounder.channel import PathSet, gen_ma_cfr, gen_ura_cfr
+from masounder.channel import gen_ma_cfr, gen_ura_cfr
 from masounder.geometry import (Direction, FrequencyGrid, MaGeometry,
                                 PathComponent, ScanGrid, UraGeometry,
                                 delay_axis, scan_cosines, uv_map)
@@ -20,8 +20,10 @@ SHORT_PATHS = [
 
 
 def brute_force_ura_beam(cfr, theta_deg, phi_deg, f_index, taper=None):
-    """Element-by-element delay-and-sum, plain double loop."""
+    """Element-by-element delay-and-sum, plain double loop. With wideband
+    phase the steering scales with f / ref_freq_hz at the column's f."""
     geo = cfr.geometry
+    scale = 1.0 if cfr.narrowband_phase else cfr.freqs.points[f_index] / cfr.ref_freq_hz
     tx = np.ones(geo.m_count) if taper is None else taper[0]
     ty = np.ones(geo.n_count) if taper is None else taper[1]
     uv = uv_map(Direction(theta_deg, phi_deg % 360.0))
@@ -29,8 +31,8 @@ def brute_force_ura_beam(cfr, theta_deg, phi_deg, f_index, taper=None):
     for a, m in enumerate(geo.x_indices):
         for b, n in enumerate(geo.y_indices):
             weight = (tx[a] * ty[b]
-                      * np.exp(-2j * np.pi * geo.dx_wl * m * uv.u)
-                      * np.exp(-2j * np.pi * geo.dy_wl * n * uv.v))
+                      * np.exp(-2j * np.pi * geo.dx_wl * m * uv.u * scale)
+                      * np.exp(-2j * np.pi * geo.dy_wl * n * uv.v * scale))
             total += weight * cfr.values[a, b, f_index]
     return total / (np.sum(np.abs(tx)) * np.sum(np.abs(ty)))
 
@@ -47,7 +49,7 @@ def brute_force_ma_beam(cfr_x, cfr_y, theta_deg, phi_deg, f_index):
 
 def test_cbf_ura_matches_brute_force():
     geo = UraGeometry(3, 5, 0.5, 0.5)
-    cfr = gen_ura_cfr(PathSet(SHORT_PATHS), geo, FREQS)
+    cfr = gen_ura_cfr(SHORT_PATHS, geo, FREQS)
     grid = ScanGrid(np.array([20.0, 60.0]), np.array([100.0, 200.0, 260.0]))
     beam = cbf_ura(cfr, grid, FREQS.f_center_hz)
     for i, theta in enumerate(grid.theta_deg):
@@ -58,7 +60,7 @@ def test_cbf_ura_matches_brute_force():
 
 def test_cbf_ura_with_taper_matches_brute_force():
     geo = UraGeometry(3, 5, 0.5, 0.5)
-    cfr = gen_ura_cfr(PathSet(SHORT_PATHS), geo, FREQS)
+    cfr = gen_ura_cfr(SHORT_PATHS, geo, FREQS)
     taper = (np.array([0.5, 1.0, 0.5]), np.array([0.3, 0.8, 1.0, 0.8, 0.3]))
     grid = ScanGrid(np.array([30.0]), np.array([120.0]))
     beam = cbf_ura(cfr, grid, FREQS.f_center_hz, taper=taper)
@@ -66,9 +68,27 @@ def test_cbf_ura_with_taper_matches_brute_force():
     assert beam.values[0, 0] == pytest.approx(expect, abs=1e-9)
 
 
+def test_wideband_cbf_ura_and_padp_ura_match_brute_force():
+    cfr = gen_ura_cfr(SHORT_PATHS, UraGeometry(5, 7), FREQS, narrowband_phase=False)
+    grid = ScanGrid(np.array([20.0, 60.0]), np.array([100.0, 200.0, 260.0]))
+    for col in (0, FREQS.center_index, FREQS.n_points - 1):
+        beam = cbf_ura(cfr, grid, FREQS.points[col])
+        for i, theta in enumerate(grid.theta_deg):
+            for j, phi in enumerate(grid.phi_deg):
+                expect = brute_force_ura_beam(cfr, theta, phi, col)
+                assert beam.values[i, j] == pytest.approx(expect, abs=1e-9)
+    phi_axis = np.array([120.0, 200.0])
+    padp = padp_ura(cfr, 45.0, phi_axis, pad_factor=2)
+    tau = delay_axis(FREQS, 2)
+    for ti in (0, 7, 100):
+        for j, phi in enumerate(phi_axis):
+            expect = brute_force_padp_value(cfr, 45.0, phi, tau[ti])
+            assert padp.values[ti, j] == pytest.approx(expect, abs=1e-9)
+
+
 def test_cbf_ma_matches_brute_force():
     geo = MaGeometry(5, 9, 0.5)
-    cx, cy = gen_ma_cfr(PathSet(SHORT_PATHS), geo, FREQS)
+    cx, cy = gen_ma_cfr(SHORT_PATHS, geo, FREQS)
     grid = ScanGrid(np.array([20.0, 60.0]), np.array([100.0, 200.0, 260.0]))
     beam = cbf_ma(cx, cy, grid, FREQS.f_center_hz)
     for i, theta in enumerate(grid.theta_deg):
@@ -132,8 +152,8 @@ def test_cbf_ma_matches_uncached_steering():
     grids = [ScanGrid(np.array([20.0, 60.0]), np.array([100.0, 200.0, 260.0])),
              ScanGrid.regular(0.0, 90.0, 15.0, 90.0, 270.0, 20.0)]
     taper = (np.array([0.3, 0.8, 1.0, 0.8, 0.3]), np.linspace(0.2, 1.0, 9))
-    narrow = gen_ma_cfr(PathSet(SHORT_PATHS), geo, FREQS)
-    wide = gen_ma_cfr(PathSet(SHORT_PATHS), geo, FREQS, narrowband_phase=False)
+    narrow = gen_ma_cfr(SHORT_PATHS, geo, FREQS)
+    wide = gen_ma_cfr(SHORT_PATHS, geo, FREQS, narrowband_phase=False)
     for grid in grids:
         for (cx, cy), tp in ((narrow, None), (wide, None), (narrow, taper), (wide, taper)):
             for f_index in (FREQS.center_index, 3):
@@ -145,7 +165,7 @@ def test_cbf_ma_matches_uncached_steering():
 
 def test_cbf_ma_steering_is_keyed_by_scan_values():
     geo = MaGeometry(5, 9, 0.5)
-    cx, cy = gen_ma_cfr(PathSet(SHORT_PATHS), geo, FREQS)
+    cx, cy = gen_ma_cfr(SHORT_PATHS, geo, FREQS)
     grid = ScanGrid(np.array([20.0, 60.0]), np.array([100.0, 200.0, 260.0]))
     first = cbf_ma(cx, cy, grid, FREQS.f_center_hz).values
     grid.phi_deg[:] += 10.0
@@ -156,7 +176,7 @@ def test_cbf_ma_steering_is_keyed_by_scan_values():
 
 def test_wideband_line_spectrum_and_padp_ma_match_per_column_steering():
     geo = MaGeometry(5, 9, 0.5)
-    cx, cy = gen_ma_cfr(PathSet(SHORT_PATHS), geo, FREQS, narrowband_phase=False)
+    cx, cy = gen_ma_cfr(SHORT_PATHS, geo, FREQS, narrowband_phase=False)
     taper = (np.array([0.3, 0.8, 1.0, 0.8, 0.3]), np.linspace(0.2, 1.0, 9))
     u, v = scan_cosines(np.array([60.0]), np.array([100.0, 120.0, 200.0]))
     x_sum, y_sum = per_column_line_sums(cx, cy, u, v)
@@ -170,7 +190,7 @@ def test_wideband_line_spectrum_and_padp_ma_match_per_column_steering():
 
 def test_narrowband_line_spectrum_and_padp_ma_are_bitwise_steering_products():
     geo = MaGeometry(5, 9, 0.5)
-    cx, cy = gen_ma_cfr(PathSet(SHORT_PATHS), geo, FREQS)
+    cx, cy = gen_ma_cfr(SHORT_PATHS, geo, FREQS)
     taper = (np.array([0.3, 0.8, 1.0, 0.8, 0.3]), np.linspace(0.2, 1.0, 9))
     phi = np.array([100.0, 120.0, 200.0])
     u, v = scan_cosines(np.array([60.0]), phi)
@@ -190,7 +210,7 @@ def test_cbf_ma_on_a_large_scan_allocates_no_steering_matrix():
     # 199 + 199 elements over a 91 x 181 scan: a complex128 steering matrix
     # pair would take 16 B x 398 x 16,471 = 100 MiB.
     geo = MaGeometry(199, 199, 0.5)
-    cx, cy = gen_ma_cfr(PathSet(SHORT_PATHS), geo, FREQS)
+    cx, cy = gen_ma_cfr(SHORT_PATHS, geo, FREQS)
     grid = ScanGrid.regular(0.0, 90.0, 1.0, 0.0, 360.0, 2.0)
     tracemalloc.start()
     try:
@@ -210,19 +230,19 @@ def test_cached_delay_phasors_are_read_only():
 def test_matched_unit_path_gives_unit_beam():
     path = PathComponent.from_power_db(0, 60, 120, 2.0)
     geo = UraGeometry(5, 5)
-    cfr = gen_ura_cfr(PathSet([path]), geo, FREQS)
+    cfr = gen_ura_cfr([path], geo, FREQS)
     grid = ScanGrid(np.array([60.0]), np.array([120.0]))
     beam = cbf_ura(cfr, grid, FREQS.f_center_hz)
     assert abs(beam.values[0, 0]) == pytest.approx(1.0, abs=1e-12)
     ma = MaGeometry(9, 9)
-    cx, cy = gen_ma_cfr(PathSet([path]), ma, FREQS)
+    cx, cy = gen_ma_cfr([path], ma, FREQS)
     mbeam = cbf_ma(cx, cy, grid, FREQS.f_center_hz)
     assert abs(mbeam.values[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_uv_lattice_beams_agree_with_angle_scan():
     ma = MaGeometry(5, 9)
-    cx, cy = gen_ma_cfr(PathSet(SHORT_PATHS), ma, FREQS)
+    cx, cy = gen_ma_cfr(SHORT_PATHS, ma, FREQS)
     theta, phi = 50.0, 210.0
     uv = uv_map(Direction(theta, phi))
     grid = ScanGrid(np.array([theta]), np.array([phi]))
@@ -233,7 +253,7 @@ def test_uv_lattice_beams_agree_with_angle_scan():
 
 def test_off_grid_frequency_rejected():
     geo = UraGeometry(3, 3)
-    cfr = gen_ura_cfr(PathSet(SHORT_PATHS[:1]), geo, FREQS)
+    cfr = gen_ura_cfr(SHORT_PATHS[:1], geo, FREQS)
     grid = ScanGrid(np.array([0.0]), np.array([180.0]))
     with pytest.raises(ValueError, match="not on the sweep grid"):
         cbf_ura(cfr, grid, FREQS.f_center_hz + 0.3 * FREQS.spacing_hz)
@@ -264,7 +284,7 @@ def test_delay_transform_localizes_single_delay():
 
 def test_cir_round_trip_matches_transforms():
     geo = MaGeometry(5, 5)
-    cx, _ = gen_ma_cfr(PathSet(SHORT_PATHS), geo, FREQS)
+    cx, _ = gen_ma_cfr(SHORT_PATHS, geo, FREQS)
     cir = cfr_to_cir(cx.values, FREQS, 4)
     np.testing.assert_allclose(cir_to_cfr(cir, FREQS, 4), cx.values, atol=1e-12)
 
@@ -298,7 +318,7 @@ def brute_force_padp_value(cfr, theta_deg, phi_deg, tau):
 
 def test_padp_ura_matches_brute_force():
     geo = UraGeometry(3, 3)
-    cfr = gen_ura_cfr(PathSet(SHORT_PATHS), geo, FREQS)
+    cfr = gen_ura_cfr(SHORT_PATHS, geo, FREQS)
     phi_axis = np.array([120.0, 200.0])
     padp = padp_ura(cfr, 45.0, phi_axis, pad_factor=2)
     tau = delay_axis(FREQS, 2)
@@ -311,16 +331,44 @@ def test_padp_ura_matches_brute_force():
 def test_padp_ma_doubles_path_delay():
     path = PathComponent.from_power_db(0, 90, 180, 2.0)
     geo = MaGeometry(9, 9)
-    cx, cy = gen_ma_cfr(PathSet([path]), geo, FREQS)
+    cx, cy = gen_ma_cfr([path], geo, FREQS)
     padp = padp_ma(cx, cy, 90.0, np.array([180.0]), pad_factor=4)
     tau_peak = padp.delay_s[int(np.argmax(np.abs(padp.values[:, 0])))]
     assert tau_peak == pytest.approx(4e-9, abs=padp.delay_s[1])
 
 
+GRID = ScanGrid(np.array([30.0]), np.array([120.0]))
+F_CENTER = FREQS.f_center_hz
+PHI = np.array([120.0, 200.0])
+
+
+# Calls on inputs a beamformer cannot use, on a 3 x 3 URA CFR and the
+# ma_x, ma_y CFRs of a 5 x 5 MA, with the error each raises.
+@pytest.mark.parametrize("call,match", [
+    (lambda ura, cx, cy: cbf_ura(cx, GRID, F_CENTER), "cbf_ura needs a URA-layout CFR"),
+    (lambda ura, cx, cy: padp_ura(cy, 90.0, PHI), "padp_ura needs a URA-layout CFR"),
+    (lambda ura, cx, cy: line_spectrum(ura, 0.5), "line_spectrum needs an ma_x or ma_y CFR"),
+    (lambda ura, cx, cy: cbf_ma(cy, cx, GRID, F_CENTER), "cbf_ma needs ma_x and ma_y CFRs"),
+    (lambda ura, cx, cy: padp_ma(cx, cx, 90.0, PHI), "padp_ma needs ma_x and ma_y CFRs"),
+    (lambda ura, cx, cy: cbf_ura(ura, GRID, F_CENTER, taper=(np.ones(3), np.ones(5))),
+     "taper lengths must match the array geometry"),
+    (lambda ura, cx, cy: padp_ma(cx, cy, 90.0, PHI, taper=(np.ones(5), np.ones(3))),
+     "taper lengths must match the array geometry"),
+    (lambda ura, cx, cy: find_peaks(_beam_from_level_db(np.zeros((0, 3))), 10.0),
+     "empty grid"),
+], ids=["cbf_ura-ma_x", "padp_ura-ma_y", "line_spectrum-ura", "cbf_ma-swapped",
+        "padp_ma-two-ma_x", "cbf_ura-taper", "padp_ma-taper", "find_peaks-empty"])
+def test_beamformers_reject_inputs_they_cannot_use(call, match):
+    ura = gen_ura_cfr(SHORT_PATHS, UraGeometry(3, 3), FREQS)
+    cx, cy = gen_ma_cfr(SHORT_PATHS, MaGeometry(5, 5), FREQS)
+    with pytest.raises(ValueError, match=match):
+        call(ura, cx, cy)
+
+
 @pytest.mark.parametrize("theta", [float("nan"), 150.0, -1.0])
 def test_padp_rejects_cut_elevation_outside_0_90(theta):
-    ura = gen_ura_cfr(PathSet(SHORT_PATHS), UraGeometry(3, 3), FREQS)
-    cx, cy = gen_ma_cfr(PathSet(SHORT_PATHS), MaGeometry(5, 5), FREQS)
+    ura = gen_ura_cfr(SHORT_PATHS, UraGeometry(3, 3), FREQS)
+    cx, cy = gen_ma_cfr(SHORT_PATHS, MaGeometry(5, 5), FREQS)
     phi = np.array([120.0, 200.0])
     with pytest.raises(ValueError, match=r"cut elevation must lie in \[0, 90\]"):
         padp_ura(ura, theta, phi)
@@ -331,7 +379,7 @@ def test_padp_rejects_cut_elevation_outside_0_90(theta):
 def test_padp_window_suppresses_delay_sidelobes():
     path = PathComponent.from_power_db(0, 90, 180, 2.0)
     geo = UraGeometry(5, 5)
-    cfr = gen_ura_cfr(PathSet([path]), geo, FREQS)
+    cfr = gen_ura_cfr([path], geo, FREQS)
     plain = padp_ura(cfr, 90.0, np.array([180.0]), pad_factor=4)
     windowed = padp_ura(cfr, 90.0, np.array([180.0]), pad_factor=4, window="hann")
     mag_plain = np.abs(plain.values[:, 0])

@@ -32,15 +32,19 @@ def test_every_traced_name_is_bound():
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
-    """The package runs on numpy and click alone: with scipy blocked, simulate
-    and estimate on table1_small and compare on table2_mimic exit 0 and load
-    no scipy module."""
+    """The package runs on numpy and click alone: with scipy blocked, simulate,
+    beamscan and estimate on table1_small, compare on table2_mimic and
+    synth-pattern on fig2 exit 0 and load no scipy module."""
     src = str(Path(masounder.__file__).resolve().parent.parent)
     scenarios = Path(masounder.__file__).resolve().parent / "scenarios"
     small, mimic = str(scenarios / "table1_small.json"), str(scenarios / "table2_mimic.json")
+    fig2 = str(scenarios / "fig2.json")
     commands = [["simulate", "--config", small, "--out", str(tmp_path / "small"), "--quiet"],
+                ["beamscan", "--config", small, "--out", str(tmp_path / "small"), "--quiet"],
                 ["estimate", "--config", small, "--out", str(tmp_path / "small"), "--quiet"],
-                ["compare", "--config", mimic, "--out", str(tmp_path / "mimic"), "--quiet"]]
+                ["compare", "--config", mimic, "--out", str(tmp_path / "mimic"), "--quiet"],
+                ["synth-pattern", "--config", fig2, "--out", str(tmp_path / "fig2"),
+                 "--quiet"]]
     code = ("import json, sys\n"
             "sys.modules['scipy'] = None  # any import of scipy raises ImportError\n"
             "sys.path.insert(0, sys.argv[1])\n"
@@ -57,6 +61,7 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, src, json.dumps(commands)],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == [[0, 0, 0], []]
-    assert (tmp_path / "small" / "paths.csv").stat().st_size > 0
-    assert (tmp_path / "mimic" / "comparison.csv").stat().st_size > 0
+    assert json.loads(out.stdout) == [[0] * len(commands), []]
+    for name in ("small/ma_padp.csv", "small/paths.csv", "mimic/comparison.csv",
+                 "fig2/ura_pattern.csv", "fig2/ma_pattern.csv"):
+        assert (tmp_path / name).stat().st_size > 0

@@ -7,15 +7,15 @@ import pytest
 
 from masounder.cfrfile import (FORMAT_VERSION, CfrFormatError, read_cfr, write_cfr,
                                write_rows)
-from masounder.channel import CfrSet, PathSet, gen_ma_cfr, gen_ura_cfr
+from masounder.channel import CfrSet, gen_ma_cfr, gen_ura_cfr
 from masounder.geometry import (FrequencyGrid, MaGeometry, PathComponent,
                                 UraGeometry)
 
 FREQS = FrequencyGrid(26e9, 30e9, 12)
-PATHS = PathSet([
+PATHS = [
     PathComponent.from_power_db(0, 60, 120, 0.3, phase_deg=17.0),
     PathComponent.from_power_db(-8, 30, 200, 0.7),
-])
+]
 
 
 def _tiny_file(tmp_path, body_lines, **header_overrides):
@@ -83,6 +83,9 @@ def test_read_narrowband_phase_header(tmp_path):
         read_cfr(p)
     p = _tiny_file(tmp_path, FULL_MA_BODY, format_version=2, narrowband_phase="yes")
     with pytest.raises(CfrFormatError, match="narrowband_phase"):
+        read_cfr(p)
+    p = _tiny_file(tmp_path, FULL_MA_BODY, format_version=2, narrowband_phase=2)
+    with pytest.raises(CfrFormatError, match="narrowband_phase must be 0 or 1, not 2"):
         read_cfr(p)
     p = _tiny_file(tmp_path, FULL_MA_BODY, format_version=2, narrowband_phase=0)
     assert read_cfr(p).narrowband_phase is False

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from masounder.channel import CfrSet, PathSet, add_noise, gen_ma_cfr, gen_ura_cfr
+from masounder.channel import (CfrSet, add_noise, gen_ma_cfr, gen_ura_cfr,
+                               sounded_paths)
 from masounder.geometry import (Direction, FrequencyGrid, MaGeometry,
                                 PathComponent, UraGeometry, uv_map)
 
@@ -25,7 +26,7 @@ def hand_cfr_value(paths, m, n, f_hz, d_wl):
 def test_ura_cfr_matches_hand_sum():
     freqs = FrequencyGrid(26e9, 30e9, 375)
     geo = UraGeometry(5, 5, 0.5, 0.5)
-    cfr = gen_ura_cfr(PathSet(TABLE_PATHS), geo, freqs)
+    cfr = gen_ura_cfr(TABLE_PATHS, geo, freqs)
     for (m, n, li) in [(0, 0, 0), (2, -1, 0), (-2, 2, 100), (1, 1, 374)]:
         expect = hand_cfr_value(TABLE_PATHS, m, n, freqs.points[li], 0.5)
         got = cfr.values[m + 2, n + 2, li]
@@ -35,7 +36,7 @@ def test_ura_cfr_matches_hand_sum():
 def test_ma_cfr_matches_hand_sum():
     freqs = FrequencyGrid(26e9, 30e9, 375)
     geo = MaGeometry(9, 9, 0.5)
-    cx, cy = gen_ma_cfr(PathSet(TABLE_PATHS), geo, freqs)
+    cx, cy = gen_ma_cfr(TABLE_PATHS, geo, freqs)
     for (m, li) in [(0, 0), (-4, 10), (3, 374)]:
         assert cx.values[m + 4, li] == pytest.approx(
             hand_cfr_value(TABLE_PATHS, m, 0, freqs.points[li], 0.5), abs=1e-12)
@@ -46,9 +47,9 @@ def test_ma_cfr_matches_hand_sum():
 def test_cfr_superposition():
     freqs = FrequencyGrid(26e9, 30e9, 375)
     geo = UraGeometry(3, 5)
-    both = gen_ura_cfr(PathSet(TABLE_PATHS[:2]), geo, freqs)
-    first = gen_ura_cfr(PathSet(TABLE_PATHS[:1]), geo, freqs)
-    second = gen_ura_cfr(PathSet(TABLE_PATHS[1:2]), geo, freqs)
+    both = gen_ura_cfr(TABLE_PATHS[:2], geo, freqs)
+    first = gen_ura_cfr(TABLE_PATHS[:1], geo, freqs)
+    second = gen_ura_cfr(TABLE_PATHS[1:2], geo, freqs)
     np.testing.assert_allclose(both.values, first.values + second.values,
                                atol=1e-14)
 
@@ -56,7 +57,7 @@ def test_cfr_superposition():
 def test_wideband_phase_differs_but_agrees_at_reference():
     freqs = FrequencyGrid(26e9, 30e9, 41)
     geo = MaGeometry(9, 9, 0.5)
-    path = PathSet([PathComponent.from_power_db(0, 60, 120, 1.0)])
+    path = [PathComponent.from_power_db(0, 60, 120, 1.0)]
     narrow, _ = gen_ma_cfr(path, geo, freqs)
     wide, _ = gen_ma_cfr(path, geo, freqs, narrowband_phase=False)
     assert not np.allclose(narrow.values, wide.values)
@@ -71,7 +72,7 @@ def test_delay_aliasing_rejected():
     freqs = FrequencyGrid(26e9, 30e9, 41)  # unambiguous range 10 ns
     late = PathComponent.from_power_db(0, 60, 120, 6.0)  # doubles past 10 ns
     with pytest.raises(ValueError, match="alias"):
-        gen_ma_cfr(PathSet([late]), MaGeometry(5, 5), freqs)
+        gen_ma_cfr([late], MaGeometry(5, 5), freqs)
 
 
 def test_cfr_shape_validation():
@@ -85,14 +86,14 @@ def test_cfr_shape_validation():
 
 def test_add_noise_none_is_identity():
     freqs = FrequencyGrid(26e9, 30e9, 16)
-    path = PathSet([PathComponent.from_power_db(0, 60, 120, 0.5)])
+    path = [PathComponent.from_power_db(0, 60, 120, 0.5)]
     cfr, _ = gen_ma_cfr(path, MaGeometry(5, 5), freqs)
     assert add_noise(cfr, None, 0) is cfr
 
 
 def test_add_noise_snr_level_and_determinism():
     freqs = FrequencyGrid(26e9, 30e9, 512)
-    cfr, _ = gen_ma_cfr(PathSet(TABLE_PATHS[:1]), MaGeometry(41, 41), freqs)
+    cfr, _ = gen_ma_cfr(TABLE_PATHS[:1], MaGeometry(41, 41), freqs)
     noisy_a = add_noise(cfr, 20.0, seed=7)
     noisy_b = add_noise(cfr, 20.0, seed=7)
     np.testing.assert_array_equal(noisy_a.values, noisy_b.values)
@@ -110,8 +111,15 @@ def test_add_noise_rejects_zero_signal():
         add_noise(cfr, float("inf"), 0)
 
 
-def test_path_set_helpers():
-    ps = PathSet(TABLE_PATHS)
-    assert len(ps) == 3
-    assert ps.max_delay_s() == pytest.approx(40e-9)
-    assert PathSet([]).max_delay_s() == 0.0
+def test_each_array_sounds_its_own_delay_range():
+    freqs = FrequencyGrid(26e9, 30e9, 41)  # unambiguous range 10 ns
+    seven = [PathComponent.from_power_db(0, 60, 120, 7.0)]
+    assert sounded_paths(iter(seven), UraGeometry(3, 3), freqs) == tuple(seven)
+    gen_ura_cfr(seven, UraGeometry(3, 3), freqs)
+    with pytest.raises(ValueError, match=r"path delay 7\.000 ns exceeds half the "
+                       r"unambiguous range \(5\.000 ns\); doubled MA delays would alias"):
+        gen_ma_cfr(seven, MaGeometry(5, 5), freqs)
+    ten = [PathComponent.from_power_db(0, 60, 120, 10.0)]
+    with pytest.raises(ValueError, match=r"path delay 10\.000 ns exceeds the "
+                       r"unambiguous range \(10\.000 ns\); URA delays would alias"):
+        gen_ura_cfr(ten, UraGeometry(3, 3), freqs)

@@ -95,6 +95,17 @@ def test_ura_geometry_needs_odd_counts(m, n):
         UraGeometry(m, n)
 
 
+@pytest.mark.parametrize("make,match", [
+    (lambda: MaGeometry(4, 5), "x_count must be odd and positive"),
+    (lambda: MaGeometry(5, -3), "y_count must be odd and positive"),
+    (lambda: MaGeometry(5, 5, 0.0), "element spacing must be positive"),
+    (lambda: UraGeometry(3, 3, 0.5, -0.5), "element spacing must be positive"),
+], ids=["ma-even-x", "ma-negative-y", "ma-zero-spacing", "ura-negative-dy"])
+def test_geometry_rejects_bad_counts_and_spacings(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_ma_equivalent_geometry():
     ura = UraGeometry(21, 21, 0.5, 0.5)
     ma = MaGeometry.equivalent_to(ura)

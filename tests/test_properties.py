@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masounder.beamform import cbf_ma, cbf_ura, predict_ma_terms
-from masounder.channel import PathSet, gen_ma_cfr, gen_ura_cfr
+from masounder.channel import gen_ma_cfr, gen_ura_cfr
 from masounder.geometry import (Direction, FrequencyGrid, MaGeometry,
                                 PathComponent, ScanGrid, UraGeometry, uv_map)
 from masounder.patterns import (auto_convolve, chebyshev_taper,
@@ -31,7 +31,7 @@ def _paths_from_choice(k, power_offsets_db, phases_deg):
         paths.append(PathComponent.from_power_db(
             0.0 if i == 0 else power_offsets_db[i - 1],
             theta, phi, DELAY_POOL_NS[i], phases_deg[i]))
-    return PathSet(paths)
+    return tuple(paths)
 
 
 path_sets = st.builds(
@@ -57,7 +57,7 @@ def test_ma_term_count_is_square_of_path_count(specs):
 @SUITE
 @given(path_sets, path_sets)
 def test_cfr_generation_is_superposition(set_a, set_b):
-    merged = PathSet(list(set_a.paths) + list(set_b.paths))
+    merged = set_a + set_b
     ax, ay = gen_ma_cfr(set_a, MA_GEO, FREQS)
     bx, by = gen_ma_cfr(set_b, MA_GEO, FREQS)
     mx, my = gen_ma_cfr(merged, MA_GEO, FREQS)
@@ -85,8 +85,7 @@ def test_cbf_matches_elementwise_oracle(paths, theta, phi):
        st.floats(0.0, 359.0))
 def test_single_path_ma_estimate_matches_ura_scan(direction, delay_ns, phase):
     theta, phi = direction
-    paths = PathSet([PathComponent.from_power_db(0.0, theta, phi,
-                                                 delay_ns, phase)])
+    paths = [PathComponent.from_power_db(0.0, theta, phi, delay_ns, phase)]
     cx, cy = gen_ma_cfr(paths, MA_GEO, FREQS)
     report = run_sic(cx, cy, EstimatorConfig(SCAN, epsilon_db=25.0,
                                              max_iterations=1))
@@ -128,7 +127,7 @@ def test_separated_on_grid_paths_are_recovered_exactly(paths):
     assert len(report.paths) == len(paths)
     by_direction = {(p.direction.theta_deg, p.direction.phi_deg): p
                     for p in report.paths}
-    for true in paths.paths:
+    for true in paths:
         key = (true.direction.theta_deg, true.direction.phi_deg)
         assert key in by_direction
         est = by_direction[key]

@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from masounder.cfrfile import write_cfr
-from masounder.channel import PathSet, gen_ma_cfr
+from masounder.channel import gen_ma_cfr
 from masounder.cli import main
 from masounder.geometry import Direction, FrequencyGrid, uv_map
 from masounder.scenario import (_SCHEMA, Scenario, ScenarioError, parse_scenario,
@@ -187,6 +187,17 @@ def test_to_dict_is_the_input_with_defaults(tmp_path):
     ({"compare": {"window": "hamming"}},
      r"compare\.window must be \"hann\" or null, not 'hamming'"),
     ({"compare": {"window": [1.0] * 24}}, r"compare\.window must be \"hann\" or null"),
+    # values the domain types reject, reported as scenario errors
+    ({"frequency": {"start_hz": 30e9, "stop_hz": 26e9, "points": 24}},
+     "f_stop must exceed f_start"),
+    ({"frequency": {"start_hz": 26e9, "stop_hz": 30e9, "points": 1}},
+     "at least 2 points"),
+    ({"ma": {"x": 4, "y": 5}}, "x_count must be odd and positive"),
+    ({"ma": {"x": 5, "y": 5, "d_wl": 0}}, "element spacing must be positive"),
+    ({"paths": [{"elevation_deg": 95, "azimuth_deg": 120, "delay_ns": 1.0}]},
+     r"elevation must be in \[0, 90\] deg, got 95"),
+    ({"paths": [{"elevation_deg": 60, "azimuth_deg": 120, "delay_ns": -1.0}]},
+     "path delay must be nonnegative"),
 ])
 def test_scenario_validation_errors(tmp_path, breakage, match):
     with pytest.raises(ScenarioError, match=match):
@@ -225,6 +236,11 @@ def test_taper_helpers(tmp_path):
     assert wx_ma.shape == (5,) and wy_ma.shape == (5,)
     plain = parse_scenario(_write_tiny(tmp_path))
     assert plain.ura_taper() is None and plain.ma_taper() is None
+    for missing, helper in (("ura", Scenario.ura_taper), ("ma", Scenario.ma_taper)):
+        s = parse_scenario(_write_tiny(tmp_path, taper={"sidelobe_db": 30},
+                                       **{missing: None}))
+        with pytest.raises(ScenarioError, match=f"no {missing.upper()} geometry"):
+            helper(s)
 
 
 def test_scan_grid_shape(tmp_path):
@@ -292,6 +308,66 @@ def test_cli_compare_pairs_paths_across_zero_azimuth(tmp_path):
     for row in rows:
         err_delay_ns, err_azimuth_deg = row[7], row[8]
         assert abs(err_delay_ns) < 0.05 and err_azimuth_deg == 0.0
+
+
+def _ura_only_mimic(tmp_path, delay_ns):
+    """table2_mimic without its MA, 1/df = 374.5 ns, and a second path at
+    delay_ns: past the 187.25 ns an MA sounding of this sweep could hold."""
+    with open(scenario_path("table2_mimic")) as fh:
+        data = json.load(fh)
+    del data["ma"]
+    data["paths"] = [data["paths"][0], {"power_db": -6.0, "elevation_deg": 90,
+                                        "azimuth_deg": 150, "delay_ns": delay_ns}]
+    cfg = tmp_path / f"ura_{delay_ns:g}.json"
+    cfg.write_text(json.dumps(data))
+    return str(cfg)
+
+
+def test_cli_ura_sounds_delays_past_the_ma_range(tmp_path):
+    cfg, out = _ura_only_mimic(tmp_path, 200.0), str(tmp_path / "out")
+    r = _run(["simulate", "--config", cfg, "--out", out, "--quiet"])
+    assert r.exit_code == 0, r.output
+    r = _run(["beamscan", "--config", cfg, "--out", out, "--quiet", "--theta", "90"])
+    assert r.exit_code == 0, r.output
+    lines = (tmp_path / "out" / "ura_padp.csv").read_text().splitlines()[1:]
+    column = [[float(v) for v in line.split(",")] for line in lines
+              if line.startswith("150,")]
+    late = max((row for row in column if 190.0 < row[1] < 210.0), key=lambda row: row[2])
+    assert late[1] == pytest.approx(199.983, abs=5e-4)
+    assert late[2] == pytest.approx(-6.0, abs=0.05)
+
+
+def test_cli_ura_delay_past_its_range_exits_2_at_parse(tmp_path):
+    out = tmp_path / "out"
+    r = CliRunner().invoke(main, ["simulate", "--config", _ura_only_mimic(tmp_path, 400.0),
+                                  "--out", str(out)])
+    assert r.exit_code == 2
+    assert ("path delay 400.000 ns exceeds the unambiguous range (374.500 ns); "
+            "URA delays would alias") in r.output
+    assert not (out / "scenario_normalized.json").exists()
+
+
+def test_cli_compare_draws_the_noise_of_simulate(tmp_path):
+    """compare --seed k adds to the MA the noise that simulate --seed k writes,
+    so its MA columns are the paths estimate finds in those files."""
+    with open(scenario_path("table2_mimic")) as fh:
+        data = json.load(fh)
+    data["noise"] = {"snr_db": 20}
+    cfg = tmp_path / "noisy.json"
+    cfg.write_text(json.dumps(data))
+    sounding, compared = str(tmp_path / "sounding"), str(tmp_path / "compared")
+    for args in (["simulate", "--seed", "3", "--out", sounding],
+                 ["estimate", "--out", sounding],
+                 ["compare", "--seed", "3", "--out", compared]):
+        r = _run(args + ["--config", str(cfg), "--quiet"])
+        assert r.exit_code == 0, r.output
+    estimated = [line.split(",") for line in
+                 (tmp_path / "sounding" / "paths.csv").read_text().splitlines()[1:]]
+    rows = [line.split(",") for line in
+            (tmp_path / "compared" / "comparison.csv").read_text().splitlines()[1:]]
+    assert len(rows) == len(data["paths"])
+    assert (sorted((row[4], row[5], row[6]) for row in rows)
+            == sorted((row[2], row[4], row[1]) for row in estimated))
 
 
 def test_cli_outputs_are_deterministic(tmp_path):
@@ -440,7 +516,7 @@ def test_cli_beamscan_mismatched_sub_arrays_exit_2(tmp_path):
     scenario = parse_scenario(cfg)
     # The same channel on ma_y, swept 1 GHz higher than ma_x.
     shifted = FrequencyGrid(27e9, 31e9, scenario.freqs.n_points)
-    _, ma_y = gen_ma_cfr(PathSet(scenario.paths), scenario.ma, shifted)
+    _, ma_y = gen_ma_cfr(scenario.paths, scenario.ma, shifted)
     write_cfr(out / "ma_y_cfr.csv", ma_y)
     r = CliRunner().invoke(main, ["beamscan", "--config", cfg, "--out", str(out)])
     assert r.exit_code == 2

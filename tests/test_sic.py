@@ -3,7 +3,7 @@ import pytest
 
 from masounder.beamform import (BeamPattern, NoPeakError, cbf_ma, cbf_ma_uv,
                                 cfr_to_cir, cir_to_cfr, line_spectrum, padp_ma)
-from masounder.channel import PathSet, add_noise, gen_ma_cfr
+from masounder.channel import add_noise, gen_ma_cfr
 from masounder.geometry import (Direction, FrequencyGrid, MaGeometry,
                                 PathComponent, ScanGrid, uv_map)
 from masounder import sic
@@ -61,7 +61,7 @@ def test_extract_path_cir_gates_bins():
 
 
 def _single_path_cfrs(path):
-    return gen_ma_cfr(PathSet([path]), GEO, FREQS)
+    return gen_ma_cfr([path], GEO, FREQS)
 
 
 def _spectra(cx, cy, theta, phi):
@@ -127,7 +127,7 @@ def test_estimate_power_magnitude_and_phase():
     # scalloping loss
     freqs = FrequencyGrid(26e9, 30e9, 65)
     path = PathComponent.from_power_db(-6, 60, 120, 2.0, phase_deg=35.0)
-    cx, cy = gen_ma_cfr(PathSet([path]), GEO, freqs)
+    cx, cy = gen_ma_cfr([path], GEO, freqs)
     gx, gy = _spectra(cx, cy, 60.0, 120.0)
     assert estimate_power(gx, gy, freqs, GEO) == pytest.approx(abs(path.amplitude),
                                                                rel=1e-6)
@@ -154,7 +154,7 @@ def test_estimate_power_matches_per_element_oracle():
     # phase from their projection onto a regenerated unit-amplitude path at
     # the refined delay; unequal sub-arrays tell the two element counts apart
     geo = MaGeometry(9, 5, 0.5)
-    cx, cy = gen_ma_cfr(PathSet(THREE_PATHS), geo, FREQS)
+    cx, cy = gen_ma_cfr(THREE_PATHS, geo, FREQS)
     for path in THREE_PATHS:
         theta, phi = path.direction.theta_deg, path.direction.phi_deg
         tau = path.delay_s + 3e-12
@@ -167,7 +167,7 @@ def test_estimate_power_matches_per_element_oracle():
         gx, gy = _gated(sx, gate, FREQS), _gated(sy, gate, FREQS)
         refined, projection = refine_delay(gx, gy, FREQS, tau)
         model = PathComponent(1.0 + 0j, path.direction, refined)
-        mx, my = gen_ma_cfr(PathSet([model]), geo, FREQS)
+        mx, my = gen_ma_cfr([model], geo, FREQS)
         inner = np.vdot(mx.values, ext_x.values) + np.vdot(my.values, ext_y.values)
         assert estimate_power(gx, gy, FREQS, geo) == pytest.approx(magnitude, rel=1e-12)
         assert np.angle(projection) == pytest.approx(np.angle(inner), abs=1e-12)
@@ -202,7 +202,7 @@ def test_estimator_config_rejects_non_finite_or_non_positive_levels(field, value
 
 
 def test_run_sic_recovers_three_paths():
-    cx, cy = gen_ma_cfr(PathSet(THREE_PATHS), GEO, FREQS)
+    cx, cy = gen_ma_cfr(THREE_PATHS, GEO, FREQS)
     report = run_sic(cx, cy, EstimatorConfig(SCAN, epsilon_db=30.0))
     assert report.stop_reason == "dynamic-range"
     assert len(report.paths) == 3
@@ -221,14 +221,14 @@ def test_run_sic_recovers_three_paths():
 
 
 def test_run_sic_dynamic_range_limits_path_count():
-    cx, cy = gen_ma_cfr(PathSet(THREE_PATHS), GEO, FREQS)
+    cx, cy = gen_ma_cfr(THREE_PATHS, GEO, FREQS)
     report = run_sic(cx, cy, EstimatorConfig(SCAN, epsilon_db=5.0))
     assert len(report.paths) == 1
     assert report.stop_reason == "dynamic-range"
 
 
 def test_run_sic_iteration_cap():
-    cx, cy = gen_ma_cfr(PathSet(THREE_PATHS), GEO, FREQS)
+    cx, cy = gen_ma_cfr(THREE_PATHS, GEO, FREQS)
     report = run_sic(cx, cy, EstimatorConfig(SCAN, epsilon_db=30.0,
                                              max_iterations=1))
     assert len(report.paths) == 1
@@ -236,7 +236,7 @@ def test_run_sic_iteration_cap():
 
 
 def test_run_sic_rejects_zero_input():
-    cx, cy = gen_ma_cfr(PathSet(THREE_PATHS), GEO, FREQS)
+    cx, cy = gen_ma_cfr(THREE_PATHS, GEO, FREQS)
     zx = cx.with_values(np.zeros_like(cx.values))
     zy = cy.with_values(np.zeros_like(cy.values))
     with pytest.raises(NoPeakError):
@@ -255,8 +255,8 @@ MISMATCHED_Y = {
 
 @pytest.mark.parametrize("name", list(MISMATCHED_Y))
 def test_run_sic_rejects_mismatched_grids(name):
-    cx, _ = gen_ma_cfr(PathSet(THREE_PATHS), GEO, FREQS)
-    _, cy = gen_ma_cfr(PathSet(THREE_PATHS), *MISMATCHED_Y[name])
+    cx, _ = gen_ma_cfr(THREE_PATHS, GEO, FREQS)
+    _, cy = gen_ma_cfr(THREE_PATHS, *MISMATCHED_Y[name])
     with pytest.raises(ValueError, match=name):
         run_sic(cx, cy, EstimatorConfig(SCAN))
     f = FREQS.f_center_hz
@@ -269,7 +269,7 @@ def test_run_sic_rejects_mismatched_grids(name):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_run_sic_rejects_non_finite_input(bad):
-    cx, cy = gen_ma_cfr(PathSet(THREE_PATHS), GEO, FREQS)
+    cx, cy = gen_ma_cfr(THREE_PATHS, GEO, FREQS)
     values = cx.values.copy()
     values[3, 7] = bad
     with pytest.raises(ValueError, match="non-finite"):
@@ -277,7 +277,7 @@ def test_run_sic_rejects_non_finite_input(bad):
 
 
 def test_run_sic_snapshot_hook_sees_each_iteration():
-    cx, cy = gen_ma_cfr(PathSet(THREE_PATHS), GEO, FREQS)
+    cx, cy = gen_ma_cfr(THREE_PATHS, GEO, FREQS)
     seen = []
     run_sic(cx, cy, EstimatorConfig(SCAN, epsilon_db=30.0),
             snapshot_hook=lambda q, padp: seen.append((q, padp.values.shape)))
@@ -297,7 +297,7 @@ def test_run_sic_skips_coherent_cross_products():
              PathComponent.from_power_db(-6, 90, 142, 1.95),
     ]
     scan = ScanGrid(np.array([90.0]), np.arange(90.0, 271.0, 1.0))
-    cx, cy = gen_ma_cfr(PathSet(paths), GEO, FREQS)
+    cx, cy = gen_ma_cfr(paths, GEO, FREQS)
     report = run_sic(cx, cy, EstimatorConfig(scan, epsilon_db=16.0))
     assert len(report.paths) == 3
     delays = sorted(p.delay_s for p in report.paths)
@@ -390,8 +390,21 @@ def test_run_sic_tests_candidates_from_per_run_caches(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_run_sic_stops_once_the_walk_finds_no_peak(monkeypatch):
+    # every candidate's gated response falls below the numerical floor: each
+    # is skipped, and the exhausted walk ends the run before any iteration
+    def no_peak(value, n):
+        raise NoPeakError("gated response peak is below the numerical floor")
+    calls = _count_calls(monkeypatch, "estimate_power", no_peak)
+    cx, cy = gen_ma_cfr(THREE_PATHS, GEO, FREQS)
+    report = run_sic(cx, cy, EstimatorConfig(SCAN))
+    assert len(calls) > 1
+    assert (report.paths, report.stop_reason, report.diagnostics) == \
+        ((), "dynamic-range", ())
+
+
 def test_run_sic_skips_a_candidate_with_zero_projection(monkeypatch):
-    cx, cy = gen_ma_cfr(PathSet(THREE_PATHS), GEO, FREQS)
+    cx, cy = gen_ma_cfr(THREE_PATHS, GEO, FREQS)
     config = EstimatorConfig(SCAN, epsilon_db=30.0)
     plain = run_sic(cx, cy, config)
     # the first candidate that passes the test projects to zero
