@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import re
+
 import numpy as np
 
 from .channel import CfrSet
@@ -29,36 +32,203 @@ def _index_counts(layout: str, nx: int, ny: int) -> tuple[int, int]:
     return (1 if layout == "ma_y" else nx), (1 if layout == "ma_x" else ny)
 
 
+def _veltkamp(v):
+    """Split float64 v into a 26-bit high part and the exact remainder."""
+    c = v * 134217729.0  # 2**27 + 1
+    high = c - (c - v)
+    return high, v - high
+
+
+# The kernel's words are little-endian uint64 ("<u8"), so that byte i of a
+# word is byte i of the text it holds on any host.
+# 10**k is exact in float64 for 0 <= k <= 22.
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+# _DIGITS4[i]: the four ASCII digits of i, zero-padded, in bytes 0-3 of a
+# word; _ZEROS4[i]: the count of trailing zero digits of i, for i > 0.
+_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1)  # of 0..9999, first to last
+_DIGITS4 = np.zeros((10000, 8), np.uint8)
+_DIGITS4[:, :4] = _DIGITS.T + ord("0")
+_DIGITS4 = _DIGITS4.view("<u8")[:, 0]
+_ZEROS4 = (_DIGITS[3] == 0) * (1 + (_DIGITS[2] == 0) * (1 + (_DIGITS[1] == 0)))
+# Inserting the decimal point at byte j of a word, by t = clip(j, -1, 8) + 1:
+# the digit word keeps the bytes in _BELOW[t], the word shifted up one byte
+# fills those in _ABOVE[t], and _POINT[t] holds the '.'.
+_ALL = 2 ** 64 - 1
+_BELOW = np.array([0] + [2 ** (8 * j) - 1 for j in range(8)] + [_ALL], "<u8")
+_ABOVE = np.array([_ALL] + [_ALL ^ (2 ** (8 * j + 8) - 1) for j in range(8)] + [0], "<u8")
+_POINT = np.array([0] + [ord(".") << 8 * j for j in range(8)] + [0], "<u8")
+# A per-cell field with this spec, p <= 17, of a float column is formatted in
+# numpy (_format_g); any other field by Python (_format_py).
+_G_SPEC = re.compile(r"%\.(\d+)g")
+# Bound on the line and mask matrices and the kernel's temporaries of a chunk.
+_CHUNK_BYTES = 2 ** 21
+
+
+@functools.cache
+def _g_layout(p: int, sep: bytes):
+    """The tables of a '%.<p>g' field led by sep. Its slot is one word of
+    prefix, sep and the text before the digits right-aligned, then
+    (p + 8) // 8 words of body, the digits with the decimal point. For
+    exponent x in -4..p-1 and sign s, the prefix is row 2 * (x + 4) + s of
+    the first table, and the mask of the slot's bytes that the field keeps,
+    with the body's first b bytes, is row (2 * (x + 4) + s) * (p + 2) + b of
+    the second."""
+    prefixes = [sep + (b"-" if s else b"") + (b"0." + b"0" * (-x - 1) if x < 0 else b"")
+                for x in range(-4, p) for s in (0, 1)]
+    body = np.arange(8 * ((p + 8) // 8)) < np.arange(p + 2)[:, None]
+    keep = [np.concatenate([np.arange(8) >= 8 - len(prefix), b])
+            for prefix in prefixes for b in body]
+    masks = np.array(keep).view("<u8")
+    masks.flags.writeable = False
+    return np.frombuffer(b"".join(prefix.rjust(8, b"\0") for prefix in prefixes),
+                         "<u8"), masks
+
+
+def _format_g(x: np.ndarray, p: int, spec: str, sep: bytes):
+    """sep + spec % v for each float64 v of x, where spec is '%.<p>g' with
+    1 <= p <= 17, as _g_layout(p, sep) lays it out: a matrix of
+    1 + (p + 8) // 8 words per value, and a matrix of the same shape that
+    marks the bytes of the text, one run per row.
+
+    The digits are the correctly rounded p-digit integer of |v| * 10**k,
+    taken from an exact two-product (Dekker 1971) and rounded half to even.
+    A value the kernel cannot prove is formatted by Python into its row: one
+    within 1e-6 of a rounding tie, one that rounds up to a power of ten or
+    needs exponent notation, and +-0, nan, inf and subnormals.
+    """
+    a = np.abs(x)
+    # False for nan, inf, 0, subnormals and the exponent notation below 1e-4
+    ok = (a >= 1e-4) & (a < _POW10[p])
+    a = np.where(ok, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    k = np.maximum(p - 1 - e, 0)  # at most p + 4 <= 21
+    # a * 10**k == high + low exactly
+    high = a * _POW10[k]
+    ah, al = _veltkamp(a)
+    bh, bl = _POW10_HI[k], _POW10_LO[k]
+    low = ((ah * bh - high) + ah * bl + al * bh) + al * bl
+    # log10 may misjudge e by one next to a power of ten: a * 10**k must be
+    # at least 10**(p-1), and below 10**p once rounded (checked with q)
+    ok &= (high > _POW10[p - 1]) | ((high == _POW10[p - 1]) & (low >= 0))
+    whole = np.rint(high)
+    frac = (high - whole) + low  # the exact remainder to within 2e-15
+    step = np.rint(frac)
+    ok &= np.abs(frac - step) < 0.5 - 1e-6
+    q = whole.astype(np.int64) + step.astype(np.int64)
+    ok &= (q < 10 ** p) & (e >= -4) & (e < p)  # else a carry or exponent notation
+    q[~ok], e[~ok] = 10 ** (p - 1), 0
+    # index of the last nonzero digit; four or more trailing zeros are rare
+    low4 = q % 10000
+    last = p - 1 - _ZEROS4.take(low4)
+    more = np.flatnonzero(low4 == 0)
+    if more.size:
+        last[more] = p - 1 - sum(q[more] % 10 ** j == 0 for j in range(1, p))
+    point = e >= 0
+    body = np.where(point & (last > e), last + 2, np.maximum(last, e) + 1)
+    prefix, masks = _g_layout(p, sep)
+    code = 2 * (e + 4) + np.signbit(x)
+    words = (p + 8) // 8
+    chars = np.empty((x.size, 1 + words), "<u8")
+    chars[:, 0] = prefix.take(code)
+    # body word w holds digits 8w..8w+7 of q, the decimal point at its byte
+    # e + 1 - 8w, and the digits past the point one byte up
+    at = np.where(point, e + 1, 8 * words)
+    below = 0
+    for w in range(words):
+        tail = p - 8 * w - 8  # digits of q after this word
+        if tail >= 0:
+            eight = q // 10 ** tail % 10 ** 8
+        else:
+            eight = q % 10 ** max(0, p - 8 * w) * 10 ** -tail
+        high4, low4 = np.divmod(eight, 10000)
+        digits = _DIGITS4.take(high4) | _DIGITS4.take(low4) << 32
+        t = np.minimum(np.maximum(at - 8 * w, -1), 8) + 1
+        chars[:, 1 + w] = (digits & _BELOW.take(t)
+                           | (digits << 8 | below >> 56) & _ABOVE.take(t)
+                           | _POINT.take(t))
+        below = digits
+    keep = masks.take(code * (p + 2) + body, axis=0)
+    text_bytes, keep_bytes = chars.view(np.uint8), keep.view(bool)
+    for i in np.flatnonzero(~ok):
+        text = sep + (spec % x[i]).encode()  # at most p + 8 bytes
+        text_bytes[i, :len(text)] = np.frombuffer(text, np.uint8)
+        keep_bytes[i] = np.arange(keep_bytes.shape[1]) < len(text)
+    return chars, keep
+
+
+def _format_py(spec: str, sep: str, values: np.ndarray):
+    """sep + spec % v for each v of values, by Python, laid out as
+    _format_g lays out its fields: a matrix of words, one row of UTF-8 text
+    per value, and a matrix of the same shape that marks its bytes."""
+    data = [(sep + spec % v).encode() for v in values.tolist()]
+    sizes = np.fromiter(map(len, data), np.intp, len(data))
+    width = 8 * max(1, -(-sizes.max(initial=0) // 8))
+    chars = np.array(data, f"S{width}").view("<u8").reshape(len(data), -1)
+    return chars, (np.arange(width) < sizes[:, None]).view("<u8")
+
+
 def write_rows(fh, specs, *columns) -> None:
     """Write one line of comma-joined fields, field i formatted with specs[i],
-    for every cell of the columns' broadcast shape, in C order, with one write
-    per run of the last axis. Each field is formatted at its column's own
-    shape: once per file if the column varies only along the last axis, once
-    per run if it is constant along it, else per cell."""
+    for every cell of the columns' broadcast shape, in C order, in chunks of
+    bounded memory with one write each. Each field is formatted at its
+    column's own shape: once per file if the column varies only along the
+    last axis, once per run of the last axis if it is constant along it, else
+    per cell. A per-cell '%.<p>g' field of a float column, p <= 17, is
+    formatted in numpy, byte-identical to Python's '%'."""
     columns = np.broadcast_arrays(*(np.atleast_1d(c) for c in columns))
     if len(specs) != len(columns):
         raise ValueError(f"{len(specs)} fields for {len(columns)} columns")
-    if not columns[0].size:
+    shape = columns[0].shape
+    size, run = columns[0].size, shape[-1]
+    if not size:
         return
-    *outer, run = columns[0].shape
-    per_file = {i: [spec % x for x in c[(0,) * len(outer)].tolist()]
-                for i, (spec, c) in enumerate(zip(specs, columns))
-                if c.strides[-1] and not any(c.strides[:-1])}
-    for idx in np.ndindex(*outer):
-        # the line with the run's constant fields filled in, the per-file ones as %s
-        fields, seqs = [], []
-        for i, (spec, c) in enumerate(zip(specs, columns)):
-            if i in per_file:
-                fields.append("%s")
-                seqs.append(per_file[i])
-            elif c.strides[-1]:
-                fields.append(spec)
-                seqs.append(c[idx].tolist())
+    # Each field fills whole words of a line matrix, led by its comma, and
+    # the same words of a mask matrix mark its bytes; a last word holds the
+    # newline.
+    fields, line_bytes = [], 160  # (kind, spec, sep, column or its text, precision)
+    for i, (spec, c) in enumerate(zip(specs, columns)):
+        sep, p = "," if i else "", None
+        varies = [n > 1 and s != 0 for n, s in zip(shape, c.strides)]
+        match = _G_SPEC.fullmatch(spec)
+        if size > run and not any(varies[:-1]):
+            kind, c = "file", _format_py(spec, sep, c[(0,) * (c.ndim - 1)])
+        elif run > 1 and not varies[-1]:
+            kind, c = "run", c[..., 0].ravel()
+        elif match and int(match[1]) <= 17 and c.dtype.kind == "f" and c.itemsize <= 8:
+            kind, p = "g", max(1, int(match[1]))  # as in Python, precision 0 means 1
+            line_bytes += 192
+        else:
+            kind = "cell"
+        fields.append((kind, spec, sep, c, p))
+        line_bytes += 64
+    step = max(1, _CHUNK_BYTES // line_bytes)
+    for start in range(0, size, step):
+        lines = np.arange(start, min(size, start + step))
+        index = np.unravel_index(lines, shape)
+        parts = []  # the words of each field and their mask
+        for kind, spec, sep, c, p in fields:
+            if kind == "g":
+                parts.append(_format_g(c[index].astype(float, copy=False), p, spec,
+                                       sep.encode()))
+            elif kind == "cell":
+                parts.append(_format_py(spec, sep, c[index]))
+            elif kind == "file":
+                rows = lines % run
+                parts.append([words.take(rows, 0) for words in c])
             else:
-                fields.append((spec % c.item(*idx, 0)).replace("%", "%%"))
-        line = ",".join(fields) + "\n"
-        rows = zip(*seqs) if seqs else [()] * run
-        fh.write("".join([line % row for row in rows]))
+                runs = lines // run
+                first = runs[0]
+                parts.append([words.take(runs - first, 0)
+                              for words in _format_py(spec, sep, c[first:runs[-1] + 1])])
+        ends = np.cumsum([chars.shape[1] for chars, _ in parts] + [1])
+        line = np.empty((lines.size, ends[-1]), "<u8")
+        mask = np.empty(line.shape, "<u8")
+        for (chars, keep), end in zip(parts, ends):
+            begin = end - chars.shape[1]
+            line[:, begin:end], mask[:, begin:end] = chars, keep
+        line[:, -1], mask[:, -1] = ord("\n"), 1
+        fh.write(line.view(np.uint8)[mask.view(bool)].tobytes().decode())
 
 
 def write_cfr(path, cfr: CfrSet) -> None:

@@ -160,7 +160,8 @@ def _write_beam_csv(path: Path, beam) -> None:
 
 
 def _write_padp_csv(path: Path, padp) -> None:
-    _write_csv(path, "azimuth_deg,delay_ns,level_db\n", padp.phi_deg[:, None],
+    # azimuths in [0, 360), as paths.csv and comparison.csv write them
+    _write_csv(path, "azimuth_deg,delay_ns,level_db\n", padp.phi_deg[:, None] % 360.0,
                padp.delay_s * 1e9, padp.level_db().T)
 
 

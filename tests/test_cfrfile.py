@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masounder.cfrfile import (FORMAT_VERSION, CfrFormatError, read_cfr, write_cfr,
                                write_rows)
@@ -121,10 +123,18 @@ def _written_rows(specs, *columns):
     return fh.getvalue()
 
 
-# -0.0, subnormals, large exponents and non-finite values
+# -0.0, subnormals, large exponents and non-finite values; then doubles next
+# to where %.9g and %.17g round hardest: carries into the next power of ten
+# (9.9999999995 -> 10, 999999999.5 -> 1e+09), decimal ties, powers of ten and
+# the switch to exponent notation below 1e-4
 EDGE = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308,
                  -1.7976931348623157e308, 1.2345678901234567e-300, 123456789.0,
-                 0.1, np.nan, np.inf, -np.inf])
+                 0.1, np.nan, np.inf, -np.inf,
+                 9.9999999995, -9.9999999995, 999999999.5, 99999999.995, 123456789.5,
+                 1.0000000005, 0.5, -2.5, 0.30000000000000004,
+                 9.999999995e-05, 9.9999999949999998e-05, 1e-4, np.nextafter(1e-4, 0),
+                 np.nextafter(100.0, 0), 1e16, np.nextafter(1e16, 0), 1e17,
+                 np.nextafter(1e17, 0)])
 
 
 def test_write_rows_padp_shape_matches_reference(rng):
@@ -179,6 +189,52 @@ def test_write_rows_edge_values_match_reference(spec):
         assert _written_rows(fmt, *columns) == expected
         assert "e-324" in expected and "e+308" in expected and "nan" in expected
     assert _written_rows(fmt, EDGE[:, None], EDGE, grid).startswith("-0,-0,-0\n")
+
+
+def _near(centre, ulps, negative):
+    """The double ulps steps from centre, away from zero if ulps > 0, and
+    negated if negative."""
+    x = centre
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, np.inf if ulps > 0 else 0.0)
+    return -x if negative else x
+
+
+@st.composite
+def _g_cases(draw):
+    """A '%.<p>g' spec and doubles to format with it: any double, nan, inf
+    and subnormals included, and doubles next to where the rounding is
+    hardest: a decimal tie (q + 1/2) * 10**(e - p + 1), a carry into the next
+    power of ten, which at e = -5 or e = p - 1 also leaves exponent notation
+    for fixed or the other way, and a power of ten."""
+    p = draw(st.sampled_from([1, 3, 9, 17]))
+    e = st.integers(-6, p + 1)
+    centres = st.one_of(
+        st.builds(lambda q, e: (q + 0.5) * 10.0 ** (e - p + 1),
+                  st.integers(10 ** (p - 1), 10 ** p - 1), e),
+        st.builds(lambda e: (10.0 ** p - 0.5) * 10.0 ** (e - p + 1), e),
+        st.builds(lambda e: 10.0 ** e, e))
+    hard = st.builds(_near, centres, st.integers(-3, 3), st.booleans())
+    return f"%.{p}g", np.array(draw(st.lists(st.floats() | hard, min_size=1, max_size=30)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_g_cases())
+def test_write_rows_g_fields_are_byte_identical_to_python(case):
+    spec, values = case
+    assert _written_rows([spec], values) == _reference_rows([spec], values)
+
+
+def test_write_cfr_peak_memory_is_bounded(tmp_path):
+    # table1's MA sub-array: 199 elements x 1500 frequencies, 15 MB of text
+    cx, _ = gen_ma_cfr(PATHS, MaGeometry(199, 199, 0.5), FrequencyGrid(26e9, 30e9, 1500))
+    tracemalloc.start()
+    try:
+        write_cfr(tmp_path / "x.csv", cx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_write_rows_integer_and_literal_columns_match_reference():

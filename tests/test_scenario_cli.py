@@ -310,6 +310,25 @@ def test_cli_compare_pairs_paths_across_zero_azimuth(tmp_path):
         assert abs(err_delay_ns) < 0.05 and err_azimuth_deg == 0.0
 
 
+def test_cli_padp_azimuths_lie_in_0_360(tmp_path):
+    """A scan over phi in [-90, 90] writes each PADP azimuth in [0, 360), the
+    azimuth paths.csv gives the same path."""
+    scan = {"theta": [0, 90, 10], "phi": [-90, 90, 1]}
+    path = {"power_db": 0, "elevation_deg": 60, "azimuth_deg": 350, "delay_ns": 1.0}
+    cfg = str(_write_tiny(tmp_path, {"scan": scan, "paths": [path]}))
+    out = tmp_path / "out"
+    for args in (["simulate"], ["beamscan", "--theta", "60"], ["estimate"]):
+        r = _run(args + ["--config", cfg, "--out", str(out), "--quiet"])
+        assert r.exit_code == 0, r.output
+    assert (out / "paths.csv").read_text().splitlines()[1].split(",")[4] == "350"
+    for name in ("ma_padp.csv", "ura_padp.csv", "ma_padp_iter0.csv"):
+        rows = [[float(v) for v in line.split(",")]
+                for line in (out / name).read_text().splitlines()[1:]]
+        azimuths = {row[0] for row in rows}
+        assert azimuths == {phi % 360.0 for phi in range(-90, 91)}, name
+        assert max(rows, key=lambda row: row[2])[0] == 350.0, name
+
+
 def _ura_only_mimic(tmp_path, delay_ns):
     """table2_mimic without its MA, 1/df = 374.5 ns, and a second path at
     delay_ns: past the 187.25 ns an MA sounding of this sweep could hold."""
