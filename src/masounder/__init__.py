@@ -14,8 +14,7 @@ from .patterns import (PowerPattern, auto_convolve, check_conjugate_symmetry,
                        chebyshev_taper, ma_power_pattern, steer,
                        ura_power_pattern, uv_lattice)
 from .scenario import Scenario, ScenarioError, parse_scenario
-from .sic import (EstimatedPath, EstimationReport, EstimatorConfig,
-                  build_label_vector, detect_strongest, estimate_power,
-                  extract_path_cir, refine_delay, run_sic, subtract_path)
+from .sic import (EstimatedPath, EstimationReport, EstimatorConfig, run_sic,
+                  subtract_path)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

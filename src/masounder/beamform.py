@@ -151,30 +151,33 @@ def check_ma_pair(cfr_x: CfrSet, cfr_y: CfrSet, caller: str) -> None:
             raise ValueError(f"sub-array CFRs must share {name}")
 
 
-def _steered_sum(cfr: CfrSet, values: np.ndarray, indices: np.ndarray,
-                 cosines: np.ndarray, cols) -> np.ndarray:
-    """Sum over elements k of values[k] exp(-j 2 pi d indices[k] c f / ref)
-    for an MA sub-array at each cosine c, over frequency columns cols;
-    shape (cosines.size, n_cols). values is cfr.values[:, cols] or a
-    weighted copy of it; f / ref is 1 with narrowband phase.
+def _steered_sum(cfr: CfrSet, values: np.ndarray, cosines: np.ndarray, cols) -> np.ndarray:
+    """Sum over elements k of values[k] exp(-j 2 pi d m_k c f / ref) for the
+    MA sub-array of cfr's layout, whose element indices are m_k, at each
+    cosine c, over frequency columns cols; shape cosines.shape + (n_cols,).
+    values is cfr.values[:, cols] or a weighted copy of it; f / ref is 1
+    with narrowband phase.
 
     When every column shares one steering matrix (narrowband phase, more
     than one column), it is built and multiplied. Otherwise the sum, a
     polynomial in z = exp(-j 2 pi d c f / ref) over the consecutive indices,
-    is evaluated by Horner's rule and multiplied by z^indices[0].
+    is evaluated by Horner's rule and multiplied by z^m_0.
     """
+    geom = cfr.geometry
+    indices = geom.x_indices if cfr.layout == "ma_x" else geom.y_indices
     if cfr.narrowband_phase and values.shape[1] > 1:
-        return _conj_steer(indices, cfr.geometry.d_wl, cosines, 1.0).T @ values
-    scale = (np.ones(1) if cfr.narrowband_phase
-             else cfr.freqs.points[cols] / cfr.ref_freq_hz)
-    arg = -2j * np.pi * cfr.geometry.d_wl * np.outer(cosines.ravel(), scale)
-    z = np.exp(arg)
-    total = np.zeros((z.shape[0], values.shape[1]), complex)
-    for row in values[::-1]:
-        total *= z
-        total += row
-    total *= np.exp(arg * indices[0])
-    return total
+        total = _conj_steer(indices, geom.d_wl, cosines, 1.0).T @ values
+    else:
+        scale = (np.ones(1) if cfr.narrowband_phase
+                 else cfr.freqs.points[cols] / cfr.ref_freq_hz)
+        arg = -2j * np.pi * geom.d_wl * np.outer(cosines.ravel(), scale)
+        z = np.exp(arg)
+        total = np.zeros((z.shape[0], values.shape[1]), complex)
+        for row in values[::-1]:
+            total *= z
+            total += row
+        total *= np.exp(arg * indices[0])
+    return total.reshape(cosines.shape + (-1,))
 
 
 def line_spectrum(cfr: CfrSet, cosines, cols=slice(None)) -> np.ndarray:
@@ -182,25 +185,18 @@ def line_spectrum(cfr: CfrSet, cosines, cols=slice(None)) -> np.ndarray:
     its axis, over frequency columns cols; shape c.shape + (n_cols,)."""
     if cfr.layout not in ("ma_x", "ma_y"):
         raise ValueError("line_spectrum needs an ma_x or ma_y CFR")
-    geom, cosines = cfr.geometry, np.asarray(cosines, float)
-    indices = geom.x_indices if cfr.layout == "ma_x" else geom.y_indices
-    spectrum = _steered_sum(cfr, cfr.values[:, cols], indices, cosines, cols)
-    return spectrum.reshape(cosines.shape + (-1,))
+    return _steered_sum(cfr, cfr.values[:, cols], np.asarray(cosines, float), cols)
 
 
 def _ma_beam(cfr_x: CfrSet, cfr_y: CfrSet, u: np.ndarray, v: np.ndarray, taper,
              cols) -> np.ndarray:
     """Product of the two normalized sub-array sums at broadcastable cosines
     (u, v), over frequency columns cols; shape broadcast(u, v) + (n_cols,)."""
-    geom = cfr_x.geometry
-
-    def line_sum(cfr, indices, cosines, weights):
-        spectrum = _steered_sum(cfr, weights[:, None] * cfr.values[:, cols], indices,
-                                cosines, cols)
-        return spectrum.reshape(cosines.shape + (-1,)) / np.sum(np.abs(weights))
-    tx, ty = _weights(taper, (geom.x_count, geom.y_count))
-    return (line_sum(cfr_x, geom.x_indices, u, tx)
-            * line_sum(cfr_y, geom.y_indices, v, ty))
+    tx, ty = _weights(taper, (cfr_x.geometry.x_count, cfr_x.geometry.y_count))
+    # each sum is normalized before the next is formed, so one raw sum is held
+    x, y = (_steered_sum(cfr, w[:, None] * cfr.values[:, cols], c, cols) / np.sum(np.abs(w))
+            for cfr, w, c in ((cfr_x, tx, u), (cfr_y, ty, v)))
+    return x * y
 
 
 def cbf_ura(cfr: CfrSet, grid: ScanGrid, f_hz: float,

@@ -51,8 +51,8 @@ _ALL = 2 ** 64 - 1
 _BELOW = np.array([0] + [2 ** (8 * j) - 1 for j in range(8)] + [_ALL], "<u8")
 _ABOVE = np.array([_ALL] + [_ALL ^ (2 ** (8 * j + 8) - 1) for j in range(8)] + [0], "<u8")
 _POINT = np.array([0] + [ord(".") << 8 * j for j in range(8)] + [0], "<u8")
-# A per-cell field with this spec, p <= 17, of a float column is formatted in
-# numpy (_format_g); any other field by Python (_format_py).
+# A field with this spec, p <= 17, of float values is formatted in numpy
+# (_format_g); any other field by Python.
 _G_SPEC = re.compile(r"%\.(\d+)g")
 # Bound on the working set of a chunk of lines: its line and mask matrices,
 # each field's words and the kernel's temporaries.
@@ -165,10 +165,15 @@ def _format_g(x: np.ndarray, p: int, spec: str, sep: bytes):
     return chars, keep
 
 
-def _format_py(spec: str, sep: str, values: np.ndarray):
-    """sep + spec % v for each v of values, by Python, laid out as
-    _format_g lays out its fields: a matrix of words, one row of UTF-8 text
-    per value, and a matrix of the same shape that marks its bytes."""
+def _format(spec: str, sep: str, values: np.ndarray):
+    """sep + spec % v for each v of values: a matrix of words, one row of
+    UTF-8 text per value, and a matrix of the same shape that marks its
+    bytes. Float values of a '%.<p>g' spec, p <= 17, are formatted in numpy
+    (_format_g), anything else by Python."""
+    match = _G_SPEC.fullmatch(spec)
+    if match and int(match[1]) <= 17 and values.dtype.kind == "f" and values.itemsize <= 8:
+        p = max(1, int(match[1]))  # as in Python, precision 0 means 1
+        return _format_g(values.astype(float, copy=False), p, spec, sep.encode())
     data = [(sep + spec % v).encode() for v in values.tolist()]
     sizes = np.fromiter(map(len, data), np.intp, len(data))
     width = 8 * max(1, -(-sizes.max(initial=0) // 8))
@@ -179,60 +184,47 @@ def _format_py(spec: str, sep: str, values: np.ndarray):
 def write_rows(fh, specs, *columns) -> None:
     """Write one line of comma-joined fields, field i formatted with specs[i],
     for every cell of the columns' broadcast shape, in C order, in chunks of
-    bounded memory with one write each. Each field is formatted at its
-    column's own shape: once per file if the column varies only along the
-    last axis, once per run of the last axis if it is constant along it, else
-    per cell. A per-cell '%.<p>g' field of a float column, p <= 17, is
-    formatted in numpy, byte-identical to Python's '%'."""
+    bounded memory with one write each. On a grid of two or more axes, a
+    column that varies along at most one axis is formatted once per value
+    along it (once, if it is constant) and gathered by that axis's index;
+    any other column is formatted per cell. Either way, float '%.<p>g'
+    fields, p <= 17, are formatted in numpy, byte-identical to Python's
+    '%'."""
     columns = np.broadcast_arrays(*(np.atleast_1d(c) for c in columns))
     if len(specs) != len(columns):
         raise ValueError(f"{len(specs)} fields for {len(columns)} columns")
-    shape = columns[0].shape
-    size, run = columns[0].size, shape[-1]
+    shape, size = columns[0].shape, columns[0].size
     if not size:
         return
     # Each field fills whole words of a line matrix, led by its comma, and
     # the same words of a mask matrix mark its bytes; a last word holds the
     # newline. line_bytes is what a chunk holds per line at its peak, as
-    # tracemalloc measured it: 160 bytes, 64 per field, 192 more per kernel
-    # field.
-    fields, line_bytes = [], 160  # (kind, spec, sep, column or its text, precision)
+    # tracemalloc measured it: 160 bytes, 64 per field, 192 more per
+    # per-cell float '%.<p>g' field.
+    fields, line_bytes = [], 160  # (spec, sep, axis or None per cell, column or text)
     for i, (spec, c) in enumerate(zip(specs, columns)):
-        sep, p = "," if i else "", None
-        varies = [n > 1 and s != 0 for n, s in zip(shape, c.strides)]
-        match = _G_SPEC.fullmatch(spec)
-        if size > run and not any(varies[:-1]):
-            kind, c = "file", _format_py(spec, sep, c[(0,) * (c.ndim - 1)])
-        elif run > 1 and not varies[-1]:
-            kind, c = "run", c[..., 0].ravel()
-        elif match and int(match[1]) <= 17 and c.dtype.kind == "f" and c.itemsize <= 8:
-            kind, p = "g", max(1, int(match[1]))  # as in Python, precision 0 means 1
+        sep, axis = "," if i else "", None
+        varies = [a for a, (n, s) in enumerate(zip(shape, c.strides)) if n > 1 and s != 0]
+        if len(varies) <= 1 < len(shape):
+            axis, = varies or [0]
+            along = tuple(slice(None) if a in varies else 0 for a in range(len(shape)))
+            chars, keep = _format(spec, sep, np.atleast_1d(c[along]))
+            c = [m.compress(keep.any(0), 1) for m in (chars, keep)]  # drop empty words
+        elif c.dtype.kind == "f" and _G_SPEC.fullmatch(spec):
             line_bytes += 192
-        else:
-            kind = "cell"
-        fields.append((kind, spec, sep, c, p))
+        fields.append((spec, sep, axis, c))
         line_bytes += 64
     step = max(1, _CHUNK_BYTES // line_bytes)
     for start in range(0, size, step):
-        lines = np.arange(start, min(size, start + step))
-        index = np.unravel_index(lines, shape)
+        index = np.unravel_index(np.arange(start, min(size, start + step)), shape)
         parts = []  # the words of each field and their mask
-        for kind, spec, sep, c, p in fields:
-            if kind == "g":
-                parts.append(_format_g(c[index].astype(float, copy=False), p, spec,
-                                       sep.encode()))
-            elif kind == "cell":
-                parts.append(_format_py(spec, sep, c[index]))
-            elif kind == "file":
-                rows = lines % run
-                parts.append([words.take(rows, 0) for words in c])
-            else:
-                runs = lines // run
-                first = runs[0]
-                parts.append([words.take(runs - first, 0)
-                              for words in _format_py(spec, sep, c[first:runs[-1] + 1])])
+        for spec, sep, axis, c in fields:
+            if axis is None:
+                parts.append(_format(spec, sep, c[index]))
+            else:  # a constant column's one row stands for every index
+                parts.append([words.take(index[axis], 0, mode="clip") for words in c])
         ends = np.cumsum([chars.shape[1] for chars, _ in parts] + [1])
-        line = np.empty((lines.size, ends[-1]), "<u8")
+        line = np.empty((index[0].size, ends[-1]), "<u8")
         mask = np.empty(line.shape, "<u8")
         for (chars, keep), end in zip(parts, ends):
             begin = end - chars.shape[1]

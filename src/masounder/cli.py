@@ -17,7 +17,7 @@ from .beamform import NoPeakError, cbf_ma, cbf_ura, padp_ma, padp_ura
 from .cfrfile import CfrFormatError, read_cfr, write_cfr, write_rows
 from .channel import add_noise, gen_ma_cfr, gen_ura_cfr
 from .compare import compare_arrays
-from .geometry import scan_cosines
+from .geometry import scan_cosines, wrap_azimuth
 from .patterns import (check_conjugate_symmetry, ma_power_pattern, ura_power_pattern,
                        uv_lattice)
 from .scenario import Scenario, ScenarioError, dump_scenario, parse_scenario
@@ -83,8 +83,8 @@ def main():
 
 def _write_csv(path: Path, header: str, x, y, level) -> None:
     """One line per cell of the broadcast shape of x, y and level, in C order,
-    9 significant digits each. A column that follows one grid axis is passed
-    as that axis, not as a meshgrid, and is then formatted once per value."""
+    9 significant digits each. A column passed as one grid axis, not as a
+    meshgrid, is formatted once per value of it; any other column per cell."""
     with open(path, "w") as fh:
         fh.write(header)
         write_rows(fh, ["%.9g"] * 3, x, y, level)
@@ -155,13 +155,13 @@ def cmd_simulate(config_path, out_dir, seed, quiet):
 
 
 def _write_beam_csv(path: Path, beam) -> None:
-    u, v = scan_cosines(beam.theta_deg, beam.phi_deg % 360.0)
+    u, v = scan_cosines(beam.theta_deg, wrap_azimuth(beam.phi_deg))
     _write_csv(path, "u,v,level_db\n", u, v, beam.level_db())
 
 
 def _write_padp_csv(path: Path, padp) -> None:
     # azimuths in [0, 360), as paths.csv and comparison.csv write them
-    _write_csv(path, "azimuth_deg,delay_ns,level_db\n", padp.phi_deg[:, None] % 360.0,
+    _write_csv(path, "azimuth_deg,delay_ns,level_db\n", wrap_azimuth(padp.phi_deg[:, None]),
                padp.delay_s * 1e9, padp.level_db().T)
 
 
@@ -247,9 +247,9 @@ def cmd_compare(config_path, out_dir, seed, quiet):
                  "ma_delay_ns,ma_azimuth_deg,ma_power_db,"
                  "err_delay_ns,err_azimuth_deg,err_power_db\n")
         fh.writelines(("%d" + ",%.9g" * 9 + "\n") % (
-            row.index, row.ura.delay_s * 1e9, row.ura.phi_deg % 360.0, row.ura.level_db,
-            row.ma.delay_s * 1e9, row.ma.direction.phi_deg, row.ma.amplitude_db,
-            *row.errors) for row in result.rows)
+            row.index, row.ura.delay_s * 1e9, wrap_azimuth(row.ura.phi_deg),
+            row.ura.level_db, row.ma.delay_s * 1e9, row.ma.direction.phi_deg,
+            row.ma.amplitude_db, *row.errors) for row in result.rows)
     if not quiet:
         click.echo(f"comparison table in {out / 'comparison.csv'}")
 

@@ -47,6 +47,13 @@ def scan_cosines(theta_deg, phi_deg) -> tuple[np.ndarray, np.ndarray]:
     return st[:, None] * np.cos(pp)[None, :], st[:, None] * np.sin(pp)[None, :]
 
 
+def wrap_azimuth(phi_deg):
+    """phi_deg % 360 in [0, 360), on floats and arrays: a result of 360.0,
+    from an azimuth less than about 3e-14 deg below 0, is taken to 0."""
+    phi = phi_deg % 360.0
+    return phi * (phi != 360.0)
+
+
 def uv_unmap(point: UvPoint) -> Direction:
     """Invert uv_map. At the origin the azimuth is degenerate; 0 by convention."""
     r2 = point.u ** 2 + point.v ** 2
@@ -55,8 +62,7 @@ def uv_unmap(point: UvPoint) -> Direction:
     theta = math.degrees(math.asin(min(math.sqrt(r2), 1.0)))
     if theta == 0.0:
         return Direction(0.0, 0.0)
-    phi = math.degrees(math.atan2(point.v, point.u)) % 360.0
-    return Direction(theta, phi)
+    return Direction(theta, wrap_azimuth(math.degrees(math.atan2(point.v, point.u))))
 
 
 @dataclass(frozen=True)
@@ -223,6 +229,10 @@ class ScanGrid:
     def regular(cls, theta_start: float = 0.0, theta_stop: float = 90.0,
                 theta_step: float = 1.0, phi_start: float = 90.0,
                 phi_stop: float = 270.0, phi_step: float = 1.0) -> "ScanGrid":
-        theta = np.arange(theta_start, theta_stop + 0.5 * theta_step, theta_step)
-        phi = np.arange(phi_start, phi_stop + 0.5 * phi_step, phi_step)
-        return cls(theta, phi)
+        """Axes from start to stop, within half a step. Point i is start +
+        i * step rounded to 9 decimals, so an axis through 0 holds an exact 0."""
+        def axis(start, stop, step):
+            n = math.ceil((stop + 0.5 * step - start) / step)  # np.arange's count
+            return np.round(start + step * np.arange(n), 9) + 0.0  # -0.0 reads 0.0
+        return cls(axis(theta_start, theta_stop, theta_step),
+                   axis(phi_start, phi_stop, phi_step))

@@ -22,7 +22,7 @@ from .beamform import (BeamPattern, NoPeakError, cbf_ma, cfr_to_cir, check_ma_pa
                        cir_to_cfr, descending_cells, line_spectrum, padp_ma)
 from .channel import CfrSet, gen_ma_cfr
 from .geometry import (Direction, FrequencyGrid, MaGeometry, PathComponent,
-                       ScanGrid, delay_axis, uv_map)
+                       ScanGrid, delay_axis, uv_map, wrap_azimuth)
 
 # A profile maximum whose gated amplitude falls this far below the profile
 # level is a cross-product artifact (no single-axis support); it is skipped
@@ -88,7 +88,7 @@ def detect_strongest(beam: BeamPattern) -> Direction:
     c, r = np.unravel_index(np.argmax(mag), mag.shape)
     if mag[c, r] <= 0:
         raise NoPeakError("beam pattern is identically zero")
-    return Direction(float(beam.theta_deg[r]), float(beam.phi_deg[c]) % 360.0)
+    return Direction(float(beam.theta_deg[r]), wrap_azimuth(float(beam.phi_deg[c])))
 
 
 def build_label_vector(synthetic_cir: np.ndarray, epsilon_db: float) -> np.ndarray:
@@ -278,7 +278,7 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
         for r, c in descending_cells(level, level.max() - config.epsilon_db,
                                      (2 * pad, 3)):
             tau_hat = float(padp.delay_s[r]) / 2.0
-            direction = Direction(coarse.theta_deg, float(padp.phi_deg[c]) % 360.0)
+            direction = Direction(coarse.theta_deg, wrap_azimuth(float(padp.phi_deg[c])))
             if r not in gates:
                 kernel = cfr_to_cir(np.exp(-2j * np.pi * freqs.points * tau_hat),
                                     freqs, pad)

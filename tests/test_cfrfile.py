@@ -1,12 +1,14 @@
 import io
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from masounder import cfrfile
 from masounder.cfrfile import (FORMAT_VERSION, CfrFormatError, read_cfr, write_cfr,
                                write_rows)
 from masounder.channel import CfrSet, gen_ma_cfr, gen_ura_cfr
@@ -251,6 +253,38 @@ def test_write_rows_integer_and_literal_columns_match_reference():
     labels = np.array(["5%", "a%%b%d"])[:, None]  # a run constant holding '%'
     specs = ["%s", "%d"]
     assert _written_rows(specs, labels, m) == _reference_rows(specs, labels, m)
+
+
+@pytest.mark.parametrize("spec", ["%d", "%.9g", "%.17g", "%s"])
+def test_write_rows_formats_a_one_axis_column_once_per_axis_value(monkeypatch, spec):
+    """On a 3-D grid, a column that follows only the middle axis is formatted
+    once per value of that axis, and a constant column once. A column that
+    follows the two leading axes, and a full one, are formatted per cell.
+    Float '%.<p>g' values, in either role, go through the numpy kernel."""
+    formatted, kernel = Counter(), Counter()
+    format_, format_g = cfrfile._format, cfrfile._format_g
+
+    def counting(spec, sep, values):
+        formatted.update(values.tolist())
+        return format_(spec, sep, values)
+
+    def counting_g(x, *args):
+        kernel.update(x.tolist())
+        return format_g(x, *args)
+    monkeypatch.setattr(cfrfile, "_format", counting)
+    monkeypatch.setattr(cfrfile, "_format_g", counting_g)
+    middle = np.array([-3, 1, 10 ** 15])[:, None]
+    leading = np.arange(100, 106).reshape(2, 3, 1)
+    constant = np.array(7)
+    cell = np.arange(1000, 1024).reshape(2, 3, 4)
+    columns = [middle, leading, constant, cell]
+    if spec != "%d":  # exact binary fractions
+        columns = [c / 8 for c in columns]
+    specs = [spec] * 4
+    assert _written_rows(specs, *columns) == _reference_rows(specs, *columns)
+    middle, leading, constant, cell = (c.ravel().tolist() for c in columns)
+    assert formatted == Counter(middle + leading * 4 + constant + cell)
+    assert kernel == (formatted if spec.endswith("g") else Counter())
 
 
 def test_write_rows_rejects_mismatched_columns():

@@ -5,7 +5,7 @@ import pytest
 
 from masounder.geometry import (Direction, FrequencyGrid, MaGeometry,
                                 PathComponent, ScanGrid, UraGeometry, UvPoint,
-                                delay_axis, uv_map, uv_unmap)
+                                delay_axis, uv_map, uv_unmap, wrap_azimuth)
 
 
 @pytest.mark.parametrize("theta,phi,u,v", [
@@ -35,6 +35,26 @@ def test_uv_round_trip(theta, phi):
 
 def test_uv_unmap_origin_convention():
     assert uv_unmap(UvPoint(0.0, 0.0)) == Direction(0.0, 0.0)
+
+
+def test_uv_unmap_just_below_zero_azimuth_is_0():
+    # atan2 gives -1.1e-15 deg, which % 360 rounds to 360.0
+    assert uv_unmap(UvPoint(0.5, -1e-17)).phi_deg == 0.0
+
+
+@pytest.mark.parametrize("phi", [-1e-17, -2.8e-14, -0.0])
+def test_wrap_azimuth_takes_a_360_result_to_0(phi):
+    wrapped = wrap_azimuth(phi)
+    assert wrapped == 0.0 and not math.copysign(1.0, wrapped) < 0
+    assert type(wrapped) is float
+    np.testing.assert_array_equal(wrap_azimuth(np.array([phi, -10.0, 370.0, 359.5])),
+                                  [0.0, 350.0, 10.0, 359.5])
+
+
+def test_wrap_azimuth_is_the_modulo_elsewhere():
+    phi = np.array([0.0, 1e-300, -1e-13, 359.99999999999994, -359.5, 720.25, np.nan])
+    np.testing.assert_array_equal(wrap_azimuth(phi), phi % 360.0)
+    assert all(wrap_azimuth(p) == p % 360.0 for p in phi[:-1].tolist())
 
 
 def test_uv_unmap_rejects_invisible_point():
@@ -129,6 +149,28 @@ def test_scan_grid_regular_defaults():
     assert grid.theta_deg[0] == 0 and grid.theta_deg[-1] == 90
     assert grid.phi_deg[0] == 90 and grid.phi_deg[-1] == 270
     assert grid.theta_deg.size == 91 and grid.phi_deg.size == 181
+
+
+@pytest.mark.parametrize("start,stop,step", [(-28, 28, 0.7), (-90, 90, 0.1),
+                                             (-0.3, 0.3, 0.1)])
+def test_scan_grid_axis_through_zero_holds_an_exact_zero(start, stop, step):
+    phi = ScanGrid.regular(0.0, 90.0, 1.0, start, stop, step).phi_deg
+    arange = np.arange(start, stop + 0.5 * step, step)
+    i = int(np.argmin(np.abs(arange)))
+    assert arange[i] != 0.0  # -2.8e-14, -5.1e-12 and 5.6e-17 deg; -0.3 + 3 * 0.1 is not 0
+    assert phi.size == arange.size and phi[i] == 0.0 and not np.signbit(phi[i])
+    np.testing.assert_allclose(phi, arange, rtol=0, atol=1e-9)
+    assert phi[0] == start and phi[-1] == stop
+
+
+@pytest.mark.parametrize("start,stop,step", [(0, 90, 1), (90, 270, 1), (-90, 90, 1),
+                                             (0, 90, 0.5), (-45.5, 45, 0.5), (0, 360, 2),
+                                             (90, 90, 1)])
+def test_scan_grid_integer_and_half_degree_axes_are_np_arange(start, stop, step):
+    grid = ScanGrid.regular(start, stop, step, start, stop, step)
+    expected = np.arange(float(start), stop + 0.5 * step, step)
+    for axis in (grid.theta_deg, grid.phi_deg):
+        np.testing.assert_array_equal(axis.view(np.uint64), expected.view(np.uint64))
 
 
 def test_scan_grid_rejects_decreasing_axis():

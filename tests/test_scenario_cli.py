@@ -1,12 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from masounder.cfrfile import write_cfr
 from masounder.channel import gen_ma_cfr
 from masounder.cli import main
-from masounder.geometry import Direction, FrequencyGrid, uv_map
+from masounder.geometry import Direction, FrequencyGrid, ScanGrid, uv_map
 from masounder.scenario import (_SCHEMA, Scenario, ScenarioError, parse_scenario,
                                 scenario_from_dict)
 
@@ -327,6 +328,51 @@ def test_cli_padp_azimuths_lie_in_0_360(tmp_path):
         azimuths = {row[0] for row in rows}
         assert azimuths == {phi % 360.0 for phi in range(-90, 91)}, name
         assert max(rows, key=lambda row: row[2])[0] == 350.0, name
+
+
+@pytest.mark.parametrize("phi", [[-28, 28, 0.7], [-90, 90, 0.1]])
+def test_cli_estimate_reports_a_path_at_0_azimuth_as_0(tmp_path, phi):
+    """np.arange put the 0 deg column of these scans at -2.8e-14 and
+    -5.1e-12 deg. The first made estimate exit 2 (azimuth 360.0), the second
+    wrote the path at 360 in paths.csv and in every PADP row of its column."""
+    with open(scenario_path("table1_small")) as fh:
+        data = json.load(fh)
+    data["scan"]["phi"] = phi
+    data["paths"] = [{"power_db": 0, "elevation_deg": 60, "azimuth_deg": 0,
+                      "delay_ns": 12}]
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    for command in ("simulate", "estimate"):
+        r = _run([command, "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert r.exit_code == 0, r.output
+    assert (out / "paths.csv").read_text().splitlines()[1].split(",")[4] == "0"
+    padp = (out / "ma_padp_iter0.csv").read_text()
+    assert "\n360," not in padp and "\n0," in padp
+
+
+def test_cli_writes_an_azimuth_just_below_0_as_0(tmp_path, monkeypatch):
+    """A scan column at -1e-14 deg, which % 360 takes to 360.0, reads 0 in
+    the PADPs, paths.csv and comparison.csv, and its beam rows sit at v = 0."""
+    phi = np.array([-40.0, -20.0, -1e-14, 20.0, 40.0])
+    grid = ScanGrid(np.arange(0.0, 91.0, 10.0), phi)
+    monkeypatch.setattr(Scenario, "scan_grid", lambda self: grid)
+    path = {"power_db": 0, "elevation_deg": 60, "azimuth_deg": 0, "delay_ns": 1.0}
+    cfg = str(_write_tiny(tmp_path, {"paths": [path], "compare": {"theta_deg": 60}}))
+    out = tmp_path / "out"
+    for args in (["simulate"], ["beamscan"], ["estimate"], ["compare"]):
+        r = _run(args + ["--config", cfg, "--out", str(out), "--quiet"])
+        assert r.exit_code == 0, r.output
+    for name in ("ma_padp.csv", "ura_padp.csv", "ma_padp_iter0.csv"):
+        azimuths = {line.split(",")[0] for line in
+                    (out / name).read_text().splitlines()[1:]}
+        assert azimuths == {"320", "340", "0", "20", "40"}, name
+    for name in ("ma_beam.csv", "ura_beam.csv"):
+        rows = (out / name).read_text().splitlines()[1:]
+        assert {row.split(",")[1] for row in rows[2::5]} == {"0"}, name
+    assert (out / "paths.csv").read_text().splitlines()[1].split(",")[4] == "0"
+    row = (out / "comparison.csv").read_text().splitlines()[1].split(",")
+    assert (row[2], row[5]) == ("0", "0")
 
 
 def _ura_only_mimic(tmp_path, delay_ns):

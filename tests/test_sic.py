@@ -37,6 +37,10 @@ def test_detect_strongest_and_tie_breaks():
         detect_strongest(BeamPattern(np.zeros((2, 2), complex),
                                      np.array([0.0, 1.0]), np.array([0.0, 1.0]),
                                      28e9, "ma"))
+    # -1e-14 % 360 is 360.0, which Direction rejects
+    beam = BeamPattern(values, beam.theta_deg, np.array([-10.0, -1e-14, 10.0, 20.0]),
+                       28e9, "ma")
+    assert detect_strongest(beam) == Direction(70.0, 0.0)
 
 
 def test_build_label_vector_threshold():
