@@ -159,10 +159,34 @@ def _write_beam_csv(path: Path, beam) -> None:
     _write_csv(path, "u,v,level_db\n", u, v, beam.level_db())
 
 
-def _write_padp_csv(path: Path, padp) -> None:
+def _write_padp_csv(path: Path, phi_deg, delay_s, level) -> None:
+    """A PADP cut given as its azimuth and delay axes and its (delay, azimuth)
+    level in dB, one line per azimuth and delay."""
     # azimuths in [0, 360), as paths.csv and comparison.csv write them
-    _write_csv(path, "azimuth_deg,delay_ns,level_db\n", wrap_azimuth(padp.phi_deg[:, None]),
-               padp.delay_s * 1e9, padp.level_db().T)
+    _write_csv(path, "azimuth_deg,delay_ns,level_db\n", wrap_azimuth(phi_deg[:, None]),
+               delay_s * 1e9, level.T)
+
+
+def _padp_cut(padp):
+    """The arguments after the path of _write_padp_csv for padp: its level
+    replaces the complex values, which the caller can then drop."""
+    return padp.phi_deg, padp.delay_s, padp.level_db()
+
+
+def _ura_scan(cfr, scenario: Scenario, grid, theta: float):
+    """Beam and PADP cut of a URA CFR, the cut as _padp_cut gives it."""
+    taper = scenario.ura_taper()
+    return (cbf_ura(cfr, grid, scenario.freqs.f_center_hz, taper),
+            _padp_cut(padp_ura(cfr, theta, grid.phi_deg, scenario.pad_factor,
+                               taper=taper)))
+
+
+def _ma_scan(ma_x, ma_y, scenario: Scenario, grid, theta: float):
+    """Beam and PADP cut of a pair of MA CFRs, the cut as _padp_cut gives it."""
+    taper = scenario.ma_taper()
+    return (cbf_ma(ma_x, ma_y, grid, scenario.freqs.f_center_hz, taper),
+            _padp_cut(padp_ma(ma_x, ma_y, theta, grid.phi_deg, scenario.pad_factor,
+                              taper=taper)))
 
 
 @main.command("beamscan")
@@ -178,27 +202,21 @@ def cmd_beamscan(config_path, out_dir, quiet, cfr_dir, theta_deg):
     src = Path(cfr_dir) if cfr_dir is not None else out
     theta = scenario.compare_theta_deg if theta_deg is None else theta_deg
     grid = scenario.scan_grid()
-    fc = scenario.freqs.f_center_hz
-    results = {}  # every result is computed before any file is written
+    # Every result is computed before any file is written. Each CFR is read
+    # as an argument of the scan helper, so it is dropped when that returns.
+    results = {}
     ura_file = src / "ura_cfr.csv"
     if ura_file.exists():
-        cfr = read_cfr(ura_file)
-        taper = scenario.ura_taper()
-        results["ura"] = (cbf_ura(cfr, grid, fc, taper),
-                          padp_ura(cfr, theta, grid.phi_deg, scenario.pad_factor,
-                                   taper=taper))
+        results["ura"] = _ura_scan(read_cfr(ura_file), scenario, grid, theta)
     ma_x_file, ma_y_file = src / "ma_x_cfr.csv", src / "ma_y_cfr.csv"
     if ma_x_file.exists() and ma_y_file.exists():
-        ma_x, ma_y = read_cfr(ma_x_file), read_cfr(ma_y_file)
-        taper = scenario.ma_taper()
-        results["ma"] = (cbf_ma(ma_x, ma_y, grid, fc, taper),
-                         padp_ma(ma_x, ma_y, theta, grid.phi_deg,
-                                 scenario.pad_factor, taper=taper))
+        results["ma"] = _ma_scan(read_cfr(ma_x_file), read_cfr(ma_y_file), scenario,
+                                 grid, theta)
     if not results:
         raise OSError(f"no CFR files found under {src}")
-    for kind, (beam, padp) in results.items():
+    for kind, (beam, cut) in results.items():
         _write_beam_csv(out / f"{kind}_beam.csv", beam)
-        _write_padp_csv(out / f"{kind}_padp.csv", padp)
+        _write_padp_csv(out / f"{kind}_padp.csv", *cut)
     if not quiet:
         click.echo(f"beam/PADP CSVs written to {out}")
 
@@ -218,7 +236,7 @@ def cmd_estimate(config_path, out_dir, quiet, cfr_dir):
     ma_x, ma_y = read_cfr(ma_x_file), read_cfr(ma_y_file)
 
     def snapshot(q, padp):
-        _write_padp_csv(out / f"ma_padp_iter{q}.csv", padp)
+        _write_padp_csv(out / f"ma_padp_iter{q}.csv", *_padp_cut(padp))
 
     report = run_sic(ma_x, ma_y, scenario.estimator_config(), snapshot_hook=snapshot)
     with open(out / "paths.csv", "w") as fh:

@@ -45,6 +45,19 @@ class ComparisonResult:
         return self.ura_count != self.ma_count
 
 
+def _ura_peaks(scenario: Scenario, seed: int) -> list[Peak]:
+    """Peaks of the URA's PADP cut, strongest first, at most one per path. The
+    URA CFR and its PADP die on return, before the MA is sounded."""
+    cfr = gen_ura_cfr(scenario.paths, scenario.ura, scenario.freqs)
+    if scenario.snr_db is not None:
+        cfr = add_noise(cfr, scenario.snr_db, seed)
+    padp = padp_ura(cfr, scenario.compare_theta_deg, scenario.scan_grid().phi_deg,
+                    scenario.pad_factor, taper=scenario.ura_taper(),
+                    window=scenario.compare_window)
+    return find_peaks(padp, scenario.compare_dynamic_range_db,
+                      scenario.compare_min_separation)[:len(scenario.paths)]
+
+
 def compare_arrays(scenario: Scenario, seed: int = 0) -> ComparisonResult:
     """Run URA CBF extraction and MA SIC on the same synthetic channel.
 
@@ -55,18 +68,11 @@ def compare_arrays(scenario: Scenario, seed: int = 0) -> ComparisonResult:
         raise ScenarioError("comparison needs both URA and MA geometries")
     if len(scenario.paths) == 0:
         raise ScenarioError("comparison needs at least one path")
-    ura_cfr = gen_ura_cfr(scenario.paths, scenario.ura, scenario.freqs)
+    ura_peaks = _ura_peaks(scenario, seed)
     ma_x, ma_y = gen_ma_cfr(scenario.paths, scenario.ma, scenario.freqs)
     if scenario.snr_db is not None:
-        ura_cfr = add_noise(ura_cfr, scenario.snr_db, seed)
         ma_x = add_noise(ma_x, scenario.snr_db, seed + 1)
         ma_y = add_noise(ma_y, scenario.snr_db, seed + 2)
-
-    padp = padp_ura(ura_cfr, scenario.compare_theta_deg, scenario.scan_grid().phi_deg,
-                    scenario.pad_factor, taper=scenario.ura_taper(),
-                    window=scenario.compare_window)
-    ura_peaks = find_peaks(padp, scenario.compare_dynamic_range_db,
-                           scenario.compare_min_separation)[:len(scenario.paths)]
     report = run_sic(ma_x, ma_y, scenario.estimator_config())
 
     delay_scale = 1.0 / scenario.freqs.bandwidth_hz  # one resolution bin

@@ -210,6 +210,13 @@ def delay_axis(freqs: FrequencyGrid, pad_factor: int = 1) -> np.ndarray:
     return np.arange(n) / (n * freqs.spacing_hz)
 
 
+def regular_count(start: float, stop: float, step: float) -> float:
+    """Point count of ScanGrid.regular's axis from start to stop, np.arange's
+    count; inf when it overflows a float."""
+    n = (stop + 0.5 * step - start) / step
+    return math.ceil(n) if math.isfinite(n) else math.inf
+
+
 @dataclass(frozen=True)
 class ScanGrid:
     """Angular scan axes for beam and PADP evaluation."""
@@ -232,7 +239,7 @@ class ScanGrid:
         """Axes from start to stop, within half a step. Point i is start +
         i * step rounded to 9 decimals, so an axis through 0 holds an exact 0."""
         def axis(start, stop, step):
-            n = math.ceil((stop + 0.5 * step - start) / step)  # np.arange's count
+            n = regular_count(start, stop, step)
             return np.round(start + step * np.arange(n), 9) + 0.0  # -0.0 reads 0.0
         return cls(axis(theta_start, theta_stop, theta_step),
                    axis(phi_start, phi_stop, phi_step))

@@ -9,13 +9,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import sounded_paths
-from .geometry import FrequencyGrid, MaGeometry, PathComponent, ScanGrid, UraGeometry
+from .geometry import (FrequencyGrid, MaGeometry, PathComponent, ScanGrid, UraGeometry,
+                       regular_count)
 from .patterns import auto_convolve, chebyshev_taper, steer
 from .sic import EstimatorConfig
 
 
 class ScenarioError(ValueError):
     """Invalid or inconsistent scenario configuration."""
+
+
+# The most bytes one array of a command may take. A scenario whose counts
+# ask for a larger one is rejected at parse, before any array exists.
+MAX_ARRAY_BYTES = 2 ** 30
 
 
 _REQUIRED = object()
@@ -222,7 +228,35 @@ def scenario_from_dict(data: dict) -> Scenario:
     return scenario
 
 
+def _check_array_sizes(s: Scenario) -> None:
+    """Reject s if the largest complex array a command would build for it, by
+    its counts alone, exceeds MAX_ARRAY_BYTES, naming the fields that set it."""
+    n_theta, n_phi = regular_count(*s.scan_theta), regular_count(*s.scan_phi)
+    points = s.freqs.n_points
+    arrays = [("scan.theta x scan.phi", "scan beam", n_theta * n_phi),
+              ("frequency.points x estimator.pad_factor x scan.phi", "PADP",
+               points * s.pad_factor * n_phi),
+              ("pattern_lattice squared", "pattern lattice", s.pattern_lattice ** 2)]
+    if s.ura is not None:
+        larger = "ura.m" if s.ura.m_count >= s.ura.n_count else "ura.n"
+        arrays += [("ura.m x ura.n x frequency.points", "URA CFR",
+                    s.ura.m_count * s.ura.n_count * points),
+                   (f"{larger} x scan.theta x scan.phi", "URA steering matrix",
+                    max(s.ura.m_count, s.ura.n_count) * n_theta * n_phi)]
+    if s.ma is not None:
+        larger = "ma.x" if s.ma.x_count >= s.ma.y_count else "ma.y"
+        arrays.append((f"{larger} x frequency.points", "MA CFR",
+                       max(s.ma.x_count, s.ma.y_count) * points))
+    for fields, name, count in arrays:
+        size = 16 * count  # complex128
+        if size > MAX_ARRAY_BYTES:
+            raise ScenarioError(f"{fields} asks for a {size / 2 ** 30:.6g} GiB {name}; "
+                                f"one array may take at most "
+                                f"{MAX_ARRAY_BYTES / 2 ** 30:g} GiB")
+
+
 def _validate(s: Scenario) -> None:
+    _check_array_sizes(s)
     try:  # the MA's range, half the URA's, is the one a path reaches first
         for geometry in (s.ma, s.ura):
             if geometry is not None:

@@ -22,7 +22,7 @@ from .beamform import (BeamPattern, NoPeakError, cbf_ma, cfr_to_cir, check_ma_pa
                        cir_to_cfr, descending_cells, line_spectrum, padp_ma)
 from .channel import CfrSet, gen_ma_cfr
 from .geometry import (Direction, FrequencyGrid, MaGeometry, PathComponent,
-                       ScanGrid, delay_axis, uv_map, wrap_azimuth)
+                       ScanGrid, uv_map, wrap_azimuth)
 
 # A profile maximum whose gated amplitude falls this far below the profile
 # level is a cross-product artifact (no single-axis support); it is skipped
@@ -224,17 +224,87 @@ def estimate_power(gated_x: np.ndarray, gated_y: np.ndarray, freqs: FrequencyGri
 
 def subtract_path(residual_x: CfrSet, residual_y: CfrSet,
                   path: PathComponent) -> tuple[CfrSet, CfrSet]:
-    """Regenerate the path's CFR on both sub-arrays and subtract it."""
+    """Regenerate the path's CFR on both sub-arrays and subtract it. Each new
+    residual is written into the regenerated path's buffer."""
     hx, hy = gen_ma_cfr([path], residual_x.geometry, residual_x.freqs,
                         narrowband_phase=residual_x.narrowband_phase,
                         ref_freq_hz=residual_x.ref_freq_hz)
-    return (residual_x.with_values(residual_x.values - hx.values),
-            residual_y.with_values(residual_y.values - hy.values))
+    np.subtract(residual_x.values, hx.values, out=hx.values)
+    np.subtract(residual_y.values, hy.values, out=hy.values)
+    return residual_x.with_values(hx.values), residual_y.with_values(hy.values)
 
 
 def _gate_diag(gate: np.ndarray, delays: np.ndarray) -> tuple[int, tuple[float, float]]:
     idx = np.nonzero(gate)[0]
     return len(idx), (float(delays[idx[0]]), float(delays[idx[-1]]))
+
+
+def _residual_level(rx: CfrSet, ry: CfrSet, theta_deg: float, config: EstimatorConfig,
+                    q: int, snapshot_hook) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Level in dB of the residual angle-delay profile cut at theta_deg, with
+    its delay and azimuth axes. The complex profile, which snapshot_hook
+    receives, is not kept."""
+    padp = padp_ma(rx, ry, theta_deg, config.scan.phi_deg, config.pad_factor)
+    if snapshot_hook is not None:
+        snapshot_hook(q, padp)
+    return padp.level_db(), padp.delay_s, padp.phi_deg
+
+
+def _find_path(rx: CfrSet, ry: CfrSet, config: EstimatorConfig, q: int,
+               gates: dict[int, np.ndarray], snapshot_hook):
+    """Iteration q up to the subtraction: detect, then test the profile's
+    maxima in descending order and fit the first that passes. Returns the
+    fitted path and the IterationDiagnostics fields known by then, or None
+    when nothing is left to detect. gates maps a delay bin to its bit-packed
+    gate. The beam, the profile's level and the column responses die on
+    return."""
+    freqs = rx.freqs
+    pad = config.pad_factor
+    gate_db = config.epsilon_db if config.gate_db is None else config.gate_db
+    beam = cbf_ma(rx, ry, config.scan, freqs.f_center_hz)
+    if np.abs(beam.values).max() <= 1e-30:
+        return None
+    coarse = detect_strongest(beam)
+    level, delay_s, phi_deg = _residual_level(rx, ry, coarse.theta_deg, config, q,
+                                              snapshot_hook)
+    padp_peak_db = float(level.max())
+    # The delay responses of both line spectra steered at a column's
+    # direction, computed when a candidate first visits the column.
+    responses: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    skipped = 0
+    for r, c in descending_cells(level, padp_peak_db - config.epsilon_db, (2 * pad, 3)):
+        tau_hat = float(delay_s[r]) / 2.0
+        direction = Direction(coarse.theta_deg, wrap_azimuth(float(phi_deg[c])))
+        if r not in gates:
+            kernel = cfr_to_cir(np.exp(-2j * np.pi * freqs.points * tau_hat), freqs, pad)
+            gates[r] = np.packbits(build_label_vector(kernel, gate_db))
+        gate = np.unpackbits(gates[r], count=delay_s.size).view(bool)
+        if c not in responses:
+            uv = uv_map(direction)
+            responses[c] = (cfr_to_cir(line_spectrum(rx, uv.u), freqs, pad),
+                            cfr_to_cir(line_spectrum(ry, uv.v), freqs, pad))
+        gx, gy = (cir_to_cfr(extract_path_cir(cir, gate), freqs, pad)
+                  for cir in responses[c])
+        try:
+            magnitude = estimate_power(gx, gy, freqs, rx.geometry, pad)
+        except NoPeakError:
+            magnitude = None
+        # A cross-product artifact is strong in the product profile, but
+        # has no single-axis support at the halved delay. The walk skips
+        # it; it disappears once its parent paths are subtracted.
+        if (magnitude is not None and 20.0 * math.log10(magnitude)
+                >= level[r, c] - CONSISTENCY_MARGIN_DB):
+            tau_hat, inner = refine_delay(gx, gy, freqs, tau_hat, pad)
+            if abs(inner) > 1e-30:
+                phase = float(np.angle(inner))
+                alpha = magnitude * complex(math.cos(phase), math.sin(phase))
+                gate_bins, gate_span = _gate_diag(gate, delay_s)
+                return PathComponent(alpha, direction, tau_hat), dict(
+                    beam_peak_db=float(beam.level_db().max()), padp_peak_db=padp_peak_db,
+                    gate_bins=gate_bins, gate_span_s=gate_span,
+                    candidates_skipped=skipped)
+        skipped += 1
+    return None
 
 
 def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
@@ -250,10 +320,6 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
         raise ValueError("input CFR has non-finite values")
     if cfr_x.total_power() == 0 and cfr_y.total_power() == 0:
         raise NoPeakError("input CFR is identically zero")
-    freqs = cfr_x.freqs
-    pad = config.pad_factor
-    gate_db = config.epsilon_db if config.gate_db is None else config.gate_db
-    delays = delay_axis(freqs, pad)
     rx, ry = cfr_x, cfr_y
     # A candidate's gate depends only on its delay bin, for the whole call.
     gates: dict[int, np.ndarray] = {}
@@ -262,71 +328,26 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
     diags: list[IterationDiagnostics] = []
     stop_reason = "max-iterations"
     for q in range(config.max_iterations):
-        beam = cbf_ma(rx, ry, config.scan, freqs.f_center_hz)
-        if np.abs(beam.values).max() <= 1e-30:
+        found = _find_path(rx, ry, config, q, gates, snapshot_hook)
+        if found is None:
             stop_reason = "dynamic-range"
             break
-        coarse = detect_strongest(beam)
-        padp = padp_ma(rx, ry, coarse.theta_deg, config.scan.phi_deg, pad)
-        if snapshot_hook is not None:
-            snapshot_hook(q, padp)
-        level = padp.level_db()
-        # The delay responses of both line spectra steered at a column's
-        # direction, computed when a candidate first visits the column.
-        responses: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        skipped = 0
-        for r, c in descending_cells(level, level.max() - config.epsilon_db,
-                                     (2 * pad, 3)):
-            tau_hat = float(padp.delay_s[r]) / 2.0
-            direction = Direction(coarse.theta_deg, wrap_azimuth(float(padp.phi_deg[c])))
-            if r not in gates:
-                kernel = cfr_to_cir(np.exp(-2j * np.pi * freqs.points * tau_hat),
-                                    freqs, pad)
-                gates[r] = build_label_vector(kernel, gate_db)
-            gate = gates[r]
-            if c not in responses:
-                uv = uv_map(direction)
-                responses[c] = (cfr_to_cir(line_spectrum(rx, uv.u), freqs, pad),
-                                cfr_to_cir(line_spectrum(ry, uv.v), freqs, pad))
-            gx, gy = (cir_to_cfr(extract_path_cir(cir, gate), freqs, pad)
-                      for cir in responses[c])
-            try:
-                magnitude = estimate_power(gx, gy, freqs, rx.geometry, pad)
-            except NoPeakError:
-                magnitude = None
-            # A cross-product artifact is strong in the product profile, but
-            # has no single-axis support at the halved delay. The walk skips
-            # it; it disappears once its parent paths are subtracted.
-            if (magnitude is not None and 20.0 * math.log10(magnitude)
-                    >= level[r, c] - CONSISTENCY_MARGIN_DB):
-                tau_hat, inner = refine_delay(gx, gy, freqs, tau_hat, pad)
-                if abs(inner) > 1e-30:
-                    break
-            skipped += 1
-        else:
-            stop_reason = "dynamic-range"
-            break
-        phase = float(np.angle(inner))
-        alpha = magnitude * complex(math.cos(phase), math.sin(phase))
-        magnitude = abs(alpha)
+        path, diagnostics = found
+        magnitude = abs(path.amplitude)
         if alpha_max is None:
             alpha_max = magnitude
-        gate_bins, gate_span = _gate_diag(gate, delays)
         accepted = magnitude > alpha_max * 10.0 ** (-config.epsilon_db / 20.0) or q == 0
         diags.append(IterationDiagnostics(
             iteration=q + 1,
-            beam_peak_db=float(beam.level_db().max()),
-            padp_peak_db=float(level.max()),
             amplitude_db=20.0 * math.log10(max(magnitude, 1e-30)),
-            gate_bins=gate_bins,
-            gate_span_s=gate_span,
             accepted=accepted,
-            candidates_skipped=skipped,
+            **diagnostics,
         ))
         if not accepted:
             stop_reason = "dynamic-range"
             break
-        rx, ry = subtract_path(rx, ry, PathComponent(alpha, direction, tau_hat))
+        rx, ry = subtract_path(rx, ry, path)
         residual_energy = rx.total_power() + ry.total_power()
-        paths.append(EstimatedPath(alpha, direction, tau_hat, q + 1, residual_energy))
+        paths.append(EstimatedPath(path.amplitude, path.direction, path.delay_s, q + 1,
+                                   residual_energy))
     return EstimationReport(tuple(paths), stop_reason, tuple(diags))

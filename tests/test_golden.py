@@ -4,6 +4,7 @@ The files under tests/golden/ were written by the CLI at the default seed,
 or at the seed the test names; any change to them must be a deliberate change of the estimator's output.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -27,6 +28,19 @@ def test_table1_small_paths_match_golden(tmp_path):
     _run("estimate", "--config", cfg, "--out", str(tmp_path))
     assert (tmp_path / "paths.csv").read_bytes() == \
         (GOLDEN / "table1_small_paths.csv").read_bytes()
+
+
+def test_table1_small_outputs_match_golden_digests(tmp_path):
+    # every file simulate, beamscan and estimate write, PADP snapshots
+    # included, as the sha256sum listing table1_small_outputs.sha256
+    cfg = scenario_path("table1_small")
+    for command in ("simulate", "beamscan", "estimate"):
+        _run(command, "--config", cfg, "--out", str(tmp_path))
+    listing = (GOLDEN / "table1_small_outputs.sha256").read_text().splitlines()
+    expected = dict(reversed(line.split("  ", 1)) for line in listing)
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in tmp_path.iterdir()}
+    assert written == expected
 
 
 def test_table1_small_noisy_paths_match_golden(tmp_path):

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +205,56 @@ def test_to_dict_is_the_input_with_defaults(tmp_path):
 def test_scenario_validation_errors(tmp_path, breakage, match):
     with pytest.raises(ScenarioError, match=match):
         parse_scenario(_write_tiny(tmp_path, overrides=breakage))
+
+
+@pytest.mark.parametrize("overrides,match", [
+    ({"scan": {"theta": [0, 90, 10], "phi": [90, 270, 1e-9]}},
+     r"scan\.theta x scan\.phi asks for a 26822\.1 GiB scan beam"),
+    ({"scan": {"theta": [0, 90, 10], "phi": [0, 1, 5e-324]}},
+     r"scan\.theta x scan\.phi asks for a inf GiB scan beam"),
+    ({"estimator": {"pad_factor": 10 ** 7}},
+     r"frequency\.points x estimator\.pad_factor x scan\.phi asks for a 164\.509 GiB PADP"),
+    ({"pattern_lattice": 8193},
+     r"pattern_lattice squared asks for a 1\.00024 GiB pattern lattice"),
+    ({"ura": {"m": 3, "n": 999_999}},
+     r"ura\.m x ura\.n x frequency\.points asks for a 1\.07288 GiB URA CFR"),
+    ({"ura": {"m": 150_001, "n": 3}},
+     r"ura\.m x scan\.theta x scan\.phi asks for a 1\.02819 GiB URA steering matrix"),
+    ({"ma": {"x": 5, "y": 3_000_001}},
+     r"ma\.y x frequency\.points asks for a 1\.07288 GiB MA CFR"),
+], ids=["scan-beam", "subnormal-step", "padp", "pattern-lattice", "ura-cfr",
+        "ura-steering", "ma-cfr"])
+def test_oversized_scenarios_are_rejected_before_any_array_exists(tmp_path, overrides,
+                                                                 match):
+    path = _write_tiny(tmp_path, overrides=overrides)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioError,
+                           match=match + "; one array may take at most 1 GiB$"):
+            parse_scenario(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_a_scenario_at_the_array_size_limit_parses(tmp_path):
+    # 8192 x 8192 complex values take exactly 1 GiB
+    scenario = parse_scenario(_write_tiny(tmp_path, pattern_lattice=8192))
+    assert scenario.pattern_lattice == 8192
+
+
+def test_cli_rejects_an_oversized_scan_with_exit_2(tmp_path):
+    # np.arange was asked for a 1.31 TiB scan axis, and estimate exited 1
+    scenario = json.loads(Path(scenario_path("table1_small")).read_text())
+    cfg = tmp_path / "fine_scan.json"
+    cfg.write_text(json.dumps({**scenario, "scan": {"theta": [0, 90, 1],
+                                                    "phi": [90, 270, 1e-9]}}))
+    r = _run(["estimate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert r.exit_code == 2
+    assert ("error: scan.theta x scan.phi asks for a 244081 GiB scan beam; "
+            "one array may take at most 1 GiB") in r.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_integral_float_integer_fields_read(tmp_path):

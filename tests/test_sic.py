@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -392,6 +394,29 @@ def test_run_sic_tests_candidates_from_per_run_caches(monkeypatch):
         assert len(gates) == bins
         counts.append((len(report.paths), len(spectra), len(gates)))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("name,noise_seeds,limit_mib", [
+    ("table1", None, 40),  # 199-element sub-arrays, 1500 points
+    ("table1_small", (9, 10), 9),  # 13 iterations at 10 dB
+])
+def test_run_sic_working_set_is_bounded(name, noise_seeds, limit_mib):
+    # Peak traced allocation above the inputs. Each iteration's beam, complex
+    # profile, level and column responses go before the next iteration makes
+    # its own, and the whole-call gate cache is bit-packed. Holding one
+    # iteration's arrays into the next peaks at 55.8 and 12.6 MiB.
+    scenario = parse_scenario(scenario_path(name))
+    cx, cy = gen_ma_cfr(scenario.paths, scenario.ma, scenario.freqs)
+    if noise_seeds is not None:
+        cx, cy = add_noise(cx, 10.0, noise_seeds[0]), add_noise(cy, 10.0, noise_seeds[1])
+    config = scenario.estimator_config()
+    tracemalloc.start()
+    try:
+        run_sic(cx, cy, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2 ** 20
 
 
 def test_run_sic_stops_once_the_walk_finds_no_peak(monkeypatch):
