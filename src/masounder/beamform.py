@@ -75,7 +75,14 @@ class Padp:
     kind: str  # 'ura' | 'ma'
 
     def level_db(self) -> np.ndarray:
-        return _level_db(self.values, self.kind)
+        """The level, computed on the first call and kept with the profile.
+        Every caller shares it, so it is read-only."""
+        level = self.__dict__.get("_level")
+        if level is None:
+            level = _level_db(self.values, self.kind)
+            level.flags.writeable = False
+            object.__setattr__(self, "_level", level)
+        return level
 
 
 def _freq_index(freqs: FrequencyGrid, f_hz: float) -> int:
@@ -193,9 +200,14 @@ def _ma_beam(cfr_x: CfrSet, cfr_y: CfrSet, u: np.ndarray, v: np.ndarray, taper,
     """Product of the two normalized sub-array sums at broadcastable cosines
     (u, v), over frequency columns cols; shape broadcast(u, v) + (n_cols,)."""
     tx, ty = _weights(taper, (cfr_x.geometry.x_count, cfr_x.geometry.y_count))
+
+    def normalized_sum(cfr, w, c):
+        # untapered, the values are summed as they are: a product by ones
+        # would copy them and change no value
+        values = cfr.values[:, cols] if taper is None else w[:, None] * cfr.values[:, cols]
+        return _steered_sum(cfr, values, c, cols) / np.sum(np.abs(w))
     # each sum is normalized before the next is formed, so one raw sum is held
-    x, y = (_steered_sum(cfr, w[:, None] * cfr.values[:, cols], c, cols) / np.sum(np.abs(w))
-            for cfr, w, c in ((cfr_x, tx, u), (cfr_y, ty, v)))
+    x, y = (normalized_sum(cfr, w, c) for cfr, w, c in ((cfr_x, tx, u), (cfr_y, ty, v)))
     return x * y
 
 

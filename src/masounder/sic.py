@@ -13,6 +13,7 @@ products it spawned vanish with it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -209,17 +210,24 @@ def refine_delay(gated_x: np.ndarray, gated_y: np.ndarray, freqs: FrequencyGrid,
 
 
 def estimate_power(gated_x: np.ndarray, gated_y: np.ndarray, freqs: FrequencyGrid,
-                   geometry: MaGeometry, pad_factor: int = 4) -> float:
+                   geometry: MaGeometry, pad_factor: int = 4) -> float | np.ndarray:
     """Magnitude of the gated single-path response: the square root of the
     gated MA profile's peak, cfr_to_cir(g_x g_y) / (N_x N_y), as a true MA
     term carries the squared amplitude. It does not depend on the delay
     estimate, so it tests a candidate before any fit.
+
+    Stacked spectra (..., n_points) give an array of magnitudes, NaN for a
+    row whose peak is below the numerical floor. NoPeakError is raised when
+    no row's peak clears the floor.
     """
     profile = np.abs(cfr_to_cir(gated_x * gated_y, freqs, pad_factor))
-    peak = profile.max() / (geometry.x_count * geometry.y_count)
-    if peak <= 1e-30:
+    peak = profile.max(axis=-1) / (geometry.x_count * geometry.y_count)
+    above = peak > 1e-30
+    if not above.any():
         raise NoPeakError("gated response peak is below the numerical floor")
-    return math.sqrt(peak)
+    if peak.ndim == 0:
+        return math.sqrt(peak)
+    return np.sqrt(np.where(above, peak, np.nan))
 
 
 def subtract_path(residual_x: CfrSet, residual_y: CfrSet,
@@ -239,25 +247,63 @@ def _gate_diag(gate: np.ndarray, delays: np.ndarray) -> tuple[int, tuple[float, 
     return len(idx), (float(delays[idx[0]]), float(delays[idx[-1]]))
 
 
+class _GateCache:
+    """Delay-bin gates kept across run_sic calls, keyed by (frequency grid,
+    pad factor, gate_db, delay bin): a gate depends on nothing else. Each is
+    stored bit-packed and read-only. An entry costs its ceil(bins / 8) bytes
+    plus ENTRY_BYTES for its array header, key and dict slot (251 bytes
+    traced on CPython 3.11). The cache is emptied before an entry would take
+    it past MAX_BYTES, so it never holds more than 4 MiB."""
+
+    MAX_BYTES = 2 ** 22
+    ENTRY_BYTES = 256
+
+    def __init__(self):
+        self.gates: dict[tuple, np.ndarray] = {}
+        self.nbytes = 0
+
+    def add(self, key: tuple, gate: np.ndarray) -> np.ndarray:
+        packed = np.packbits(gate)
+        packed.flags.writeable = False
+        cost = packed.nbytes + self.ENTRY_BYTES
+        if self.nbytes + cost > self.MAX_BYTES:
+            self.gates.clear()
+            self.nbytes = 0
+        self.gates[key] = packed
+        self.nbytes += cost
+        return packed
+
+
+_GATES = _GateCache()
+
+# Candidates are tested in batches of 1, 2, 4, ... cells, up to as many as
+# fit one complex delay response each in this many bytes. A batch stacks a
+# few such arrays per sub-array, so the budget bounds its temporaries.
+_BATCH_BYTES = 2 ** 18
+
+
 def _residual_level(rx: CfrSet, ry: CfrSet, theta_deg: float, config: EstimatorConfig,
                     q: int, snapshot_hook) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Level in dB of the residual angle-delay profile cut at theta_deg, with
     its delay and azimuth axes. The complex profile, which snapshot_hook
-    receives, is not kept."""
+    receives, is not kept; the level is computed once, for both."""
     padp = padp_ma(rx, ry, theta_deg, config.scan.phi_deg, config.pad_factor)
     if snapshot_hook is not None:
         snapshot_hook(q, padp)
     return padp.level_db(), padp.delay_s, padp.phi_deg
 
 
-def _find_path(rx: CfrSet, ry: CfrSet, config: EstimatorConfig, q: int,
-               gates: dict[int, np.ndarray], snapshot_hook):
+def _find_path(rx: CfrSet, ry: CfrSet, config: EstimatorConfig, q: int, snapshot_hook):
     """Iteration q up to the subtraction: detect, then test the profile's
     maxima in descending order and fit the first that passes. Returns the
     fitted path and the IterationDiagnostics fields known by then, or None
-    when nothing is left to detect. gates maps a delay bin to its bit-packed
-    gate. The beam, the profile's level and the column responses die on
-    return."""
+    when nothing is left to detect.
+
+    The maxima are read from the walk in batches that double up to the
+    _BATCH_BYTES cap. Each batch is gated, returned to frequency and tested
+    as one stack, and its decisions are then taken in walk order; the walk's
+    order does not depend on them, so reading ahead is safe. The beam, the
+    profile's level and the column responses die on return."""
     freqs = rx.freqs
     pad = config.pad_factor
     gate_db = config.epsilon_db if config.gate_db is None else config.gate_db
@@ -268,42 +314,60 @@ def _find_path(rx: CfrSet, ry: CfrSet, config: EstimatorConfig, q: int,
     level, delay_s, phi_deg = _residual_level(rx, ry, coarse.theta_deg, config, q,
                                               snapshot_hook)
     padp_peak_db = float(level.max())
+
+    def direction(c):
+        return Direction(coarse.theta_deg, wrap_azimuth(float(phi_deg[c])))
     # The delay responses of both line spectra steered at a column's
-    # direction, computed when a candidate first visits the column.
+    # direction, computed in the batch that first visits the column.
     responses: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    cells = descending_cells(level, padp_peak_db - config.epsilon_db, (2 * pad, 3))
+    cap = max(1, _BATCH_BYTES // (16 * delay_s.size))
+    size = 1
     skipped = 0
-    for r, c in descending_cells(level, padp_peak_db - config.epsilon_db, (2 * pad, 3)):
-        tau_hat = float(delay_s[r]) / 2.0
-        direction = Direction(coarse.theta_deg, wrap_azimuth(float(phi_deg[c])))
-        if r not in gates:
-            kernel = cfr_to_cir(np.exp(-2j * np.pi * freqs.points * tau_hat), freqs, pad)
-            gates[r] = np.packbits(build_label_vector(kernel, gate_db))
-        gate = np.unpackbits(gates[r], count=delay_s.size).view(bool)
-        if c not in responses:
-            uv = uv_map(direction)
-            responses[c] = (cfr_to_cir(line_spectrum(rx, uv.u), freqs, pad),
-                            cfr_to_cir(line_spectrum(ry, uv.v), freqs, pad))
-        gx, gy = (cir_to_cfr(extract_path_cir(cir, gate), freqs, pad)
-                  for cir in responses[c])
+    while batch := list(itertools.islice(cells, size)):
+        packed = {r: _GATES.gates.get((freqs, pad, gate_db, r)) for r, _ in batch}
+        new_bins = [r for r, gate in packed.items() if gate is None]
+        if new_bins:
+            taus = delay_s[new_bins] / 2.0
+            kernels = cfr_to_cir(np.exp(-2j * np.pi * freqs.points * taus[:, None]),
+                                 freqs, pad)
+            for r, kernel in zip(new_bins, kernels):
+                packed[r] = _GATES.add((freqs, pad, gate_db, r),
+                                       build_label_vector(kernel, gate_db))
+        new_cols = sorted({c for _, c in batch if c not in responses})
+        if new_cols:
+            uvs = [uv_map(direction(c)) for c in new_cols]
+            cir_x = cfr_to_cir(np.stack([line_spectrum(rx, uv.u) for uv in uvs]), freqs, pad)
+            cir_y = cfr_to_cir(np.stack([line_spectrum(ry, uv.v) for uv in uvs]), freqs, pad)
+            responses.update(zip(new_cols, zip(cir_x, cir_y)))
+        gate = np.unpackbits(np.stack([packed[r] for r, _ in batch]), axis=-1,
+                             count=delay_s.size).view(bool)
+        gx, gy = (cir_to_cfr(extract_path_cir(np.stack([responses[c][i] for _, c in batch]),
+                                              gate), freqs, pad)
+                  for i in (0, 1))
         try:
-            magnitude = estimate_power(gx, gy, freqs, rx.geometry, pad)
+            magnitudes = estimate_power(gx, gy, freqs, rx.geometry, pad)
         except NoPeakError:
-            magnitude = None
-        # A cross-product artifact is strong in the product profile, but
-        # has no single-axis support at the halved delay. The walk skips
-        # it; it disappears once its parent paths are subtracted.
-        if (magnitude is not None and 20.0 * math.log10(magnitude)
-                >= level[r, c] - CONSISTENCY_MARGIN_DB):
-            tau_hat, inner = refine_delay(gx, gy, freqs, tau_hat, pad)
-            if abs(inner) > 1e-30:
-                phase = float(np.angle(inner))
-                alpha = magnitude * complex(math.cos(phase), math.sin(phase))
-                gate_bins, gate_span = _gate_diag(gate, delay_s)
-                return PathComponent(alpha, direction, tau_hat), dict(
-                    beam_peak_db=float(beam.level_db().max()), padp_peak_db=padp_peak_db,
-                    gate_bins=gate_bins, gate_span_s=gate_span,
-                    candidates_skipped=skipped)
-        skipped += 1
+            magnitudes = np.full(len(batch), np.nan)
+        for i, (r, c) in enumerate(batch):
+            magnitude = float(magnitudes[i])  # NaN: the gated peak is below the floor
+            # A cross-product artifact is strong in the product profile, but
+            # has no single-axis support at the halved delay. The walk skips
+            # it; it disappears once its parent paths are subtracted.
+            if not math.isnan(magnitude) and (20.0 * math.log10(magnitude)
+                                              >= level[r, c] - CONSISTENCY_MARGIN_DB):
+                tau_hat, inner = refine_delay(gx[i], gy[i], freqs,
+                                              float(delay_s[r]) / 2.0, pad)
+                if abs(inner) > 1e-30:
+                    phase = float(np.angle(inner))
+                    alpha = magnitude * complex(math.cos(phase), math.sin(phase))
+                    gate_bins, gate_span = _gate_diag(gate[i], delay_s)
+                    return PathComponent(alpha, direction(c), tau_hat), dict(
+                        beam_peak_db=float(beam.level_db().max()),
+                        padp_peak_db=padp_peak_db, gate_bins=gate_bins,
+                        gate_span_s=gate_span, candidates_skipped=skipped)
+            skipped += 1
+        size = min(2 * size, cap)
     return None
 
 
@@ -321,14 +385,12 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
     if cfr_x.total_power() == 0 and cfr_y.total_power() == 0:
         raise NoPeakError("input CFR is identically zero")
     rx, ry = cfr_x, cfr_y
-    # A candidate's gate depends only on its delay bin, for the whole call.
-    gates: dict[int, np.ndarray] = {}
     alpha_max: float | None = None
     paths: list[EstimatedPath] = []
     diags: list[IterationDiagnostics] = []
     stop_reason = "max-iterations"
     for q in range(config.max_iterations):
-        found = _find_path(rx, ry, config, q, gates, snapshot_hook)
+        found = _find_path(rx, ry, config, q, snapshot_hook)
         if found is None:
             stop_reason = "dynamic-range"
             break

@@ -10,7 +10,10 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
+from masounder.channel import add_noise, gen_ma_cfr
 from masounder.cli import main
+from masounder.scenario import parse_scenario
+from masounder.sic import run_sic
 
 from conftest import scenario_path
 
@@ -59,3 +62,30 @@ def test_table2_mimic_comparison_matches_golden(tmp_path):
     _run("compare", "--config", scenario_path("table2_mimic"), "--out", str(tmp_path))
     assert (tmp_path / "comparison.csv").read_bytes() == \
         (GOLDEN / "table2_mimic_comparison.csv").read_bytes()
+
+
+def _sic_reports():
+    """(name, run_sic report) for noiseless table1_small and table1, and for
+    table1_small with noise realisation k (ma_x seed 2k+1, ma_y seed 2k+2,
+    as the benchmark's noisy pool draws it) at 20, 10 and 0 dB."""
+    for name in ("table1_small", "table1"):
+        scenario = parse_scenario(scenario_path(name))
+        cx, cy = gen_ma_cfr(scenario.paths, scenario.ma, scenario.freqs)
+        yield name, run_sic(cx, cy, scenario.estimator_config())
+    scenario = parse_scenario(scenario_path("table1_small"))
+    cx, cy = gen_ma_cfr(scenario.paths, scenario.ma, scenario.freqs)
+    for snr_db in (20, 10, 0):
+        for k in range(5):
+            yield f"table1_small_snr{snr_db}_k{k}", run_sic(
+                add_noise(cx, snr_db, 2 * k + 1), add_noise(cy, snr_db, 2 * k + 2),
+                scenario.estimator_config())
+
+
+def test_sic_reports_match_golden_digests():
+    # the sha256 of repr(report), candidates_skipped and every float included,
+    # as the listing sic_reports.sha256
+    listing = (GOLDEN / "sic_reports.sha256").read_text().splitlines()
+    expected = dict(reversed(line.split("  ", 1)) for line in listing)
+    written = {name: hashlib.sha256(repr(report).encode()).hexdigest()
+               for name, report in _sic_reports()}
+    assert written == expected

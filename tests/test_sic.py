@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -367,10 +368,13 @@ def test_run_sic_fits_only_the_candidates_that_pass(monkeypatch):
     assert len(calls) == len(report.paths) + (not report.diagnostics[-1].accepted)
 
 
-def test_run_sic_tests_candidates_from_per_run_caches(monkeypatch):
+def test_run_sic_keeps_column_responses_per_iteration_and_gates_across_calls(monkeypatch):
     # noise seeds 9 and 10 at 10 dB: many candidates share a column or a
-    # delay bin. A column's two line spectra are computed once per
-    # iteration, a delay bin's gate once per run.
+    # delay bin. The walk reads cells ahead of its decisions, in batches. A
+    # column's two line spectra are computed once per iteration for the cells
+    # read; a delay bin's gate at most once per (grid, pad factor, gate_db,
+    # bin), across calls.
+    monkeypatch.setattr(sic, "_GATES", sic._GateCache())
     spectra = _count_calls(monkeypatch, "line_spectrum")
     gates = _count_calls(monkeypatch, "build_label_vector")
     walks = []
@@ -382,18 +386,29 @@ def test_run_sic_tests_candidates_from_per_run_caches(monkeypatch):
             walks[-1].append(cell)
             yield cell
     monkeypatch.setattr(sic, "descending_cells", walk)
-    counts = []
-    for _ in range(2):
+    scenario = parse_scenario(scenario_path("table1_small"))
+    cx, cy = gen_ma_cfr(scenario.paths, scenario.ma, scenario.freqs)
+    cx, cy = add_noise(cx, 10.0, 9), add_noise(cy, 10.0, 10)
+    config = scenario.estimator_config()
+    runs = []
+    for gate_db in (None, None, 20.0):
         spectra.clear(), gates.clear(), walks.clear()
-        report = _table1_small(noise_seeds=(9, 10), snr_db=10.0)
+        report = run_sic(cx, cy, dataclasses.replace(config, gate_db=gate_db))
         visited = sum(len(cells) for cells in walks)
         columns = sum(len({c for _, c in cells}) for cells in walks)
         bins = len({r for cells in walks for r, _ in cells})
         assert visited > columns and visited > bins
         assert len(spectra) == 2 * columns
-        assert len(gates) == bins
-        counts.append((len(report.paths), len(spectra), len(gates)))
-    assert counts[0] == counts[1]
+        runs.append((repr(report), bins, len(gates)))
+    (first, bins, built), (second, _, rebuilt), (_, other_bins, other_built) = runs
+    assert second == first
+    assert (built, rebuilt) == (bins, 0)
+    assert other_built == other_bins  # another gate_db is another key
+    cached = list(sic._GATES.gates.values())
+    assert len(cached) == bins + other_bins
+    assert not any(gate.flags.writeable for gate in cached)
+    with pytest.raises(ValueError):
+        cached[0][0] = 0
 
 
 @pytest.mark.parametrize("name,noise_seeds,limit_mib", [
