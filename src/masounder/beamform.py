@@ -66,23 +66,24 @@ class UvBeam:
 
 @dataclass(frozen=True)
 class Padp:
-    """Complex angle-delay profile over (delay, phi) at fixed elevation."""
+    """Angle-delay profile over (delay, phi) at fixed elevation, held as its
+    level in dB (read-only)."""
 
-    values: np.ndarray  # (n_delay, n_phi)
+    level: np.ndarray  # (n_delay, n_phi)
     delay_s: np.ndarray
     phi_deg: np.ndarray
     theta_deg: float
-    kind: str  # 'ura' | 'ma'
+    kind: str  # 'ura' | 'ma': the dB convention of the level
+
+    def __post_init__(self):
+        # Every caller shares the one level, so it is held through a
+        # read-only view; the caller's array keeps its own flags.
+        level = np.asarray(self.level, dtype=float).view()
+        level.flags.writeable = False
+        object.__setattr__(self, "level", level)
 
     def level_db(self) -> np.ndarray:
-        """The level, computed on the first call and kept with the profile.
-        Every caller shares it, so it is read-only."""
-        level = self.__dict__.get("_level")
-        if level is None:
-            level = _level_db(self.values, self.kind)
-            level.flags.writeable = False
-            object.__setattr__(self, "_level", level)
-        return level
+        return self.level
 
 
 def _freq_index(freqs: FrequencyGrid, f_hz: float) -> int:
@@ -284,14 +285,27 @@ def cir_to_cfr(cir: np.ndarray, freqs: FrequencyGrid, pad_factor: int) -> np.nda
     return np.fft.fft(cir * descreen, axis=-1)[..., :L] * (L / n)
 
 
+# _padp takes the profile's level a block of azimuths at a time, the block's
+# complex delay responses at most this many bytes, so that the complex
+# profile is never held whole.
+_PADP_BLOCK_BYTES = 2 ** 19
+
+
 def _padp(spectrum: np.ndarray, cfr: CfrSet, theta_deg: float, phi_deg: np.ndarray,
           pad_factor: int, window, kind: str) -> Padp:
-    """Window the (phi, frequency) beam spectrum and transform it to delay."""
+    """Window the (phi, frequency) beam spectrum, transform it to delay and
+    take its level, one block of azimuth rows at a time. A row's transform
+    and level do not depend on the rows stacked with it."""
     win = _resolve_window(window, cfr.freqs.n_points)
-    if win is not None:
-        spectrum = spectrum * win
-    values = cfr_to_cir(spectrum, cfr.freqs, pad_factor).T
-    return Padp(values, delay_axis(cfr.freqs, pad_factor), phi_deg, theta_deg, kind)
+    n_delay = cfr.freqs.n_points * pad_factor
+    level = np.empty((phi_deg.size, n_delay))
+    step = max(1, _PADP_BLOCK_BYTES // (16 * n_delay))
+    for start in range(0, phi_deg.size, step):
+        rows = spectrum[start:start + step]
+        if win is not None:
+            rows = rows * win
+        level[start:start + step] = _level_db(cfr_to_cir(rows, cfr.freqs, pad_factor), kind)
+    return Padp(level.T, delay_axis(cfr.freqs, pad_factor), phi_deg, theta_deg, kind)
 
 
 def padp_ura(cfr: CfrSet, theta_deg: float, phi_deg: np.ndarray,
@@ -368,14 +382,21 @@ def descending_cells(level: np.ndarray, floor: float,
     """Cells of a 2-D grid from the strongest down to floor, -inf excluded.
     Each step yields the first maximum in C order (ties go to the lowest row,
     then column) and hides the cells within half_box = (rows, cols) of it.
-    A NaN anywhere ends the walk before its first cell."""
-    # Each column of level is one contiguous row of work, so the columns a
-    # box hides are re-reduced alone: top[c] is column c's maximum and
-    # first[c] the row where it first occurs.
-    work = np.array(np.asarray(level, dtype=float).T, order="C")
+    A NaN anywhere ends the walk before its first cell. level is read in
+    place, never written."""
+    # Each column of level is one row of work, so the columns a box hides
+    # are re-reduced alone: top[c] is column c's maximum among the cells not
+    # hidden and first[c] the row where it first occurs. A Padp's level is
+    # stored so that its columns are contiguous.
+    work = np.asarray(level, dtype=float).T
     if work.size == 0:
         raise ValueError("empty grid")
-    top, first = work.max(axis=1), work.argmax(axis=1)
+    hidden = np.zeros(work.shape, bool)
+    # argmax copies a read-only input whole, so the first maxima are found
+    # on a one-byte mask. A row holding NaN would get no true first maximum,
+    # but its NaN ends the walk before first is read.
+    top = work.max(axis=1)
+    first = (work == top[:, None]).argmax(axis=1)
     dr, dc = half_box
     while True:
         peak = top.max()
@@ -385,39 +406,65 @@ def descending_cells(level: np.ndarray, floor: float,
         c = int(cols[np.argmin(first[cols])])
         r = int(first[c])
         yield r, c
-        hidden = slice(max(c - dc, 0), c + dc + 1)
-        work[hidden, max(r - dr, 0):r + dr + 1] = -np.inf
-        top[hidden], first[hidden] = work[hidden].max(axis=1), work[hidden].argmax(axis=1)
+        box = slice(max(c - dc, 0), c + dc + 1)
+        hidden[box, max(r - dr, 0):r + dr + 1] = True
+        shown = np.where(hidden[box], -np.inf, work[box])
+        top[box], first[box] = shown.max(axis=1), shown.argmax(axis=1)
 
 
-def _box3(grid: np.ndarray, fill, reduce) -> np.ndarray:
-    """reduce (np.maximum or np.minimum) over each cell's 3 x 3 neighbourhood,
-    cells off the grid reading as fill: first across rows, then columns."""
-    p = np.pad(grid, 1, constant_values=fill)
-    p = reduce(reduce(p[:-2], p[1:-1]), p[2:])
-    return reduce(reduce(p[:, :-2], p[:, 1:-1]), p[:, 2:])
+# Local maxima are found in blocks of rows of about this many cells.
+_PEAK_BLOCK_CELLS = 2 ** 16
+
+
+def _local_maxima(level: np.ndarray) -> np.ndarray:
+    """Flat C-order indices, ascending, of the cells of level >= all 8
+    neighbours, cells off the grid reading as -inf."""
+    n_rows, n_cols = level.shape
+    step = max(1, _PEAK_BLOCK_CELLS // n_cols)
+    cells = []
+    for start in range(0, n_rows, step):
+        stop = min(start + step, n_rows)
+        # the rows on either side of the block hold its cells' neighbours
+        lo = max(start - 1, 0)
+        p = np.pad(level[lo:stop + 1], 1, constant_values=-np.inf)
+        p = np.maximum(np.maximum(p[:-2], p[1:-1]), p[2:])[start - lo:stop - lo]
+        top = np.maximum(np.maximum(p[:, :-2], p[:, 1:-1]), p[:, 2:])
+        cells.append(np.flatnonzero(level[start:stop] >= top) + start * n_cols)
+    return np.concatenate(cells)
 
 
 def _plateau_peaks(level: np.ndarray) -> np.ndarray:
     """level at cells >= all 8 neighbours, -inf elsewhere. An equal-valued
     plateau keeps only its first cell in C order."""
-    mask = level >= _box3(level, -np.inf, np.maximum)
+    cells = _local_maxima(level)
     # Adjacent local maxima have equal levels, so each 8-connected component
-    # of the mask is one plateau. Labels are flat indices; off-plateau cells
-    # hold n. Each cell takes the least label in its neighbourhood, then the
-    # label of the cell that one names (pointer jumping), until nothing
-    # changes: every label then names its plateau's first cell.
-    n = level.size
-    index = np.arange(n).reshape(level.shape)
-    label = np.where(mask, index, n)
+    # of the cells is one plateau. Each cell is linked to the cells after it
+    # in C order that touch it: right, below left, below and below right.
+    n_cols = level.shape[1]
+    col = cells % n_cols
+    links = []
+    for step, ok in ((1, col < n_cols - 1), (n_cols - 1, col > 0),
+                     (n_cols, True), (n_cols + 1, col < n_cols - 1)):
+        at = np.searchsorted(cells, cells + step)
+        ok = ok & (at < cells.size)
+        ok[ok] &= cells[at[ok]] == cells[ok] + step
+        links.append(np.stack([np.flatnonzero(ok), at[ok]]))
+    a, b = np.concatenate(links, axis=1)
+    # Labels are positions in cells. Each cell takes the least label among
+    # itself and the cells linked to it, then the label of the cell that
+    # one names (pointer jumping), until nothing changes: every label then
+    # names its plateau's first cell.
+    label = np.arange(cells.size)
     while True:
-        low = np.where(mask, _box3(label, n, np.minimum), n)
-        low = np.append(low.ravel(), n)[low]
+        low = label.copy()
+        np.minimum.at(low, a, label[b])
+        np.minimum.at(low, b, label[a])
+        low = low[low]
         if np.array_equal(low, label):
             break
         label = low
-    peaks = np.full(level.shape, -np.inf)
-    first = label == index
+    first = np.unravel_index(cells[label == np.arange(cells.size)], level.shape)
+    peaks = np.full_like(level, -np.inf, dtype=float)
     peaks[first] = level[first]
     return peaks
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import re
+import warnings
 
 import numpy as np
 
@@ -57,6 +58,9 @@ _G_SPEC = re.compile(r"%\.(\d+)g")
 # Bound on the working set of a chunk of lines: its line and mask matrices,
 # each field's words and the kernel's temporaries.
 _CHUNK_BYTES = 2 ** 21
+# read_cfr parses the body in blocks of lines of about this many characters.
+# A block's line strings and rows take about 3 bytes per character.
+_BODY_BLOCK_CHARS = 2 ** 18
 
 
 @functools.cache
@@ -272,71 +276,145 @@ def _parse_header(text: dict[str, str]) -> dict:
     return header
 
 
-def read_cfr(path) -> CfrSet:
-    """Parse a CFR file back into a CfrSet; round-trips write_cfr exactly."""
-    text: dict[str, str] = {}
-    row_dtype = [(name, typ) for name, typ, _ in _ROW]
-    rows = np.empty(0, row_dtype)
-    with open(path) as fh:
-        for skip, line in enumerate(fh):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                try:
-                    # The headers end at the first body row. loadtxt reads on from
-                    # there in C, and takes any later '#' line as a comment.
-                    rows = np.loadtxt(path, row_dtype, delimiter=",", comments="#",
-                                      skiprows=skip, ndmin=1)
-                except ValueError as exc:
-                    raise CfrFormatError(f"malformed body row: {exc}") from exc
-                break
-            key, _, value = line[1:].partition("=")
-            text[key.strip()] = value.strip()
+def _header_spec(text: dict[str, str]) -> tuple[dict, FrequencyGrid, MaGeometry | UraGeometry]:
+    """The header values, sweep and geometry the header text declares."""
     header = _parse_header(text)
-    layout, L = header["layout"], header["n_freq"]
-    freqs = FrequencyGrid(header["f_start_hz"], header["f_stop_hz"], L)
+    freqs = FrequencyGrid(header["f_start_hz"], header["f_stop_hz"], header["n_freq"])
     if header["format_version"] not in (1, FORMAT_VERSION):
         raise CfrFormatError(f"unsupported format_version {header['format_version']}")
     if header["narrowband_phase"] not in (0, 1):
         raise CfrFormatError(f"narrowband_phase must be 0 or 1, "
                              f"not {header['narrowband_phase']}")
     nx, ny, spacing = header["n_elem_x"], header["n_elem_y"], header["spacing_wl"]
-    if layout == "ura":
-        geometry = UraGeometry(nx, ny, spacing, spacing)
-    elif layout in ("ma_x", "ma_y"):
-        geometry = MaGeometry(nx, ny, spacing)
-    else:
-        raise CfrFormatError(f"unknown layout {layout!r}")
-    # The counts come from the header, so until the body is known to hold a
-    # row per entry they are only compared with, never used to size an array.
-    cx, cy = _index_counts(layout, nx, ny)
-    hx, hy = cx // 2, cy // 2
+    if header["layout"] == "ura":
+        return header, freqs, UraGeometry(nx, ny, spacing, spacing)
+    if header["layout"] in ("ma_x", "ma_y"):
+        return header, freqs, MaGeometry(nx, ny, spacing)
+    raise CfrFormatError(f"unknown layout {header['layout']!r}")
+
+
+def _row_faults(rows: np.ndarray, layout: str, hx: int, hy: int, L: int) -> list:
+    """For each body row check, in order (frequency index, element index,
+    finite value), the message naming the first of rows that fails it, or
+    None."""
     m, n, l = rows["m"], rows["n"], rows["l"]
     bad_l = np.flatnonzero((l < 0) | (l >= L))
-    if bad_l.size:
-        raise CfrFormatError(f"frequency index {l[bad_l[0]]} out of range")
-    bad = np.flatnonzero((m < -hx) | (m > hx) | (n < -hy) | (n > hy))
-    if bad.size:
-        raise CfrFormatError(f"element index (elem_index_x, elem_index_y) out of range "
-                             f"for layout {layout} in body row {rows[bad[0]]}")
-    bad = np.flatnonzero(~(np.isfinite(rows["re"]) & np.isfinite(rows["im"])))
-    if bad.size:
-        raise CfrFormatError(f"non-finite value in body row {rows[bad[0]]}")
+    bad_mn = np.flatnonzero((m < -hx) | (m > hx) | (n < -hy) | (n > hy))
+    bad_value = np.flatnonzero(~(np.isfinite(rows["re"]) & np.isfinite(rows["im"])))
+    return [None if not bad_l.size else f"frequency index {l[bad_l[0]]} out of range",
+            None if not bad_mn.size else (
+                f"element index (elem_index_x, elem_index_y) out of range "
+                f"for layout {layout} in body row {rows[bad_mn[0]]}"),
+            None if not bad_value.size else
+            f"non-finite value in body row {rows[bad_value[0]]}"]
+
+
+def _line_count(fh) -> int:
+    """Lines from the position of the text file fh to its end, as iterating
+    over fh yields them."""
+    count, last = 0, "\n"
+    for chunk in iter(lambda: fh.read(2 ** 16), ""):
+        count += chunk.count("\n")
+        last = chunk[-1]
+    return count + (last != "\n")
+
+
+def _body_rows(fh, first):
+    """The rows of the body that starts at line first and goes on in fh, one
+    block of about _BODY_BLOCK_CHARS characters of lines at a time. '#'
+    lines are comments."""
+    row_dtype = [(name, typ) for name, typ, _ in _ROW]
+    lines = [] if first is None else [first, *fh.readlines(_BODY_BLOCK_CHARS)]
+    n_rows = 0
+    while lines:
+        try:
+            with warnings.catch_warnings():
+                # a block of blank and comment lines holds no rows
+                warnings.filterwarnings("ignore", "loadtxt: ", UserWarning)
+                rows = np.loadtxt(lines, row_dtype, delimiter=",", comments="#", ndmin=1)
+        except ValueError as exc:
+            # loadtxt numbers the rows of its own input
+            message = re.sub(r"at row (\d+)",
+                             lambda match: f"at row {int(match[1]) + n_rows}", str(exc))
+            raise CfrFormatError(f"malformed body row: {message}") from exc
+        n_rows += rows.size
+        yield rows
+        lines = fh.readlines(_BODY_BLOCK_CHARS)
+
+
+def _body_values(blocks, header: dict, n_lines: int) -> np.ndarray:
+    """The values of the entries the header declares, scattered from the
+    blocks of body rows. The body has n_lines lines. A fault is raised after
+    the last block, the first of these the rows have: a frequency index out
+    of range, an element index out of range, a non-finite value, fewer rows
+    than entries, and a repeated entry. Each names the first row at fault, a
+    repeated entry the lowest one."""
+    layout, L = header["layout"], header["n_freq"]
+    cx, cy = _index_counts(layout, header["n_elem_x"], header["n_elem_y"])
+    hx, hy = cx // 2, cy // 2
     size = cx * cy * L
-    if rows.size < size:
-        raise CfrFormatError(f"body covers {rows.size} entries at most, "
-                             f"header implies {size}")
-    # With at least one in-range row per entry, the rows cover every entry
-    # unless one repeats.
     shape = (cx, cy, L) if layout == "ura" else (cx * cy, L)
-    flat = ((m + hx) * cy + n + hy) * L + l
-    counts = np.bincount(flat, minlength=size)
-    if np.any(counts > 1):
-        key = np.unravel_index(np.flatnonzero(counts > 1)[0], shape)
+    # The counts come from the header, so until the file is known to hold a
+    # line per entry they are only compared with, never used to size an array.
+    values = seen = None
+    if n_lines >= size:
+        values, seen = np.empty(size, complex), np.zeros(size, bool)
+    faults = [None, None, None]
+    n_rows, repeat = 0, size  # repeat: the lowest repeated entry, size for none
+    for rows in blocks:
+        n_rows += rows.size
+        faults = [old or new for old, new in zip(faults, _row_faults(rows, layout, hx, hy, L))]
+        if values is None or any(faults):
+            continue
+        flat = ((rows["m"] + hx) * cy + rows["n"] + hy) * L + rows["l"]
+        ordered = np.sort(flat)
+        repeats = np.concatenate([flat[seen[flat]], ordered[1:][ordered[1:] == ordered[:-1]]])
+        repeat = min(repeat, repeats.min(initial=size))
+        seen[flat] = True
+        # Real and imaginary parts are set separately: re + 1j*im would turn
+        # a -0.0 real part into +0.0.
+        values.real[flat] = rows["re"]
+        values.imag[flat] = rows["im"]
+    for fault in faults:
+        if fault is not None:
+            raise CfrFormatError(fault)
+    if values is None or n_rows < size:
+        raise CfrFormatError(f"body covers {n_rows} entries at most, "
+                             f"header implies {size}")
+    if repeat < size:
+        key = np.unravel_index(repeat, shape)
         raise CfrFormatError(f"duplicate row for entry {tuple(int(k) for k in key)}")
-    values = np.empty(size, complex)
-    # Real and imaginary parts are set separately: re + 1j*im would turn a
-    # -0.0 real part into +0.0.
-    values.real[flat] = rows["re"]
-    values.imag[flat] = rows["im"]
-    return CfrSet(layout, values.reshape(shape), freqs, geometry, header["ref_freq_hz"],
+    return values.reshape(shape)
+
+
+def read_cfr(path) -> CfrSet:
+    """Parse a CFR file back into a CfrSet; round-trips write_cfr exactly.
+
+    The body is parsed a block of lines at a time, and each block is
+    scattered into the values before the next is read. A malformed row is
+    reported first, then a fault of the header, then one of the rows (see
+    _body_values).
+    """
+    text: dict[str, str] = {}
+    with open(path) as fh:
+        n_lines = _line_count(fh)
+        fh.seek(0)
+        first = None
+        for skip, line in enumerate(fh):
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                first = line  # the headers end at the first body row
+                break
+            key, _, value = stripped[1:].partition("=")
+            text[key.strip()] = value.strip()
+        else:
+            skip = n_lines
+        try:
+            header, freqs, geometry = _header_spec(text)
+        except ValueError:
+            for _ in _body_rows(fh, first):  # a malformed row comes first
+                pass
+            raise
+        values = _body_values(_body_rows(fh, first), header, n_lines - skip)
+    return CfrSet(header["layout"], values, freqs, geometry, header["ref_freq_hz"],
                   header["narrowband_phase"] == 1)

@@ -159,34 +159,25 @@ def _write_beam_csv(path: Path, beam) -> None:
     _write_csv(path, "u,v,level_db\n", u, v, beam.level_db())
 
 
-def _write_padp_csv(path: Path, phi_deg, delay_s, level) -> None:
-    """A PADP cut given as its azimuth and delay axes and its (delay, azimuth)
-    level in dB, one line per azimuth and delay."""
+def _write_padp_csv(path: Path, padp) -> None:
+    """A PADP cut, one line per azimuth and delay."""
     # azimuths in [0, 360), as paths.csv and comparison.csv write them
-    _write_csv(path, "azimuth_deg,delay_ns,level_db\n", wrap_azimuth(phi_deg[:, None]),
-               delay_s * 1e9, level.T)
-
-
-def _padp_cut(padp):
-    """The arguments after the path of _write_padp_csv for padp: its level
-    replaces the complex values, which the caller can then drop."""
-    return padp.phi_deg, padp.delay_s, padp.level_db()
+    _write_csv(path, "azimuth_deg,delay_ns,level_db\n", wrap_azimuth(padp.phi_deg[:, None]),
+               padp.delay_s * 1e9, padp.level_db().T)
 
 
 def _ura_scan(cfr, scenario: Scenario, grid, theta: float):
-    """Beam and PADP cut of a URA CFR, the cut as _padp_cut gives it."""
+    """Beam and PADP cut of a URA CFR."""
     taper = scenario.ura_taper()
     return (cbf_ura(cfr, grid, scenario.freqs.f_center_hz, taper),
-            _padp_cut(padp_ura(cfr, theta, grid.phi_deg, scenario.pad_factor,
-                               taper=taper)))
+            padp_ura(cfr, theta, grid.phi_deg, scenario.pad_factor, taper=taper))
 
 
 def _ma_scan(ma_x, ma_y, scenario: Scenario, grid, theta: float):
-    """Beam and PADP cut of a pair of MA CFRs, the cut as _padp_cut gives it."""
+    """Beam and PADP cut of a pair of MA CFRs."""
     taper = scenario.ma_taper()
     return (cbf_ma(ma_x, ma_y, grid, scenario.freqs.f_center_hz, taper),
-            _padp_cut(padp_ma(ma_x, ma_y, theta, grid.phi_deg, scenario.pad_factor,
-                              taper=taper)))
+            padp_ma(ma_x, ma_y, theta, grid.phi_deg, scenario.pad_factor, taper=taper))
 
 
 @main.command("beamscan")
@@ -214,9 +205,9 @@ def cmd_beamscan(config_path, out_dir, quiet, cfr_dir, theta_deg):
                                  grid, theta)
     if not results:
         raise OSError(f"no CFR files found under {src}")
-    for kind, (beam, cut) in results.items():
+    for kind, (beam, padp) in results.items():
         _write_beam_csv(out / f"{kind}_beam.csv", beam)
-        _write_padp_csv(out / f"{kind}_padp.csv", *cut)
+        _write_padp_csv(out / f"{kind}_padp.csv", padp)
     if not quiet:
         click.echo(f"beam/PADP CSVs written to {out}")
 
@@ -236,7 +227,7 @@ def cmd_estimate(config_path, out_dir, quiet, cfr_dir):
     ma_x, ma_y = read_cfr(ma_x_file), read_cfr(ma_y_file)
 
     def snapshot(q, padp):
-        _write_padp_csv(out / f"ma_padp_iter{q}.csv", *_padp_cut(padp))
+        _write_padp_csv(out / f"ma_padp_iter{q}.csv", padp)
 
     report = run_sic(ma_x, ma_y, scenario.estimator_config(), snapshot_hook=snapshot)
     with open(out / "paths.csv", "w") as fh:

@@ -282,17 +282,6 @@ _GATES = _GateCache()
 _BATCH_BYTES = 2 ** 18
 
 
-def _residual_level(rx: CfrSet, ry: CfrSet, theta_deg: float, config: EstimatorConfig,
-                    q: int, snapshot_hook) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Level in dB of the residual angle-delay profile cut at theta_deg, with
-    its delay and azimuth axes. The complex profile, which snapshot_hook
-    receives, is not kept; the level is computed once, for both."""
-    padp = padp_ma(rx, ry, theta_deg, config.scan.phi_deg, config.pad_factor)
-    if snapshot_hook is not None:
-        snapshot_hook(q, padp)
-    return padp.level_db(), padp.delay_s, padp.phi_deg
-
-
 def _find_path(rx: CfrSet, ry: CfrSet, config: EstimatorConfig, q: int, snapshot_hook):
     """Iteration q up to the subtraction: detect, then test the profile's
     maxima in descending order and fit the first that passes. Returns the
@@ -303,7 +292,7 @@ def _find_path(rx: CfrSet, ry: CfrSet, config: EstimatorConfig, q: int, snapshot
     _BATCH_BYTES cap. Each batch is gated, returned to frequency and tested
     as one stack, and its decisions are then taken in walk order; the walk's
     order does not depend on them, so reading ahead is safe. The beam, the
-    profile's level and the column responses die on return."""
+    profile and the column responses die on return."""
     freqs = rx.freqs
     pad = config.pad_factor
     gate_db = config.epsilon_db if config.gate_db is None else config.gate_db
@@ -311,8 +300,10 @@ def _find_path(rx: CfrSet, ry: CfrSet, config: EstimatorConfig, q: int, snapshot
     if np.abs(beam.values).max() <= 1e-30:
         return None
     coarse = detect_strongest(beam)
-    level, delay_s, phi_deg = _residual_level(rx, ry, coarse.theta_deg, config, q,
-                                              snapshot_hook)
+    padp = padp_ma(rx, ry, coarse.theta_deg, config.scan.phi_deg, pad)
+    if snapshot_hook is not None:
+        snapshot_hook(q, padp)
+    level, delay_s, phi_deg = padp.level, padp.delay_s, padp.phi_deg
     padp_peak_db = float(level.max())
 
     def direction(c):
@@ -378,7 +369,8 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
     iteration cap is reached. The reference amplitude is frozen at the first
     detected path.
     snapshot_hook(q, padp), when given, receives the residual angle-delay
-    profile at the start of each iteration."""
+    profile at the start of each iteration: a Padp, which holds the
+    profile's level in dB, not its complex values."""
     check_ma_pair(cfr_x, cfr_y, "run_sic")
     if not (np.isfinite(cfr_x.values).all() and np.isfinite(cfr_y.values).all()):
         raise ValueError("input CFR has non-finite values")

@@ -3,14 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from masounder.beamform import (BeamPattern, Padp, UvBeam, _delay_phasors,
-                                cbf_ma, cbf_ma_uv, cbf_ura,
+from masounder.beamform import (BeamPattern, Padp, UvBeam, _delay_phasors, _level_db,
+                                _ma_beam, _ura_beam, cbf_ma, cbf_ma_uv, cbf_ura,
                                 cfr_to_cir, cir_to_cfr, find_peaks, line_spectrum,
                                 padp_ma, padp_ura, predict_ma_terms)
 from masounder.channel import gen_ma_cfr, gen_ura_cfr
 from masounder.geometry import (Direction, FrequencyGrid, MaGeometry,
                                 PathComponent, ScanGrid, UraGeometry,
                                 delay_axis, scan_cosines, uv_map)
+from masounder.scenario import parse_scenario
+
+from conftest import scenario_path
 
 FREQS = FrequencyGrid(26e9, 30e9, 64)
 SHORT_PATHS = [
@@ -35,6 +38,20 @@ def brute_force_ura_beam(cfr, theta_deg, phi_deg, f_index, taper=None):
                       * np.exp(-2j * np.pi * geo.dy_wl * n * uv.v * scale))
             total += weight * cfr.values[a, b, f_index]
     return total / (np.sum(np.abs(tx)) * np.sum(np.abs(ty)))
+
+
+def whole_profile(spectrum, freqs, pad_factor, kind):
+    """The complex (delay, azimuth) profile of a cut's (azimuth, frequency)
+    beam spectrum, transformed whole, and its level: a Padp takes its level
+    block by block, and must hold this one bit for bit."""
+    profile = cfr_to_cir(spectrum, freqs, pad_factor).T
+    return profile, _level_db(profile, kind)
+
+
+def ura_cut_spectrum(cfr, theta_deg, phi_deg, taper=None):
+    """The (azimuth, frequency) beam spectrum padp_ura transforms."""
+    u, v = scan_cosines(np.array([theta_deg]), phi_deg)
+    return _ura_beam(cfr, u, v, taper, slice(None))[0]
 
 
 def brute_force_ma_beam(cfr_x, cfr_y, theta_deg, phi_deg, f_index):
@@ -79,11 +96,13 @@ def test_wideband_cbf_ura_and_padp_ura_match_brute_force():
                 assert beam.values[i, j] == pytest.approx(expect, abs=1e-9)
     phi_axis = np.array([120.0, 200.0])
     padp = padp_ura(cfr, 45.0, phi_axis, pad_factor=2)
+    profile, level = whole_profile(ura_cut_spectrum(cfr, 45.0, phi_axis), FREQS, 2, "ura")
+    assert padp.level.tobytes() == level.tobytes()
     tau = delay_axis(FREQS, 2)
     for ti in (0, 7, 100):
         for j, phi in enumerate(phi_axis):
             expect = brute_force_padp_value(cfr, 45.0, phi, tau[ti])
-            assert padp.values[ti, j] == pytest.approx(expect, abs=1e-9)
+            assert profile[ti, j] == pytest.approx(expect, abs=1e-9)
 
 
 def test_cbf_ma_matches_brute_force():
@@ -185,7 +204,10 @@ def test_wideband_line_spectrum_and_padp_ma_match_per_column_steering():
     for tp in (None, taper):
         x_sum, y_sum = per_column_line_sums(cx, cy, u, v, tp)
         padp = padp_ma(cx, cy, 60.0, np.array([100.0, 120.0, 200.0]), 2, taper=tp)
-        assert_close_to_peak(padp.values, cfr_to_cir(x_sum * y_sum, FREQS, 2).T)
+        profile, level = whole_profile(_ma_beam(cx, cy, u, v, tp, slice(None))[0],
+                                       FREQS, 2, "ma")
+        assert padp.level.tobytes() == level.tobytes()
+        assert_close_to_peak(profile, cfr_to_cir(x_sum * y_sum, FREQS, 2).T)
 
 
 def test_narrowband_line_spectrum_and_padp_ma_are_bitwise_steering_products():
@@ -203,7 +225,9 @@ def test_narrowband_line_spectrum_and_padp_ma_are_bitwise_steering_products():
         y_sum = (conj_steer(geo.y_indices, geo.d_wl, v, 1.0).T
                  @ (ty[:, None] * cy.values) / np.sum(np.abs(ty)))
         padp = padp_ma(cx, cy, 60.0, phi, 2, taper=(tx, ty))
-        assert padp.values.tobytes() == cfr_to_cir(x_sum * y_sum, FREQS, 2).T.tobytes()
+        spectrum = _ma_beam(cx, cy, u, v, (tx, ty), slice(None))[0]
+        assert spectrum.tobytes() == (x_sum * y_sum).tobytes()
+        assert padp.level.tobytes() == whole_profile(spectrum, FREQS, 2, "ma")[1].tobytes()
 
 
 def test_cbf_ma_on_a_large_scan_allocates_no_steering_matrix():
@@ -219,6 +243,29 @@ def test_cbf_ma_on_a_large_scan_allocates_no_steering_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("name,kind", [("table1", "ma"), ("fig5", "ura")])
+def test_padp_peak_stays_below_one_complex_profile(name, kind):
+    # The profile's level is taken a block of azimuths at a time, so the
+    # (delay x azimuth) complex profile, 16.6 MiB at these scenarios, never
+    # exists; the level itself is half of it.
+    s = parse_scenario(scenario_path(name))
+    phi = s.scan_grid().phi_deg
+    if kind == "ura":
+        padp_of, cfrs = padp_ura, [gen_ura_cfr(s.paths, s.ura, s.freqs)]
+    else:
+        padp_of, cfrs = padp_ma, gen_ma_cfr(s.paths, s.ma, s.freqs)
+    tracemalloc.start()
+    try:
+        padp = padp_of(*cfrs, s.compare_theta_deg, phi, s.pad_factor)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert padp.level.shape == (s.freqs.n_points * s.pad_factor, phi.size)
+    assert peak < 16 * padp.level.size
+    with pytest.raises(ValueError, match="read-only"):
+        padp.level[0, 0] = 0.0
 
 
 def test_cached_delay_phasors_are_read_only():
@@ -321,11 +368,13 @@ def test_padp_ura_matches_brute_force():
     cfr = gen_ura_cfr(SHORT_PATHS, geo, FREQS)
     phi_axis = np.array([120.0, 200.0])
     padp = padp_ura(cfr, 45.0, phi_axis, pad_factor=2)
+    profile, level = whole_profile(ura_cut_spectrum(cfr, 45.0, phi_axis), FREQS, 2, "ura")
+    assert padp.level.tobytes() == level.tobytes()
     tau = delay_axis(FREQS, 2)
     for ti in (0, 7, 100):
         for j, phi in enumerate(phi_axis):
             expect = brute_force_padp_value(cfr, 45.0, phi, tau[ti])
-            assert padp.values[ti, j] == pytest.approx(expect, abs=1e-9)
+            assert profile[ti, j] == pytest.approx(expect, abs=1e-9)
 
 
 def test_padp_ma_doubles_path_delay():
@@ -333,7 +382,7 @@ def test_padp_ma_doubles_path_delay():
     geo = MaGeometry(9, 9)
     cx, cy = gen_ma_cfr([path], geo, FREQS)
     padp = padp_ma(cx, cy, 90.0, np.array([180.0]), pad_factor=4)
-    tau_peak = padp.delay_s[int(np.argmax(np.abs(padp.values[:, 0])))]
+    tau_peak = padp.delay_s[int(np.argmax(padp.level[:, 0]))]
     assert tau_peak == pytest.approx(4e-9, abs=padp.delay_s[1])
 
 
@@ -382,13 +431,13 @@ def test_padp_window_suppresses_delay_sidelobes():
     cfr = gen_ura_cfr([path], geo, FREQS)
     plain = padp_ura(cfr, 90.0, np.array([180.0]), pad_factor=4)
     windowed = padp_ura(cfr, 90.0, np.array([180.0]), pad_factor=4, window="hann")
-    mag_plain = np.abs(plain.values[:, 0])
-    mag_win = np.abs(windowed.values[:, 0])
-    peak = int(np.argmax(mag_plain))
-    far = np.abs(np.arange(mag_plain.size) - peak) > 12
-    # windowing trades a slightly wider main lobe for much lower sidelobes
-    assert mag_win[far].max() < 0.1 * mag_plain[far].max()
-    assert mag_win[peak] == pytest.approx(1.0, abs=0.05)
+    level_plain, level_win = plain.level[:, 0], windowed.level[:, 0]
+    peak = int(np.argmax(level_plain))
+    far = np.abs(np.arange(level_plain.size) - peak) > 12
+    # windowing trades a slightly wider main lobe for much lower sidelobes:
+    # a tenth of the magnitude is 20 dB down
+    assert level_win[far].max() < level_plain[far].max() - 20.0
+    assert 10.0 ** (level_win[peak] / 20.0) == pytest.approx(1.0, abs=0.05)
     with pytest.raises(ValueError):
         padp_ura(cfr, 90.0, np.array([180.0]), window="hamming-typo")
 
@@ -462,8 +511,7 @@ def test_find_peaks_padp_tie_breaks_toward_low_delay():
     level = np.full((20, 5), -40.0)
     level[3, 2] = 0.0
     level[15, 2] = 0.0
-    padp = Padp(10.0 ** (level / 10.0), np.arange(20) * 1e-10,
-                np.arange(5, dtype=float), 90.0, "ma")
+    padp = Padp(level, np.arange(20) * 1e-10, np.arange(5, dtype=float), 90.0, "ma")
     peaks = find_peaks(padp, dynamic_range_db=5)
     assert [p.row for p in peaks] == [3, 15]
     assert peaks[0].delay_s == pytest.approx(3e-10)

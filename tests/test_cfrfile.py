@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -14,6 +15,9 @@ from masounder.cfrfile import (FORMAT_VERSION, CfrFormatError, read_cfr, write_c
 from masounder.channel import CfrSet, gen_ma_cfr, gen_ura_cfr
 from masounder.geometry import (FrequencyGrid, MaGeometry, PathComponent,
                                 UraGeometry)
+from masounder.scenario import parse_scenario
+
+from conftest import scenario_path
 
 FREQS = FrequencyGrid(26e9, 30e9, 12)
 PATHS = [
@@ -427,6 +431,118 @@ def test_read_peak_memory_is_below_two_and_a_half_file_sizes(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * p.stat().st_size
+
+
+@pytest.mark.parametrize("name,layout", [("table1", "ma_x"), ("fig5", "ura")])
+def test_read_peak_memory_is_below_twice_its_output(tmp_path, name, layout):
+    # the body is parsed and scattered a block of lines at a time, so the
+    # values, a one-byte mask per entry and one block are held at the peak
+    s = parse_scenario(scenario_path(name))
+    if layout == "ura":
+        write_cfr(tmp_path / "cfr.csv", gen_ura_cfr(s.paths, s.ura, s.freqs))
+    else:
+        write_cfr(tmp_path / "cfr.csv", gen_ma_cfr(s.paths, s.ma, s.freqs)[0])
+    tracemalloc.start()
+    try:
+        cfr = read_cfr(tmp_path / "cfr.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfr.layout == layout
+    assert peak <= 2 * cfr.values.nbytes
+
+
+def _body_faults(tmp_path, faults, **header_overrides):
+    """A 3 x 1 ma_x file of 12 sweep points, one body row per line, with
+    body line i replaced by faults[i]."""
+    cfr, _ = gen_ma_cfr(PATHS, MaGeometry(3, 3, 0.5), FREQS)
+    write_cfr(tmp_path / "good.csv", cfr)
+    lines = (tmp_path / "good.csv").read_text().splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    for key, value in header_overrides.items():
+        header = [f"# {key}={value}" if line.startswith(f"# {key}=") else line
+                  for line in header]
+    body = lines[len(header):]
+    for i, line in faults.items():
+        body[i] = line
+    path = tmp_path / "faulty.csv"
+    path.write_text("\n".join(header + body) + "\n")
+    return path
+
+
+def _read_error(path, monkeypatch, block_chars):
+    monkeypatch.setattr(cfrfile, "_BODY_BLOCK_CHARS", block_chars)
+    with pytest.raises(ValueError) as info:
+        read_cfr(path)
+    return type(info.value), str(info.value)
+
+
+# A block of 1 character holds one line after the first block's two, so
+# body line 2 opens the second block; 64 characters hold about three lines.
+BLOCK_CHARS = [1, 64, 2 ** 18]
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("1,0,5,abc,1.0", r"malformed body row: .*'abc'.* at row \d+"),
+    ("1,0", r"malformed body row: .* at row \d+"),
+    ("2,0,5,1.0,1.0", r"element index \(elem_index_x, elem_index_y\) out of range "
+                      r"for layout ma_x in body row \(2, 0, 5"),
+    ("1,0,12,1.0,1.0", r"frequency index 12 out of range$"),
+    ("1,0,5,nan,1.0", r"non-finite value in body row \(1, 0, 5"),
+    ("-1,0,0,1.0,1.0", r"duplicate row for entry \(0, 0\)$"),
+], ids=["non-numeric", "short", "element-index", "frequency-index", "non-finite",
+        "duplicate"])
+def test_read_fault_past_the_first_block_keeps_its_message(tmp_path, monkeypatch,
+                                                           fault, message):
+    path = _body_faults(tmp_path, {2: fault})
+    # One block holds the whole body: it is parsed as one input, so loadtxt
+    # numbers a malformed row from the first body row.
+    whole = _read_error(path, monkeypatch, 10 ** 9)
+    assert whole[0] is CfrFormatError
+    assert re.search(message, whole[1])
+    for block_chars in BLOCK_CHARS:
+        assert _read_error(path, monkeypatch, block_chars) == whole
+
+
+def test_read_reports_faults_in_a_fixed_order_across_blocks(tmp_path, monkeypatch):
+    # Each fault of the order sits in a later block than the faults after
+    # it, and each step drops one. The repeat of entry (0, 3) is found
+    # first, that of the lower entry (0, 1) later.
+    steps = [(r"malformed body row: ", {}, {33: "1,0,11,1.0"}),
+             (r"unknown layout 'hex'$", {"layout": "hex"}, {}),
+             (r"frequency index 12 ", {}, {27: "1,0,12,1.0,1.0"}),
+             (r"element index ", {}, {21: "2,0,5,1.0,1.0"}),
+             (r"non-finite value ", {}, {16: "0,0,4,inf,1.0"}),
+             (r"duplicate row for entry \(0, 1\)$", {},
+              {6: "-1,0,3,1.0,1.0", 30: "-1,0,1,1.0,1.0"})]
+    for i, (message, _, _) in enumerate(steps):
+        header, faults = {}, {}
+        for _, step_header, step_faults in steps[i:]:
+            header.update(step_header)
+            faults.update(step_faults)
+        path = _body_faults(tmp_path, faults, **header)
+        whole = _read_error(path, monkeypatch, 10 ** 9)
+        assert re.match(message, whole[1]), (message, whole[1])
+        for block_chars in BLOCK_CHARS:
+            assert _read_error(path, monkeypatch, block_chars) == whole
+    # one line fewer than entries: the coverage check comes before repeats
+    path = _body_faults(tmp_path, {6: "-1,0,3,1.0,1.0", 10: "# dropped"})
+    for block_chars in BLOCK_CHARS:
+        assert _read_error(path, monkeypatch, block_chars) == \
+            (CfrFormatError, "body covers 35 entries at most, header implies 36")
+
+
+def test_read_blocks_of_blank_and_comment_lines(tmp_path, monkeypatch):
+    cfr, _ = gen_ma_cfr(PATHS, MaGeometry(3, 3, 0.5), FREQS)
+    path = _body_faults(tmp_path, {})
+    text = path.read_text().replace("\n0,0,", "\n\n# a comment\n\n0,0,")
+    path.write_text(text + "\n" * 200)
+    for block_chars in BLOCK_CHARS:
+        monkeypatch.setattr(cfrfile, "_BODY_BLOCK_CHARS", block_chars)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read_cfr(path)
+        assert got.values.tobytes() == cfr.values.tobytes()
 
 
 def test_read_ma_x_rejects_nonzero_y_index(tmp_path):

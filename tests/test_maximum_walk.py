@@ -8,6 +8,7 @@ threshold filter, a sort and a greedy separation check.
 are kept here as references. Grids of integer dB levels make exact ties common.
 """
 
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -85,19 +86,19 @@ def _integer_levels(seed, shape=(37, 23), low=-12):
 
 
 def _pattern(kind, level, fortran):
-    """A grid of the given type whose level_db() is level, up to rounding
-    that keeps equal levels equal."""
-    scale = 10.0 if kind == "padp" else 20.0
-    values = 10.0 ** (level / scale)
+    """A grid of the given type whose level_db() is level: a Padp holds it,
+    a beam holds field values that give it up to rounding that keeps equal
+    levels equal."""
     if fortran:
-        values = np.asfortranarray(values)
+        level = np.asfortranarray(level)
     n_r, n_c = level.shape
     rows, cols = np.arange(n_r, dtype=float), np.arange(n_c, dtype=float)
+    if kind == "padp":
+        return Padp(level, rows * 1e-10, cols, 90.0, "ma")
+    values = 10.0 ** (level / 20.0)
     if kind == "beam":
         return BeamPattern(values, rows, cols, 28e9, "ura")
-    if kind == "uv":
-        return UvBeam(values, rows / n_r, cols / n_c, 28e9, "ura")
-    return Padp(values, rows * 1e-10, cols, 90.0, "ma")
+    return UvBeam(values, rows / n_r, cols / n_c, 28e9, "ura")
 
 
 @pytest.mark.parametrize("fortran", [False, True])
@@ -201,6 +202,24 @@ def test_find_peaks_matches_greedy_oracle_on_compare_ura_profile():
     want = _greedy_peaks(padp, s.compare_dynamic_range_db, s.compare_min_separation)
     assert len(want) >= len(s.paths)
     assert [(p.row, p.col) for p in got] == want
+
+
+def test_find_peaks_on_compare_ura_profile_holds_no_full_grid_labels():
+    # The local maxima of the 3000 x 181 cut are found a block of rows at a
+    # time and their plateaus labelled on their own cells: full-grid label,
+    # index and neighbourhood arrays took 21 MiB traced beside the level.
+    s = parse_scenario(scenario_path("table2_mimic"))
+    cfr = gen_ura_cfr(s.paths, s.ura, s.freqs)
+    padp = padp_ura(cfr, s.compare_theta_deg, s.scan_grid().phi_deg,
+                    s.pad_factor, taper=s.ura_taper(), window=s.compare_window)
+    tracemalloc.start()
+    try:
+        find_peaks(padp, s.compare_dynamic_range_db, s.compare_min_separation)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert padp.level.shape == (3000, 181)
+    assert peak <= 16 * 2 ** 20
 
 
 def test_detect_strongest_matches_lexsort_oracle():
