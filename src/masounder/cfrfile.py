@@ -319,19 +319,32 @@ def _line_count(fh) -> int:
     return count + (last != "\n")
 
 
+def _parse_block(lines) -> np.ndarray:
+    """The rows of a block of body lines. loadtxt skips an empty line but
+    not a whitespace-only one, so a block that fails to parse is parsed
+    again with its whitespace-only lines emptied."""
+    row_dtype = [(name, typ) for name, typ, _ in _ROW]
+    with warnings.catch_warnings():
+        # a block of blank and comment lines holds no rows
+        warnings.filterwarnings("ignore", "loadtxt: ", UserWarning)
+        try:
+            return np.loadtxt(lines, row_dtype, delimiter=",", comments="#", ndmin=1)
+        except ValueError:
+            emptied = ["\n" if line.isspace() else line for line in lines]
+            if emptied == lines:
+                raise
+            return np.loadtxt(emptied, row_dtype, delimiter=",", comments="#", ndmin=1)
+
+
 def _body_rows(fh, first):
     """The rows of the body that starts at line first and goes on in fh, one
     block of about _BODY_BLOCK_CHARS characters of lines at a time. '#'
-    lines are comments."""
-    row_dtype = [(name, typ) for name, typ, _ in _ROW]
+    lines are comments, and blank lines are skipped."""
     lines = [] if first is None else [first, *fh.readlines(_BODY_BLOCK_CHARS)]
     n_rows = 0
     while lines:
         try:
-            with warnings.catch_warnings():
-                # a block of blank and comment lines holds no rows
-                warnings.filterwarnings("ignore", "loadtxt: ", UserWarning)
-                rows = np.loadtxt(lines, row_dtype, delimiter=",", comments="#", ndmin=1)
+            rows = _parse_block(lines)
         except ValueError as exc:
             # loadtxt numbers the rows of its own input
             message = re.sub(r"at row (\d+)",

@@ -247,35 +247,6 @@ def _gate_diag(gate: np.ndarray, delays: np.ndarray) -> tuple[int, tuple[float, 
     return len(idx), (float(delays[idx[0]]), float(delays[idx[-1]]))
 
 
-class _GateCache:
-    """Delay-bin gates kept across run_sic calls, keyed by (frequency grid,
-    pad factor, gate_db, delay bin): a gate depends on nothing else. Each is
-    stored bit-packed and read-only. An entry costs its ceil(bins / 8) bytes
-    plus ENTRY_BYTES for its array header, key and dict slot (251 bytes
-    traced on CPython 3.11). The cache is emptied before an entry would take
-    it past MAX_BYTES, so it never holds more than 4 MiB."""
-
-    MAX_BYTES = 2 ** 22
-    ENTRY_BYTES = 256
-
-    def __init__(self):
-        self.gates: dict[tuple, np.ndarray] = {}
-        self.nbytes = 0
-
-    def add(self, key: tuple, gate: np.ndarray) -> np.ndarray:
-        packed = np.packbits(gate)
-        packed.flags.writeable = False
-        cost = packed.nbytes + self.ENTRY_BYTES
-        if self.nbytes + cost > self.MAX_BYTES:
-            self.gates.clear()
-            self.nbytes = 0
-        self.gates[key] = packed
-        self.nbytes += cost
-        return packed
-
-
-_GATES = _GateCache()
-
 # Candidates are tested in batches of 1, 2, 4, ... cells, up to as many as
 # fit one complex delay response each in this many bytes. A batch stacks a
 # few such arrays per sub-array, so the budget bounds its temporaries.
@@ -291,8 +262,13 @@ def _find_path(rx: CfrSet, ry: CfrSet, config: EstimatorConfig, q: int, snapshot
     The maxima are read from the walk in batches that double up to the
     _BATCH_BYTES cap. Each batch is gated, returned to frequency and tested
     as one stack, and its decisions are then taken in walk order; the walk's
-    order does not depend on them, so reading ahead is safe. The beam, the
-    profile and the column responses die on return."""
+    order does not depend on them, so reading ahead is safe.
+
+    The gate of delay bin r is that of a unit path at r/2 padded bins: the
+    gate of bin r % 2 shifted circularly by r // 2 bins. The gates of bins 0
+    and 1 are built on each call and every other gate is a slice of them, so
+    nothing outlives the call: the beam, the profile, the column responses
+    and the gates die on return."""
     freqs = rx.freqs
     pad = config.pad_factor
     gate_db = config.epsilon_db if config.gate_db is None else config.gate_db
@@ -311,28 +287,22 @@ def _find_path(rx: CfrSet, ry: CfrSet, config: EstimatorConfig, q: int, snapshot
     # The delay responses of both line spectra steered at a column's
     # direction, computed in the batch that first visits the column.
     responses: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    n = delay_s.size
+    kernels = cfr_to_cir(np.exp(-2j * np.pi * freqs.points * (delay_s[:2, None] / 2.0)),
+                         freqs, pad)
+    doubled = np.tile([build_label_vector(kernel, gate_db) for kernel in kernels], 2)
     cells = descending_cells(level, padp_peak_db - config.epsilon_db, (2 * pad, 3))
-    cap = max(1, _BATCH_BYTES // (16 * delay_s.size))
+    cap = max(1, _BATCH_BYTES // (16 * n))
     size = 1
     skipped = 0
     while batch := list(itertools.islice(cells, size)):
-        packed = {r: _GATES.gates.get((freqs, pad, gate_db, r)) for r, _ in batch}
-        new_bins = [r for r, gate in packed.items() if gate is None]
-        if new_bins:
-            taus = delay_s[new_bins] / 2.0
-            kernels = cfr_to_cir(np.exp(-2j * np.pi * freqs.points * taus[:, None]),
-                                 freqs, pad)
-            for r, kernel in zip(new_bins, kernels):
-                packed[r] = _GATES.add((freqs, pad, gate_db, r),
-                                       build_label_vector(kernel, gate_db))
         new_cols = sorted({c for _, c in batch if c not in responses})
         if new_cols:
             uvs = [uv_map(direction(c)) for c in new_cols]
             cir_x = cfr_to_cir(np.stack([line_spectrum(rx, uv.u) for uv in uvs]), freqs, pad)
             cir_y = cfr_to_cir(np.stack([line_spectrum(ry, uv.v) for uv in uvs]), freqs, pad)
             responses.update(zip(new_cols, zip(cir_x, cir_y)))
-        gate = np.unpackbits(np.stack([packed[r] for r, _ in batch]), axis=-1,
-                             count=delay_s.size).view(bool)
+        gate = np.stack([doubled[r % 2, n - r // 2:2 * n - r // 2] for r, _ in batch])
         gx, gy = (cir_to_cfr(extract_path_cir(np.stack([responses[c][i] for _, c in batch]),
                                               gate), freqs, pad)
                   for i in (0, 1))

@@ -533,16 +533,26 @@ def test_read_reports_faults_in_a_fixed_order_across_blocks(tmp_path, monkeypatc
 
 
 def test_read_blocks_of_blank_and_comment_lines(tmp_path, monkeypatch):
+    # A line of spaces or tabs is blank too. At 1 character a block, each
+    # blank line opens a block that holds no other line.
+    def padded(path, blank):
+        text = path.read_text().replace("\n0,0,", f"\n{blank}\n# a comment\n{blank}\n0,0,")
+        path.write_text(text + f"{blank}\n" * 200)
+        return path
     cfr, _ = gen_ma_cfr(PATHS, MaGeometry(3, 3, 0.5), FREQS)
-    path = _body_faults(tmp_path, {})
-    text = path.read_text().replace("\n0,0,", "\n\n# a comment\n\n0,0,")
-    path.write_text(text + "\n" * 200)
-    for block_chars in BLOCK_CHARS:
-        monkeypatch.setattr(cfrfile, "_BODY_BLOCK_CHARS", block_chars)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = read_cfr(path)
-        assert got.values.tobytes() == cfr.values.tobytes()
+    for blank in ("", "  ", "\t"):
+        path = padded(_body_faults(tmp_path, {}), blank)
+        for block_chars in BLOCK_CHARS:
+            monkeypatch.setattr(cfrfile, "_BODY_BLOCK_CHARS", block_chars)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = read_cfr(path)
+            assert got.values.tobytes() == cfr.values.tobytes()
+        # loadtxt numbers the rows it parses, from 1; a blank line is not one
+        path = padded(_body_faults(tmp_path, {20: "1,0"}), blank)
+        for block_chars in [*BLOCK_CHARS, 10 ** 9]:
+            error = _read_error(path, monkeypatch, block_chars)
+            assert re.match(r"malformed body row: .* at row 21;", error[1])
 
 
 def test_read_ma_x_rejects_nonzero_y_index(tmp_path):
