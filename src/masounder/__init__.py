@@ -1,9 +1,9 @@
 """Wideband spatial channel sounding with multiplicative antenna arrays."""
 
-from .beamform import (BeamPattern, NoPeakError, Padp, Peak, PredictedTerm,
-                       UvBeam, cbf_ma, cbf_ma_uv, cbf_ura, cfr_to_cir,
-                       cir_to_cfr, descending_cells, find_peaks, line_spectrum,
-                       padp_ma, padp_ura, predict_ma_terms)
+from .beamform import (BeamPattern, NoPeakError, Padp, Peak, UvBeam, cbf_ma,
+                       cbf_ma_uv, cbf_ura, cfr_to_cir, cir_to_cfr,
+                       descending_cells, find_peaks, line_spectrum, padp_ma,
+                       padp_ura)
 from .channel import CfrSet, add_noise, gen_ma_cfr, gen_ura_cfr
 from .cfrfile import CfrFormatError, read_cfr, write_cfr
 from .compare import ComparisonRow, compare_arrays

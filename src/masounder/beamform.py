@@ -1,4 +1,4 @@
-"""Classical beamforming, power-angle-delay profiles and the fake-path predictor."""
+"""Classical beamforming and power-angle-delay profiles."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CfrSet
-from .geometry import FrequencyGrid, ScanGrid, delay_axis, scan_cosines, uv_map
+from .geometry import FrequencyGrid, ScanGrid, delay_axis, scan_cosines
 
 DB_FLOOR = 1e-30
 
@@ -101,13 +101,6 @@ def _cut_cosines(theta_deg: float, phi_deg: np.ndarray):
     return scan_cosines(np.array([theta_deg]), phi_deg)
 
 
-def _conj_steer(indices: np.ndarray, spacing_wl: float, cosines: np.ndarray,
-                scale: float) -> np.ndarray:
-    """Conjugated steering matrix, shape (n_elem, n_points)."""
-    arg = -2j * np.pi * spacing_wl * scale * np.outer(indices, cosines.ravel())
-    return np.exp(arg, out=arg)
-
-
 def _resolve_window(window, n_points: int) -> np.ndarray | None:
     if window is None:
         return None
@@ -127,28 +120,6 @@ def _weights(taper, counts: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     return tx, ty
 
 
-def _ura_beam(cfr: CfrSet, u: np.ndarray, v: np.ndarray, taper, cols) -> np.ndarray:
-    """Normalized URA delay-and-sum at paired cosines (u, v) of one shape,
-    over frequency columns cols; shape u.shape + (n_cols,). Narrowband phase
-    steers all columns at the reference wavelength in one call; wideband
-    phase scales the steering by f / ref_freq_hz per column."""
-    geom = cfr.geometry
-    tx, ty = _weights(taper, (geom.m_count, geom.n_count))
-
-    def beam(scale, cols):
-        ax = _conj_steer(geom.x_indices, geom.dx_wl, u, scale) * tx[:, None]
-        ay = _conj_steer(geom.y_indices, geom.dy_wl, v, scale) * ty[:, None]
-        return np.einsum("mp,mnl,np->pl", ax, cfr.values[:, :, cols], ay, optimize=True)
-    if cfr.narrowband_phase:
-        b = beam(1.0, cols)
-    else:
-        cols = np.arange(cfr.freqs.n_points)[cols]
-        b = np.concatenate([beam(f / cfr.ref_freq_hz, [c])
-                            for c, f in zip(cols, cfr.freqs.points[cols])], axis=-1)
-    b = b / (np.sum(np.abs(tx)) * np.sum(np.abs(ty)))
-    return b.reshape(u.shape + (-1,))
-
-
 def check_ma_pair(cfr_x: CfrSet, cfr_y: CfrSet, caller: str) -> None:
     """Raise ValueError unless cfr_x and cfr_y are the ma_x and ma_y halves
     of one sounding: same frequency grid, geometry and phase model."""
@@ -159,33 +130,78 @@ def check_ma_pair(cfr_x: CfrSet, cfr_y: CfrSet, caller: str) -> None:
             raise ValueError(f"sub-array CFRs must share {name}")
 
 
-def _steered_sum(cfr: CfrSet, values: np.ndarray, cosines: np.ndarray, cols) -> np.ndarray:
-    """Sum over elements k of values[k] exp(-j 2 pi d m_k c f / ref) for the
-    MA sub-array of cfr's layout, whose element indices are m_k, at each
-    cosine c, over frequency columns cols; shape cosines.shape + (n_cols,).
-    values is cfr.values[:, cols] or a weighted copy of it; f / ref is 1
-    with narrowband phase.
+def _steered_sum(indices: np.ndarray, spacing_wl: float, cosines: np.ndarray,
+                 scale: np.ndarray | None, n_cols: int | None):
+    """The function that takes values to the sum over elements k of values[k]
+    exp(-j 2 pi d m_k c s) along one array axis, whose element spacing is d
+    and element indices m_k, at each cosine c of cosines, flattened; shape
+    (cosines.size, n_cols). s is each column's f / ref in scale, or 1 with
+    narrowband phase (scale None). values is an (n_elem, n_cols) array, or,
+    with n_cols None, a function that makes element k's (cosines.size,
+    n_cols) row when the sum reaches it. The phasors are made here, once for
+    every values the function sums.
 
-    When every column shares one steering matrix (narrowband phase, more
-    than one column), it is built and multiplied. Otherwise the sum, a
-    polynomial in z = exp(-j 2 pi d c f / ref) over the consecutive indices,
-    is evaluated by Horner's rule and multiplied by z^m_0.
+    One narrowband steering matrix of at least 2 cosines times an array of
+    at least 2 columns is built and multiplied. Every other sum, a
+    polynomial in z = exp(-j 2 pi d c s) over the consecutive indices, is
+    evaluated by Horner's rule and multiplied by z^m_0: a one-row BLAS
+    product gave other bits at 1 and 2 OpenBLAS threads, the larger
+    products did not.
     """
+    flat = np.ravel(cosines)
+    if scale is None and flat.size > 1 and (n_cols or 0) > 1:
+        steer = -2j * np.pi * spacing_wl * np.outer(indices, flat)
+        steer = np.exp(steer, out=steer).T
+        return lambda values: steer @ values
+    arg = -2j * np.pi * spacing_wl * np.outer(flat, np.ones(1) if scale is None else scale)
+    z, z_first = np.exp(arg), np.exp(arg * indices[0])
+
+    def horner(values):
+        row = values if callable(values) else values.__getitem__
+        # the sum of no rows is 0 * z, so each step multiplies in place
+        total = 0j * z + row(indices.size - 1)
+        for k in range(indices.size - 2, -1, -1):
+            total *= z
+            total += row(k)
+        total *= z_first
+        return total
+    return horner
+
+
+def _phase_scale(cfr: CfrSet, cols) -> np.ndarray | None:
+    """f / ref_freq_hz of frequency columns cols, None with narrowband phase."""
+    return None if cfr.narrowband_phase else cfr.freqs.points[cols] / cfr.ref_freq_hz
+
+
+def _ura_beam(cfr: CfrSet, u: np.ndarray, v: np.ndarray, taper, cols) -> np.ndarray:
+    """Normalized URA delay-and-sum at paired cosines (u, v) of one shape,
+    over frequency columns cols; shape u.shape + (n_cols,): the steered sum
+    along x of each x-row's steered sum along y, each row made when the sum
+    along x reaches it."""
+    geom = cfr.geometry
+    tx, ty = _weights(taper, (geom.m_count, geom.n_count))
+    scale = _phase_scale(cfr, cols)
+    sum_y = _steered_sum(geom.y_indices, geom.dy_wl, v, scale, cfr.freqs.points[cols].size)
+    sum_x = _steered_sum(geom.x_indices, geom.dx_wl, u, scale, None)
+
+    def x_row(m):
+        values = cfr.values[m][:, cols]
+        if taper is not None:
+            values = (tx[m] * ty)[:, None] * values
+        return sum_y(values)
+    b = sum_x(x_row)
+    b /= np.sum(np.abs(tx)) * np.sum(np.abs(ty))
+    return b.reshape(u.shape + (-1,))
+
+
+def _ma_sum(cfr: CfrSet, values: np.ndarray, cosines: np.ndarray, cols) -> np.ndarray:
+    """The steered sum of values, cfr.values[:, cols] or a weighted copy,
+    along the axis of cfr's MA sub-array; shape cosines.shape + (n_cols,)."""
     geom = cfr.geometry
     indices = geom.x_indices if cfr.layout == "ma_x" else geom.y_indices
-    if cfr.narrowband_phase and values.shape[1] > 1:
-        total = _conj_steer(indices, geom.d_wl, cosines, 1.0).T @ values
-    else:
-        scale = (np.ones(1) if cfr.narrowband_phase
-                 else cfr.freqs.points[cols] / cfr.ref_freq_hz)
-        arg = -2j * np.pi * geom.d_wl * np.outer(cosines.ravel(), scale)
-        z = np.exp(arg)
-        total = np.zeros((z.shape[0], values.shape[1]), complex)
-        for row in values[::-1]:
-            total *= z
-            total += row
-        total *= np.exp(arg * indices[0])
-    return total.reshape(cosines.shape + (-1,))
+    total = _steered_sum(indices, geom.d_wl, cosines, _phase_scale(cfr, cols),
+                         values.shape[1])(values)
+    return total.reshape(np.shape(cosines) + (-1,))
 
 
 def line_spectrum(cfr: CfrSet, cosines, cols=slice(None)) -> np.ndarray:
@@ -193,7 +209,7 @@ def line_spectrum(cfr: CfrSet, cosines, cols=slice(None)) -> np.ndarray:
     its axis, over frequency columns cols; shape c.shape + (n_cols,)."""
     if cfr.layout not in ("ma_x", "ma_y"):
         raise ValueError("line_spectrum needs an ma_x or ma_y CFR")
-    return _steered_sum(cfr, cfr.values[:, cols], np.asarray(cosines, float), cols)
+    return _ma_sum(cfr, cfr.values[:, cols], np.asarray(cosines, float), cols)
 
 
 def _ma_beam(cfr_x: CfrSet, cfr_y: CfrSet, u: np.ndarray, v: np.ndarray, taper,
@@ -206,7 +222,7 @@ def _ma_beam(cfr_x: CfrSet, cfr_y: CfrSet, u: np.ndarray, v: np.ndarray, taper,
         # untapered, the values are summed as they are: a product by ones
         # would copy them and change no value
         values = cfr.values[:, cols] if taper is None else w[:, None] * cfr.values[:, cols]
-        return _steered_sum(cfr, values, c, cols) / np.sum(np.abs(w))
+        return _ma_sum(cfr, values, c, cols) / np.sum(np.abs(w))
     # each sum is normalized before the next is formed, so one raw sum is held
     x, y = (normalized_sum(cfr, w, c) for cfr, w, c in ((cfr_x, tx, u), (cfr_y, ty, v)))
     return x * y
@@ -327,40 +343,6 @@ def padp_ma(cfr_x: CfrSet, cfr_y: CfrSet, theta_deg: float, phi_deg: np.ndarray,
     u, v = _cut_cosines(theta_deg, phi_deg)
     spectrum = _ma_beam(cfr_x, cfr_y, u, v, taper, slice(None))[0]
     return _padp(spectrum, cfr_x, theta_deg, phi_deg, pad_factor, window, "ma")
-
-
-@dataclass(frozen=True)
-class PredictedTerm:
-    """One of the K^2 beam/PADP terms produced by the MA cross products."""
-
-    u: float
-    v: float
-    delay_s: float
-    level_db: float
-    origin: tuple[int, int]
-
-    @property
-    def is_true(self) -> bool:
-        return self.origin[0] == self.origin[1]
-
-
-def predict_ma_terms(paths) -> list[PredictedTerm]:
-    """Enumerate all K^2 true/fake terms of the MA for a known path set.
-
-    Term (i, j) sits at (u_i, v_j) with delay tau_i + tau_j and displayed
-    level (P_i + P_j)/2 dB; i == j marks a true path at doubled delay.
-    """
-    path_list = list(paths)
-    if not path_list:
-        raise ValueError("predict_ma_terms needs at least one path")
-    terms = []
-    for i, pi in enumerate(path_list):
-        for j, pj in enumerate(path_list):
-            ui = uv_map(pi.direction).u
-            vj = uv_map(pj.direction).v
-            level = 0.5 * (pi.power_db + pj.power_db)
-            terms.append(PredictedTerm(ui, vj, pi.delay_s + pj.delay_s, level, (i, j)))
-    return terms
 
 
 @dataclass(frozen=True)

@@ -237,16 +237,17 @@ def _check_array_sizes(s: Scenario) -> None:
               ("frequency.points x estimator.pad_factor x scan.phi", "PADP",
                points * s.pad_factor * n_phi),
               ("pattern_lattice squared", "pattern lattice", s.pattern_lattice ** 2)]
+    # a narrowband PADP sums along y (URA) or each MA axis by a product
+    # with an (elements x scan.phi) steering matrix
     if s.ura is not None:
-        larger = "ura.m" if s.ura.m_count >= s.ura.n_count else "ura.n"
         arrays += [("ura.m x ura.n x frequency.points", "URA CFR",
                     s.ura.m_count * s.ura.n_count * points),
-                   (f"{larger} x scan.theta x scan.phi", "URA steering matrix",
-                    max(s.ura.m_count, s.ura.n_count) * n_theta * n_phi)]
+                   ("ura.n x scan.phi", "URA steering matrix", s.ura.n_count * n_phi)]
     if s.ma is not None:
         larger = "ma.x" if s.ma.x_count >= s.ma.y_count else "ma.y"
-        arrays.append((f"{larger} x frequency.points", "MA CFR",
-                       max(s.ma.x_count, s.ma.y_count) * points))
+        count = max(s.ma.x_count, s.ma.y_count)
+        arrays += [(f"{larger} x frequency.points", "MA CFR", count * points),
+                   (f"{larger} x scan.phi", "MA steering matrix", count * n_phi)]
     for fields, name, count in arrays:
         size = 16 * count  # complex128
         if size > MAX_ARRAY_BYTES:

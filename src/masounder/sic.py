@@ -299,8 +299,8 @@ def _find_path(rx: CfrSet, ry: CfrSet, config: EstimatorConfig, q: int, snapshot
         new_cols = sorted({c for _, c in batch if c not in responses})
         if new_cols:
             uvs = [uv_map(direction(c)) for c in new_cols]
-            cir_x = cfr_to_cir(np.stack([line_spectrum(rx, uv.u) for uv in uvs]), freqs, pad)
-            cir_y = cfr_to_cir(np.stack([line_spectrum(ry, uv.v) for uv in uvs]), freqs, pad)
+            cir_x = cfr_to_cir(line_spectrum(rx, [uv.u for uv in uvs]), freqs, pad)
+            cir_y = cfr_to_cir(line_spectrum(ry, [uv.v for uv in uvs]), freqs, pad)
             responses.update(zip(new_cols, zip(cir_x, cir_y)))
         gate = np.stack([doubled[r % 2, n - r // 2:2 * n - r // 2] for r, _ in batch])
         gx, gy = (cir_to_cfr(extract_path_cir(np.stack([responses[c][i] for _, c in batch]),

@@ -6,11 +6,11 @@ import pytest
 from masounder.beamform import (BeamPattern, Padp, UvBeam, _delay_phasors, _level_db,
                                 _ma_beam, _ura_beam, cbf_ma, cbf_ma_uv, cbf_ura,
                                 cfr_to_cir, cir_to_cfr, find_peaks, line_spectrum,
-                                padp_ma, padp_ura, predict_ma_terms)
+                                padp_ma, padp_ura)
 from masounder.channel import gen_ma_cfr, gen_ura_cfr
 from masounder.geometry import (Direction, FrequencyGrid, MaGeometry,
                                 PathComponent, ScanGrid, UraGeometry,
-                                delay_axis, scan_cosines, uv_map)
+                                UvPoint, delay_axis, scan_cosines, uv_map, uv_unmap)
 from masounder.scenario import parse_scenario
 
 from conftest import scenario_path
@@ -245,6 +245,21 @@ def test_cbf_ma_on_a_large_scan_allocates_no_steering_matrix():
     assert peak < 16 * 2 ** 20
 
 
+def test_cbf_ura_on_a_large_scan_allocates_no_steering_matrix():
+    # 201 x 3 elements over a 181 x 720 scan: a complex128 steering matrix
+    # along x would take 16 B x 201 x 130,320 = 400 MiB.
+    geo = UraGeometry(201, 3, 0.5, 0.5)
+    cfr = gen_ura_cfr(SHORT_PATHS, geo, FREQS)
+    grid = ScanGrid.regular(0.0, 90.0, 0.5, 0.0, 359.5, 0.5)
+    tracemalloc.start()
+    try:
+        cbf_ura(cfr, grid, FREQS.f_center_hz)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
 @pytest.mark.parametrize("name,kind", [("table1", "ma"), ("fig5", "ura")])
 def test_padp_peak_stays_below_one_complex_profile(name, kind):
     # The profile's level is taken a block of azimuths at a time, so the
@@ -450,23 +465,28 @@ def test_level_db_conventions():
     assert ma.level_db()[0, 0] == pytest.approx(-10.0)
 
 
-def test_predict_ma_terms_table_delays():
-    paths = [PathComponent.from_power_db(0, 60, 120, 12),
-             PathComponent.from_power_db(-10, 30, 140, 40),
-             PathComponent.from_power_db(-15, 80, 220, 13)]
-    terms = predict_ma_terms(paths)
-    assert len(terms) == 9
-    delays_ns = sorted(round(t.delay_s * 1e9, 6) for t in terms)
-    assert delays_ns == [24.0, 25.0, 25.0, 26.0, 52.0, 52.0, 53.0, 53.0, 80.0]
-    true_terms = [t for t in terms if t.is_true]
-    assert sorted(round(t.delay_s * 1e9, 6) for t in true_terms) == [24.0, 26.0, 80.0]
-    assert {round(t.level_db, 1) for t in true_terms} == {0.0, -10.0, -15.0}
-    fake_12 = next(t for t in terms if t.origin == (0, 1))
-    assert fake_12.level_db == pytest.approx(-5.0)
-    assert fake_12.u == pytest.approx(uv_map(paths[0].direction).u)
-    assert fake_12.v == pytest.approx(uv_map(paths[1].direction).v)
-    with pytest.raises(ValueError):
-        predict_ma_terms([])
+def test_ma_uv_beam_peaks_at_every_cross_product_of_path_cosines():
+    # Three paths whose u (and v) differ by whole multiples of the 41-element
+    # null spacing 2 / 41: at any path's u the other paths fall on nulls, so
+    # the x sum there is that path's amplitude alone. The product beam then
+    # holds K^2 = 9 maxima, one at each (u_i, v_j), at (P_i + P_j) / 2 dB.
+    # The sidelobes, 13 dB down on one axis, stay 6 dB below the weakest.
+    k_u, k_v, powers_db = (-12, 2, 12), (8, -6, -14), (0.0, -1.0, -2.0)
+    paths = []
+    for ku, kv, power_db, delay_ns in zip(k_u, k_v, powers_db, (1.0, 3.0, 2.0)):
+        direction = uv_unmap(UvPoint(ku * 2 / 41, kv * 2 / 41))
+        paths.append(PathComponent.from_power_db(power_db, direction.theta_deg,
+                                                 direction.phi_deg, delay_ns, 40.0 * ku))
+    cx, cy = gen_ma_cfr(paths, MaGeometry(41, 41, 0.5), FREQS)
+    axis = np.arange(-41, 42) / 41  # lattice step 1 / 41: index 41 + 2k is cosine 2k / 41
+    beam = cbf_ma_uv(cx, cy, axis, axis, FREQS.f_center_hz)
+    peaks = find_peaks(beam, dynamic_range_db=4.0)
+    expect = {(41 + 2 * k_u[i], 41 + 2 * k_v[j]): (powers_db[i] + powers_db[j]) / 2
+              for i in range(3) for j in range(3)}
+    assert len(peaks) == 9
+    assert {(p.row, p.col) for p in peaks} == set(expect)
+    for p in peaks:
+        assert p.level_db == pytest.approx(expect[p.row, p.col], abs=1e-9)
 
 
 def _beam_from_level_db(level):

@@ -6,10 +6,14 @@ or at the seed the test names; any change to them must be a deliberate change of
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from click.testing import CliRunner
 
+import masounder
 from masounder.channel import add_noise, gen_ma_cfr
 from masounder.cli import main
 from masounder.scenario import parse_scenario
@@ -89,3 +93,40 @@ def test_sic_reports_match_golden_digests():
     written = {name: hashlib.sha256(repr(report).encode()).hexdigest()
                for name, report in _sic_reports()}
     assert written == expected
+
+
+_THREAD_PROBE = """
+import hashlib, sys
+from masounder.beamform import padp_ura
+from masounder.channel import gen_ma_cfr, gen_ura_cfr
+from masounder.scenario import parse_scenario
+from masounder.sic import run_sic
+table1, fig5 = (parse_scenario(path) for path in sys.argv[1:])
+cx, cy = gen_ma_cfr(table1.paths, table1.ma, table1.freqs)
+report = run_sic(cx, cy, table1.estimator_config())
+ura = gen_ura_cfr(fig5.paths, fig5.ura, fig5.freqs)
+padp = padp_ura(ura, 90.0, fig5.scan_grid().phi_deg, fig5.pad_factor)
+print(hashlib.sha256(repr(report).encode()).hexdigest(),
+      hashlib.sha256(padp.level.tobytes()).hexdigest())
+"""
+
+
+def test_estimates_and_padps_do_not_depend_on_the_blas_thread_count():
+    """The noiseless table1 run_sic report and the fig5 URA PADP at
+    theta = 90 deg, each computed in a child process at one OpenBLAS thread
+    and at one per CPU of the host (at least two), have the same sha256.
+    CI runs the goldens at its default count and at one thread; this test
+    checks the host's own count against one in a single run. The test
+    is vacuous where numpy does not link OpenBLAS, or on a host of one CPU,
+    as OpenBLAS caps its thread count at the CPUs."""
+    src = str(Path(masounder.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", str(max(2, os.cpu_count() or 1))):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", _THREAD_PROBE, scenario_path("table1"),
+                              scenario_path("fig5")], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        digests.append(out.stdout)
+    assert digests[0] == digests[1]

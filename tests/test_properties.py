@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masounder.beamform import cbf_ma, cbf_ura, predict_ma_terms
+from masounder.beamform import cbf_ma_uv, cbf_ura, find_peaks
 from masounder.channel import gen_ma_cfr, gen_ura_cfr
 from masounder.geometry import (Direction, FrequencyGrid, MaGeometry,
-                                PathComponent, ScanGrid, UraGeometry, uv_map)
+                                PathComponent, ScanGrid, UraGeometry, UvPoint,
+                                uv_map, uv_unmap)
 from masounder.patterns import (auto_convolve, chebyshev_taper,
                                 ma_power_pattern, steer, ura_power_pattern,
                                 uv_lattice)
@@ -42,16 +43,34 @@ path_sets = st.builds(
 )
 
 
+# u and v slots, in units of the 41-element null spacing 2 / 41, far enough
+# apart that each path's sidelobes stay well below every other path's term
+U_SLOTS, V_SLOTS = (-12, 2, 12), (8, -6, -14)
+
+
 @SUITE
-@given(st.lists(st.tuples(st.floats(-20.0, 0.0), st.integers(0, 90),
-                          st.integers(0, 359), st.floats(0.5, 3.0)),
-                min_size=1, max_size=5))
-def test_ma_term_count_is_square_of_path_count(specs):
-    paths = [PathComponent.from_power_db(p, th, ph, d)
-             for p, th, ph, d in specs]
-    terms = predict_ma_terms(paths)
-    assert len(terms) == len(paths) ** 2
-    assert sum(t.is_true for t in terms) == len(paths)
+@given(st.integers(1, 3), st.permutations(range(3)),
+       st.tuples(*[st.floats(-2.0, 0.0)] * 3), st.tuples(*[st.floats(0.0, 359.0)] * 3))
+def test_ma_term_count_is_square_of_path_count(k, v_order, powers_db, phases_deg):
+    # K paths on the null lattice of a 41 x 41 MA: the product beam holds
+    # K^2 maxima, one at each (u_i, v_j), and the K true terms (u_i, v_i)
+    # sit at the paths' own powers.
+    k_u = U_SLOTS[:k]
+    k_v = [V_SLOTS[i] for i in v_order[:k]]
+    paths = []
+    for i in range(k):
+        direction = uv_unmap(UvPoint(k_u[i] * 2 / 41, k_v[i] * 2 / 41))
+        paths.append(PathComponent.from_power_db(powers_db[i], direction.theta_deg,
+                                                 direction.phi_deg, 1.0 + i, phases_deg[i]))
+    cx, cy = gen_ma_cfr(paths, MaGeometry(41, 41, 0.5), FREQS)
+    axis = np.arange(-41, 42) / 41
+    beam = cbf_ma_uv(cx, cy, axis, axis, FREQS.f_center_hz)
+    peaks = {(p.row, p.col): p.level_db for p in find_peaks(beam, dynamic_range_db=4.0)}
+    assert len(peaks) == k ** 2
+    assert set(peaks) == {(41 + 2 * k_u[i], 41 + 2 * k_v[j])
+                          for i in range(k) for j in range(k)}
+    for i in range(k):
+        assert peaks[41 + 2 * k_u[i], 41 + 2 * k_v[i]] == pytest.approx(powers_db[i], abs=1e-9)
 
 
 @SUITE

@@ -218,12 +218,14 @@ def test_scenario_validation_errors(tmp_path, breakage, match):
      r"pattern_lattice squared asks for a 1\.00024 GiB pattern lattice"),
     ({"ura": {"m": 3, "n": 999_999}},
      r"ura\.m x ura\.n x frequency\.points asks for a 1\.07288 GiB URA CFR"),
-    ({"ura": {"m": 150_001, "n": 3}},
-     r"ura\.m x scan\.theta x scan\.phi asks for a 1\.02819 GiB URA steering matrix"),
+    ({"ura": {"m": 3, "n": 150_001}, "scan": {"theta": [0, 90, 10], "phi": [90, 270, 0.1]}},
+     r"ura\.n x scan\.phi asks for a 4\.02558 GiB URA steering matrix"),
     ({"ma": {"x": 5, "y": 3_000_001}},
      r"ma\.y x frequency\.points asks for a 1\.07288 GiB MA CFR"),
+    ({"ma": {"x": 5, "y": 150_001}, "scan": {"theta": [0, 90, 10], "phi": [90, 270, 0.1]}},
+     r"ma\.y x scan\.phi asks for a 4\.02558 GiB MA steering matrix"),
 ], ids=["scan-beam", "subnormal-step", "padp", "pattern-lattice", "ura-cfr",
-        "ura-steering", "ma-cfr"])
+        "ura-steering", "ma-cfr", "ma-steering"])
 def test_oversized_scenarios_are_rejected_before_any_array_exists(tmp_path, overrides,
                                                                  match):
     path = _write_tiny(tmp_path, overrides=overrides)

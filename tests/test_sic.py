@@ -377,8 +377,10 @@ def test_run_sic_keeps_column_responses_per_iteration_and_two_gate_templates_per
     # noise seeds 9 and 10 at 10 dB: many candidates share a column or a
     # delay bin. The walk reads cells ahead of its decisions, in batches. A
     # column's two line spectra are computed once per iteration for the cells
-    # read. Each iteration that reaches the walk builds the gates of delay
-    # bins 0 and 1 and no other, however many bins it visits.
+    # read, a batch's new columns in one line_spectrum call per axis, so the
+    # cosines passed to it are counted. Each iteration that reaches the walk
+    # builds the gates of delay bins 0 and 1 and no other, however many bins
+    # it visits.
     spectra = _count_calls(monkeypatch, "line_spectrum")
     templates = []
     gates = _count_calls(monkeypatch, "build_label_vector",
@@ -404,7 +406,7 @@ def test_run_sic_keeps_column_responses_per_iteration_and_two_gate_templates_per
         columns = sum(len({c for _, c in cells}) for cells in walks)
         bins = max(len({r for r, _ in cells}) for cells in walks)
         assert visited > columns and bins > 2
-        assert len(spectra) == 2 * columns
+        assert sum(np.size(cosines) for _, cosines in spectra) == 2 * columns
         assert len(gates) == 2 * len(walks)
         runs.append((repr(report), templates[:2]))
     (first, wide), (second, _), (_, narrow) = runs
