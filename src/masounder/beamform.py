@@ -173,25 +173,29 @@ def _phase_scale(cfr: CfrSet, cols) -> np.ndarray | None:
     return None if cfr.narrowband_phase else cfr.freqs.points[cols] / cfr.ref_freq_hz
 
 
-def _ura_beam(cfr: CfrSet, u: np.ndarray, v: np.ndarray, taper, cols) -> np.ndarray:
-    """Normalized URA delay-and-sum at paired cosines (u, v) of one shape,
-    over frequency columns cols; shape u.shape + (n_cols,): the steered sum
-    along x of each x-row's steered sum along y, each row made when the sum
-    along x reaches it."""
+def _ura_beam(cfr: CfrSet, taper, cols):
+    """The function that takes paired cosines (u, v) of one shape to the
+    normalized URA delay-and-sum there, over frequency columns cols; shape
+    u.shape + (n_cols,): the steered sum along x of each x-row's steered sum
+    along y, each row made when the sum along x reaches it."""
     geom = cfr.geometry
     tx, ty = _weights(taper, (geom.m_count, geom.n_count))
     scale = _phase_scale(cfr, cols)
-    sum_y = _steered_sum(geom.y_indices, geom.dy_wl, v, scale, cfr.freqs.points[cols].size)
-    sum_x = _steered_sum(geom.x_indices, geom.dx_wl, u, scale, None)
+    norm = np.sum(np.abs(tx)) * np.sum(np.abs(ty))
 
-    def x_row(m):
-        values = cfr.values[m][:, cols]
-        if taper is not None:
-            values = (tx[m] * ty)[:, None] * values
-        return sum_y(values)
-    b = sum_x(x_row)
-    b /= np.sum(np.abs(tx)) * np.sum(np.abs(ty))
-    return b.reshape(u.shape + (-1,))
+    def beam(u, v):
+        sum_y = _steered_sum(geom.y_indices, geom.dy_wl, v, scale, cfr.freqs.points[cols].size)
+        sum_x = _steered_sum(geom.x_indices, geom.dx_wl, u, scale, None)
+
+        def x_row(m):
+            values = cfr.values[m][:, cols]
+            if taper is not None:
+                values = (tx[m] * ty)[:, None] * values
+            return sum_y(values)
+        b = sum_x(x_row)
+        b /= norm
+        return b.reshape(u.shape + (-1,))
+    return beam
 
 
 def _ma_sum(cfr: CfrSet, values: np.ndarray, cosines: np.ndarray, cols) -> np.ndarray:
@@ -212,20 +216,28 @@ def line_spectrum(cfr: CfrSet, cosines, cols=slice(None)) -> np.ndarray:
     return _ma_sum(cfr, cfr.values[:, cols], np.asarray(cosines, float), cols)
 
 
-def _ma_beam(cfr_x: CfrSet, cfr_y: CfrSet, u: np.ndarray, v: np.ndarray, taper,
-             cols) -> np.ndarray:
-    """Product of the two normalized sub-array sums at broadcastable cosines
-    (u, v), over frequency columns cols; shape broadcast(u, v) + (n_cols,)."""
+def _ma_beam(cfr_x: CfrSet, cfr_y: CfrSet, taper, cols):
+    """The function that takes broadcastable cosines (u, v) to the product of
+    the two normalized sub-array sums there, over frequency columns cols;
+    shape broadcast(u, v) + (n_cols,). A taper weights the values once, for
+    every (u, v) the function is given."""
     tx, ty = _weights(taper, (cfr_x.geometry.x_count, cfr_x.geometry.y_count))
+    # untapered, the values are summed as they are: a product by ones would
+    # copy them and change no value
+    axes = [(cfr, cfr.values[:, cols] if taper is None else w[:, None] * cfr.values[:, cols],
+             np.sum(np.abs(w))) for cfr, w in ((cfr_x, tx), (cfr_y, ty))]
 
-    def normalized_sum(cfr, w, c):
-        # untapered, the values are summed as they are: a product by ones
-        # would copy them and change no value
-        values = cfr.values[:, cols] if taper is None else w[:, None] * cfr.values[:, cols]
-        return _ma_sum(cfr, values, c, cols) / np.sum(np.abs(w))
-    # each sum is normalized before the next is formed, so one raw sum is held
-    x, y = (normalized_sum(cfr, w, c) for cfr, w, c in ((cfr_x, tx, u), (cfr_y, ty, v)))
-    return x * y
+    def normalized_sum(axis, cosines):
+        cfr, values, norm = axis
+        total = _ma_sum(cfr, values, cosines, cols)
+        total /= norm
+        return total
+
+    def beam(u, v):
+        x, y = normalized_sum(axes[0], u), normalized_sum(axes[1], v)
+        # the product is formed in x unless (u, v) broadcast to a larger shape
+        return np.multiply(x, y, out=x if x.shape == y.shape else None)
+    return beam
 
 
 def cbf_ura(cfr: CfrSet, grid: ScanGrid, f_hz: float,
@@ -238,7 +250,7 @@ def cbf_ura(cfr: CfrSet, grid: ScanGrid, f_hz: float,
     if cfr.layout != "ura":
         raise ValueError("cbf_ura needs a URA-layout CFR")
     u, v = scan_cosines(grid.theta_deg, grid.phi_deg)
-    b = _ura_beam(cfr, u, v, taper, [_freq_index(cfr.freqs, f_hz)])
+    b = _ura_beam(cfr, taper, [_freq_index(cfr.freqs, f_hz)])(u, v)
     return BeamPattern(b[..., 0], grid.theta_deg, grid.phi_deg, f_hz, "ura")
 
 
@@ -247,7 +259,7 @@ def cbf_ma(cfr_x: CfrSet, cfr_y: CfrSet, grid: ScanGrid, f_hz: float,
     """Product of the two normalized sub-array beamforming sums."""
     check_ma_pair(cfr_x, cfr_y, "cbf_ma")
     u, v = scan_cosines(grid.theta_deg, grid.phi_deg)
-    b = _ma_beam(cfr_x, cfr_y, u, v, taper, [_freq_index(cfr_x.freqs, f_hz)])
+    b = _ma_beam(cfr_x, cfr_y, taper, [_freq_index(cfr_x.freqs, f_hz)])(u, v)
     return BeamPattern(b[..., 0], grid.theta_deg, grid.phi_deg, f_hz, "ma")
 
 
@@ -258,8 +270,8 @@ def cbf_ma_uv(cfr_x: CfrSet, cfr_y: CfrSet, u_axis: np.ndarray,
     check_ma_pair(cfr_x, cfr_y, "cbf_ma_uv")
     u_axis = np.asarray(u_axis, float)
     v_axis = np.asarray(v_axis, float)
-    b = _ma_beam(cfr_x, cfr_y, u_axis[:, None], v_axis[None, :], taper,
-                 [_freq_index(cfr_x.freqs, f_hz)])
+    beam = _ma_beam(cfr_x, cfr_y, taper, [_freq_index(cfr_x.freqs, f_hz)])
+    b = beam(u_axis[:, None], v_axis[None, :])
     return UvBeam(b[..., 0], u_axis, v_axis, f_hz, "ma")
 
 
@@ -301,26 +313,53 @@ def cir_to_cfr(cir: np.ndarray, freqs: FrequencyGrid, pad_factor: int) -> np.nda
     return np.fft.fft(cir * descreen, axis=-1)[..., :L] * (L / n)
 
 
-# _padp takes the profile's level a block of azimuths at a time, the block's
-# complex delay responses at most this many bytes, so that the complex
-# profile is never held whole.
+# _padp forms the beam spectrum a block of azimuths at a time, up to this
+# many bytes of it, and transforms each block in sub-blocks whose complex
+# delay responses take at most as many bytes: neither the whole spectrum nor
+# the complex profile is ever held.
 _PADP_BLOCK_BYTES = 2 ** 19
 
 
-def _padp(spectrum: np.ndarray, cfr: CfrSet, theta_deg: float, phi_deg: np.ndarray,
-          pad_factor: int, window, kind: str) -> Padp:
-    """Window the (phi, frequency) beam spectrum, transform it to delay and
-    take its level, one block of azimuth rows at a time. A row's transform
-    and level do not depend on the rows stacked with it."""
-    win = _resolve_window(window, cfr.freqs.n_points)
-    n_delay = cfr.freqs.n_points * pad_factor
+def _row_blocks(n_rows: int, step: int) -> Iterator[slice]:
+    """Consecutive slices of step rows over range(n_rows), the last one
+    shorter; a lone last row joins the block before it."""
+    start = 0
+    while start < n_rows:
+        stop = n_rows if n_rows - start <= step + 1 else start + step
+        yield slice(start, stop)
+        start = stop
+
+
+def _padp(beam, cfr: CfrSet, theta_deg: float, phi_deg, pad_factor: int, window,
+          kind: str) -> Padp:
+    """Window the (phi, frequency) beam spectrum along the cut at theta_deg,
+    transform it to delay and take its level, one block of azimuth rows at a
+    time. beam, from _ura_beam or _ma_beam over every sweep column, forms
+    each block's rows of the spectrum.
+
+    A block holds at least 2 rows unless phi_deg holds 1: _steered_sum sums
+    one cosine by Horner's rule and 2 or more by a steering product, whose
+    bits differ, and a product of 2 or more rows gave each row the bits of
+    the whole product (5 to 801 elements, 375 to 1,500 columns, at 1 and 2
+    OpenBLAS threads). A row's window, transform and level do not depend on
+    the rows stacked with it."""
+    phi_deg = np.asarray(phi_deg, float)
+    (u,), (v,) = _cut_cosines(theta_deg, phi_deg)
+    n_points = cfr.freqs.n_points
+    win = _resolve_window(window, n_points)
+    n_delay = n_points * pad_factor
     level = np.empty((phi_deg.size, n_delay))
+    # a block is a whole number of transform sub-blocks of step rows: each
+    # transform call has a fixed cost, which a part-filled sub-block wastes
     step = max(1, _PADP_BLOCK_BYTES // (16 * n_delay))
-    for start in range(0, phi_deg.size, step):
-        rows = spectrum[start:start + step]
+    rows = max(2, _PADP_BLOCK_BYTES // (16 * n_points) // step * step)
+    for block in _row_blocks(phi_deg.size, rows):
+        spectrum, out = beam(u[block], v[block]), level[block]
         if win is not None:
-            rows = rows * win
-        level[start:start + step] = _level_db(cfr_to_cir(rows, cfr.freqs, pad_factor), kind)
+            spectrum *= win
+        for start in range(0, len(out), step):
+            out[start:start + step] = _level_db(
+                cfr_to_cir(spectrum[start:start + step], cfr.freqs, pad_factor), kind)
     return Padp(level.T, delay_axis(cfr.freqs, pad_factor), phi_deg, theta_deg, kind)
 
 
@@ -329,20 +368,16 @@ def padp_ura(cfr: CfrSet, theta_deg: float, phi_deg: np.ndarray,
     """Inverse transform of the URA beam pattern over the sweep."""
     if cfr.layout != "ura":
         raise ValueError("padp_ura needs a URA-layout CFR")
-    phi_deg = np.asarray(phi_deg, float)
-    u, v = _cut_cosines(theta_deg, phi_deg)
-    spectrum = _ura_beam(cfr, u, v, taper, slice(None))[0]
-    return _padp(spectrum, cfr, theta_deg, phi_deg, pad_factor, window, "ura")
+    return _padp(_ura_beam(cfr, taper, slice(None)), cfr, theta_deg, phi_deg, pad_factor,
+                 window, "ura")
 
 
 def padp_ma(cfr_x: CfrSet, cfr_y: CfrSet, theta_deg: float, phi_deg: np.ndarray,
             pad_factor: int = 4, taper=None, window=None) -> Padp:
     """Inverse transform of the product MA beam pattern; true-path delays double."""
     check_ma_pair(cfr_x, cfr_y, "padp_ma")
-    phi_deg = np.asarray(phi_deg, float)
-    u, v = _cut_cosines(theta_deg, phi_deg)
-    spectrum = _ma_beam(cfr_x, cfr_y, u, v, taper, slice(None))[0]
-    return _padp(spectrum, cfr_x, theta_deg, phi_deg, pad_factor, window, "ma")
+    return _padp(_ma_beam(cfr_x, cfr_y, taper, slice(None)), cfr_x, theta_deg, phi_deg,
+                 pad_factor, window, "ma")
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,10 @@ class CfrSet:
         return replace(self, values=values)
 
     def total_power(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2))
+        # one temporary: the magnitudes, squared in place
+        power = np.abs(self.values)
+        np.square(power, out=power)
+        return float(np.sum(power))
 
 
 def _axis_phase(indices: np.ndarray, spacing_wl: float, cosine: float,
@@ -100,24 +103,40 @@ def gen_ura_cfr(paths: Iterable[PathComponent], geometry: UraGeometry,
     return CfrSet("ura", out, freqs, geometry, ref, narrowband_phase)
 
 
+# _ma_axis_cfr adds a path's contribution a block of elements at a time, so
+# that its temporaries take at most about this many bytes.
+_AXIS_BLOCK_BYTES = 2 ** 19
+
+
+def _ma_axis_cfr(paths: tuple[PathComponent, ...], layout: str, geometry: MaGeometry,
+                 freqs: FrequencyGrid, ref_freq_hz: float,
+                 narrowband_phase: bool) -> np.ndarray:
+    """Superposed path contributions on the sub-array of layout ('ma_x' or
+    'ma_y'), shape (count, L); paths are already checked by sounded_paths."""
+    indices = geometry.x_indices if layout == "ma_x" else geometry.y_indices
+    out = np.zeros((indices.size, freqs.n_points), complex)
+    step = max(1, _AXIS_BLOCK_BYTES // (16 * freqs.n_points))
+    for p in paths:
+        delay = p.amplitude * np.exp(-2j * np.pi * freqs.points * p.delay_s)
+        uv = uv_map(p.direction)
+        c = uv.u if layout == "ma_x" else uv.v
+        for start in range(0, indices.size, step):
+            rows = slice(start, start + step)
+            out[rows] += _axis_phase(indices[rows], geometry.d_wl, c, freqs, ref_freq_hz,
+                                     narrowband_phase) * delay
+    return out
+
+
 def gen_ma_cfr(paths: Iterable[PathComponent], geometry: MaGeometry,
                freqs: FrequencyGrid, narrowband_phase: bool = True,
                ref_freq_hz: float | None = None) -> tuple[CfrSet, CfrSet]:
     """Superpose path contributions on both MA sub-arrays."""
     paths = sounded_paths(paths, geometry, freqs)
     ref = freqs.reference_hz if ref_freq_hz is None else ref_freq_hz
-    f = freqs.points
-    out_x = np.zeros((geometry.x_count, freqs.n_points), complex)
-    out_y = np.zeros((geometry.y_count, freqs.n_points), complex)
-    for p in paths:
-        uv = uv_map(p.direction)
-        delay = p.amplitude * np.exp(-2j * np.pi * f * p.delay_s)
-        out_x += _axis_phase(geometry.x_indices, geometry.d_wl, uv.u, freqs, ref,
-                             narrowband_phase) * delay[None, :]
-        out_y += _axis_phase(geometry.y_indices, geometry.d_wl, uv.v, freqs, ref,
-                             narrowband_phase) * delay[None, :]
-    return (CfrSet("ma_x", out_x, freqs, geometry, ref, narrowband_phase),
-            CfrSet("ma_y", out_y, freqs, geometry, ref, narrowband_phase))
+    return tuple(CfrSet(layout, _ma_axis_cfr(paths, layout, geometry, freqs, ref,
+                                             narrowband_phase),
+                        freqs, geometry, ref, narrowband_phase)
+                 for layout in ("ma_x", "ma_y"))
 
 
 def add_noise(cfr: CfrSet, snr_db: float | None, seed: int) -> CfrSet:

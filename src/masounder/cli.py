@@ -224,12 +224,14 @@ def cmd_estimate(config_path, out_dir, quiet, cfr_dir):
     ma_x_file, ma_y_file = src / "ma_x_cfr.csv", src / "ma_y_cfr.csv"
     if not (ma_x_file.exists() and ma_y_file.exists()):
         raise OSError(f"MA CFR files not found under {src}")
-    ma_x, ma_y = read_cfr(ma_x_file), read_cfr(ma_y_file)
 
     def snapshot(q, padp):
         _write_padp_csv(out / f"ma_padp_iter{q}.csv", padp)
 
-    report = run_sic(ma_x, ma_y, scenario.estimator_config(), snapshot_hook=snapshot)
+    # The CFRs are read as arguments and named nowhere here, so run_sic holds
+    # the only references and they die at its first subtraction.
+    report = run_sic(read_cfr(ma_x_file), read_cfr(ma_y_file), scenario.estimator_config(),
+                     snapshot_hook=snapshot)
     with open(out / "paths.csv", "w") as fh:
         fh.write("iteration,power_db,delay_ns,elevation_deg,azimuth_deg,stop_reason\n")
         fh.writelines("%d,%.9g,%.9g,%.9g,%.9g,%s\n" % (

@@ -21,7 +21,9 @@ import numpy as np
 
 from .beamform import (BeamPattern, NoPeakError, cbf_ma, cfr_to_cir, check_ma_pair,
                        cir_to_cfr, descending_cells, line_spectrum, padp_ma)
-from .channel import CfrSet, gen_ma_cfr
+# gen_ma_cfr stays bound here, where perfbench traces it; subtract_path
+# regenerates one sub-array at a time through _ma_axis_cfr.
+from .channel import CfrSet, _ma_axis_cfr, gen_ma_cfr, sounded_paths  # noqa: F401
 from .geometry import (Direction, FrequencyGrid, MaGeometry, PathComponent,
                        ScanGrid, uv_map, wrap_azimuth)
 
@@ -230,16 +232,24 @@ def estimate_power(gated_x: np.ndarray, gated_y: np.ndarray, freqs: FrequencyGri
     return np.sqrt(np.where(above, peak, np.nan))
 
 
-def subtract_path(residual_x: CfrSet, residual_y: CfrSet,
-                  path: PathComponent) -> tuple[CfrSet, CfrSet]:
-    """Regenerate the path's CFR on both sub-arrays and subtract it. Each new
-    residual is written into the regenerated path's buffer."""
-    hx, hy = gen_ma_cfr([path], residual_x.geometry, residual_x.freqs,
-                        narrowband_phase=residual_x.narrowband_phase,
-                        ref_freq_hz=residual_x.ref_freq_hz)
-    np.subtract(residual_x.values, hx.values, out=hx.values)
-    np.subtract(residual_y.values, hy.values, out=hy.values)
-    return residual_x.with_values(hx.values), residual_y.with_values(hy.values)
+def subtract_path(residual_x: CfrSet, residual_y: CfrSet, path: PathComponent,
+                  out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[CfrSet, CfrSet]:
+    """Regenerate the path's CFR on one sub-array at a time and subtract it
+    from that sub-array's residual. The new residuals are written into out,
+    a pair of arrays that may be the residuals' own values, or else into
+    each regenerated path's buffer; a residual passed in is never written
+    unless out names its values."""
+    paths = sounded_paths([path], residual_x.geometry, residual_x.freqs)
+
+    def subtract(residual, buffer):
+        # written into buffer, the regenerated sub-array dies on return,
+        # before the next one is made
+        regenerated = _ma_axis_cfr(paths, residual.layout, residual.geometry, residual.freqs,
+                                   residual.ref_freq_hz, residual.narrowband_phase)
+        return residual.with_values(np.subtract(
+            residual.values, regenerated, out=regenerated if buffer is None else buffer))
+    return tuple(subtract(residual, buffer) for residual, buffer
+                 in zip((residual_x, residual_y), out or (None, None)))
 
 
 def _gate_diag(gate: np.ndarray, delays: np.ndarray) -> tuple[int, tuple[float, float]]:
@@ -346,7 +356,13 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
         raise ValueError("input CFR has non-finite values")
     if cfr_x.total_power() == 0 and cfr_y.total_power() == 0:
         raise NoPeakError("input CFR is identically zero")
+    # The inputs are named here only as the first residual pair, so a caller
+    # that keeps no names for them frees them at the first subtraction. That
+    # writes the new residuals into arrays of run_sic's own, and every later
+    # subtraction writes into those.
     rx, ry = cfr_x, cfr_y
+    del cfr_x, cfr_y
+    owned = None
     alpha_max: float | None = None
     paths: list[EstimatedPath] = []
     diags: list[IterationDiagnostics] = []
@@ -370,7 +386,8 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
         if not accepted:
             stop_reason = "dynamic-range"
             break
-        rx, ry = subtract_path(rx, ry, path)
+        rx, ry = subtract_path(rx, ry, path, out=owned)
+        owned = rx.values, ry.values
         residual_energy = rx.total_power() + ry.total_power()
         paths.append(EstimatedPath(path.amplitude, path.direction, path.delay_s, q + 1,
                                    residual_energy))

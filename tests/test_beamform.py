@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from masounder.beamform import (BeamPattern, Padp, UvBeam, _delay_phasors, _level_db,
-                                _ma_beam, _ura_beam, cbf_ma, cbf_ma_uv, cbf_ura,
-                                cfr_to_cir, cir_to_cfr, find_peaks, line_spectrum,
-                                padp_ma, padp_ura)
+from masounder.beamform import (_PADP_BLOCK_BYTES, BeamPattern, Padp, UvBeam,
+                                _delay_phasors, _level_db, _ma_beam, _row_blocks,
+                                _ura_beam, cbf_ma, cbf_ma_uv, cbf_ura, cfr_to_cir,
+                                cir_to_cfr, find_peaks, line_spectrum, padp_ma,
+                                padp_ura)
 from masounder.channel import gen_ma_cfr, gen_ura_cfr
 from masounder.geometry import (Direction, FrequencyGrid, MaGeometry,
                                 PathComponent, ScanGrid, UraGeometry,
@@ -51,7 +52,7 @@ def whole_profile(spectrum, freqs, pad_factor, kind):
 def ura_cut_spectrum(cfr, theta_deg, phi_deg, taper=None):
     """The (azimuth, frequency) beam spectrum padp_ura transforms."""
     u, v = scan_cosines(np.array([theta_deg]), phi_deg)
-    return _ura_beam(cfr, u, v, taper, slice(None))[0]
+    return _ura_beam(cfr, taper, slice(None))(u, v)[0]
 
 
 def brute_force_ma_beam(cfr_x, cfr_y, theta_deg, phi_deg, f_index):
@@ -204,7 +205,7 @@ def test_wideband_line_spectrum_and_padp_ma_match_per_column_steering():
     for tp in (None, taper):
         x_sum, y_sum = per_column_line_sums(cx, cy, u, v, tp)
         padp = padp_ma(cx, cy, 60.0, np.array([100.0, 120.0, 200.0]), 2, taper=tp)
-        profile, level = whole_profile(_ma_beam(cx, cy, u, v, tp, slice(None))[0],
+        profile, level = whole_profile(_ma_beam(cx, cy, tp, slice(None))(u, v)[0],
                                        FREQS, 2, "ma")
         assert padp.level.tobytes() == level.tobytes()
         assert_close_to_peak(profile, cfr_to_cir(x_sum * y_sum, FREQS, 2).T)
@@ -225,7 +226,7 @@ def test_narrowband_line_spectrum_and_padp_ma_are_bitwise_steering_products():
         y_sum = (conj_steer(geo.y_indices, geo.d_wl, v, 1.0).T
                  @ (ty[:, None] * cy.values) / np.sum(np.abs(ty)))
         padp = padp_ma(cx, cy, 60.0, phi, 2, taper=(tx, ty))
-        spectrum = _ma_beam(cx, cy, u, v, (tx, ty), slice(None))[0]
+        spectrum = _ma_beam(cx, cy, (tx, ty), slice(None))(u, v)[0]
         assert spectrum.tobytes() == (x_sum * y_sum).tobytes()
         assert padp.level.tobytes() == whole_profile(spectrum, FREQS, 2, "ma")[1].tobytes()
 
@@ -262,9 +263,12 @@ def test_cbf_ura_on_a_large_scan_allocates_no_steering_matrix():
 
 @pytest.mark.parametrize("name,kind", [("table1", "ma"), ("fig5", "ura")])
 def test_padp_peak_stays_below_one_complex_profile(name, kind):
-    # The profile's level is taken a block of azimuths at a time, so the
-    # (delay x azimuth) complex profile, 16.6 MiB at these scenarios, never
-    # exists; the level itself is half of it.
+    # The beam spectrum is formed a block of azimuths at a time and each
+    # block's level is taken in sub-blocks, so neither the (azimuth x
+    # frequency) spectrum nor the (delay x azimuth) complex profile, 16.6
+    # MiB at these scenarios, ever exists. Above the level, 8 B a cell, a
+    # call holds one block's sums and one sub-block's transform (1.5-1.8
+    # MiB here).
     s = parse_scenario(scenario_path(name))
     phi = s.scan_grid().phi_deg
     if kind == "ura":
@@ -278,9 +282,41 @@ def test_padp_peak_stays_below_one_complex_profile(name, kind):
     finally:
         tracemalloc.stop()
     assert padp.level.shape == (s.freqs.n_points * s.pad_factor, phi.size)
-    assert peak < 16 * padp.level.size
+    assert peak < 8 * padp.level.size + 5 * _PADP_BLOCK_BYTES
     with pytest.raises(ValueError, match="read-only"):
         padp.level[0, 0] = 0.0
+
+
+def test_row_blocks_leave_no_lone_last_row():
+    for n_rows in range(1, 40):
+        for step in (2, 3, 5, 21):
+            blocks = list(_row_blocks(n_rows, step))
+            assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n_rows))
+            sizes = [b.stop - b.start for b in blocks]
+            assert max(sizes) <= step + 1 and sum(s > step for s in sizes) <= 1
+            assert min(sizes) >= 2 or n_rows == 1
+
+
+@pytest.mark.parametrize("narrowband", [True, False])
+def test_padp_blocks_give_the_whole_transform_bit_for_bit(narrowband):
+    # 64 points give spectrum blocks of 512 rows, so 513 azimuths would
+    # leave a 1-row last block, which joins the block before it. Each level
+    # must hold the bits of the whole spectrum transformed at once.
+    phi = np.linspace(90.0, 270.0, 513)
+    n_rows = _PADP_BLOCK_BYTES // (16 * FREQS.n_points)
+    assert phi.size % n_rows == 1
+    u, v = scan_cosines(np.array([60.0]), phi)
+    cfr = gen_ura_cfr(SHORT_PATHS, UraGeometry(5, 21), FREQS, narrowband_phase=narrowband)
+    cx, cy = gen_ma_cfr(SHORT_PATHS, MaGeometry(9, 41, 0.5), FREQS,
+                        narrowband_phase=narrowband)
+    for taper in (None, (np.hanning(7)[1:-1], np.hanning(23)[1:-1])):
+        padp = padp_ura(cfr, 60.0, phi, 2, taper=taper)
+        spectrum = _ura_beam(cfr, taper, slice(None))(u, v)[0]
+        assert padp.level.tobytes() == whole_profile(spectrum, FREQS, 2, "ura")[1].tobytes()
+    for taper in (None, (np.hanning(11)[1:-1], np.hanning(43)[1:-1])):
+        padp = padp_ma(cx, cy, 60.0, phi, 2, taper=taper)
+        spectrum = _ma_beam(cx, cy, taper, slice(None))(u, v)[0]
+        assert padp.level.tobytes() == whole_profile(spectrum, FREQS, 2, "ma")[1].tobytes()
 
 
 def test_cached_delay_phasors_are_read_only():

@@ -1,5 +1,7 @@
 import dataclasses
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -190,6 +192,41 @@ def test_subtract_path_cancels_exactly():
     rx, ry = subtract_path(cx, cy, path)
     assert rx.total_power() == pytest.approx(0.0, abs=1e-24)
     assert ry.total_power() == pytest.approx(0.0, abs=1e-24)
+
+
+def test_subtract_path_leaves_its_arguments_unchanged():
+    cx, cy = gen_ma_cfr(THREE_PATHS, GEO, FREQS)
+    before = cx.values.tobytes(), cy.values.tobytes()
+    rx, ry = subtract_path(cx, cy, THREE_PATHS[0])
+    assert (cx.values.tobytes(), cy.values.tobytes()) == before
+    px, py = gen_ma_cfr(THREE_PATHS[:1], GEO, FREQS)
+    assert rx.values.tobytes() == (cx.values - px.values).tobytes()
+    assert ry.values.tobytes() == (cy.values - py.values).tobytes()
+    # given out, the residuals are written there, with the same bits
+    ox, oy = subtract_path(cx, cy, THREE_PATHS[0], out=(cx.values, cy.values))
+    assert ox.values is cx.values and oy.values is cy.values
+    assert (ox.values.tobytes(), oy.values.tobytes()) == (rx.values.tobytes(),
+                                                          ry.values.tobytes())
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11, CPython keeps a call's arguments on the caller's "
+                           "stack until the call returns")
+def test_run_sic_holds_its_inputs_only_until_the_first_subtraction():
+    refs = []
+
+    def sub_array(i):
+        cfr = gen_ma_cfr(THREE_PATHS, GEO, FREQS)[i]
+        refs.append(weakref.ref(cfr.values))
+        return cfr
+    dead = {}
+
+    def hook(q, padp):
+        dead[q] = [r() is None for r in refs]
+    # the caller builds the pair as arguments and keeps no names for it
+    report = run_sic(sub_array(0), sub_array(1), EstimatorConfig(SCAN), snapshot_hook=hook)
+    assert len(report.paths) == 3
+    assert dead[0] == [False, False] and dead[1] == [True, True]
 
 
 def test_estimator_config_validation():
