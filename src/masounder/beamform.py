@@ -177,22 +177,20 @@ def _ura_beam(cfr: CfrSet, taper, cols):
     """The function that takes paired cosines (u, v) of one shape to the
     normalized URA delay-and-sum there, over frequency columns cols; shape
     u.shape + (n_cols,): the steered sum along x of each x-row's steered sum
-    along y, each row made when the sum along x reaches it."""
+    along y, each row made when the sum along x reaches it. A taper weights
+    the values once, for every (u, v) the function is given."""
     geom = cfr.geometry
     tx, ty = _weights(taper, (geom.m_count, geom.n_count))
     scale = _phase_scale(cfr, cols)
     norm = np.sum(np.abs(tx)) * np.sum(np.abs(ty))
+    values = cfr.values[:, :, cols]
+    if taper is not None:
+        values = (tx[:, None] * ty)[:, :, None] * values
 
     def beam(u, v):
-        sum_y = _steered_sum(geom.y_indices, geom.dy_wl, v, scale, cfr.freqs.points[cols].size)
+        sum_y = _steered_sum(geom.y_indices, geom.dy_wl, v, scale, values.shape[2])
         sum_x = _steered_sum(geom.x_indices, geom.dx_wl, u, scale, None)
-
-        def x_row(m):
-            values = cfr.values[m][:, cols]
-            if taper is not None:
-                values = (tx[m] * ty)[:, None] * values
-            return sum_y(values)
-        b = sum_x(x_row)
+        b = sum_x(lambda m: sum_y(values[m]))
         b /= norm
         return b.reshape(u.shape + (-1,))
     return beam
@@ -340,7 +338,7 @@ def _padp(beam, cfr: CfrSet, theta_deg: float, phi_deg, pad_factor: int, window,
     A block holds at least 2 rows unless phi_deg holds 1: _steered_sum sums
     one cosine by Horner's rule and 2 or more by a steering product, whose
     bits differ, and a product of 2 or more rows gave each row the bits of
-    the whole product (5 to 801 elements, 375 to 1,500 columns, at 1 and 2
+    the whole product (5 to 801 elements, 375 to 1,500 columns, at 1 to 4
     OpenBLAS threads). A row's window, transform and level do not depend on
     the rows stacked with it."""
     phi_deg = np.asarray(phi_deg, float)
