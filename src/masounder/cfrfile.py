@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import io
+import os
 import re
 import warnings
 
@@ -21,6 +23,7 @@ _HEADER = {"format_version": int, "layout": str, "f_start_hz": float,
 # with the type it is read as and the spec it is written with.
 _ROW = [("m", int, "%d"), ("n", int, "%d"), ("l", int, "%d"),
         ("re", float, "%.17g"), ("im", float, "%.17g")]
+_ROW_DTYPE = np.dtype([(name, typ) for name, typ, _ in _ROW])
 
 
 class CfrFormatError(ValueError):
@@ -43,6 +46,17 @@ def _veltkamp(v):
 # 10**k is exact in float64 for 0 <= k <= 22.
 _POW10 = np.array([float(10 ** k) for k in range(23)])
 _POW10_HI, _POW10_LO = _veltkamp(_POW10)
+
+
+def _times_pow10(a, k):
+    """high, low with a * 10**k == high + low exactly, high the rounded
+    product: a two-product (Dekker 1971)."""
+    high = a * _POW10[k]
+    ah, al = _veltkamp(a)
+    bh, bl = _POW10_HI[k], _POW10_LO[k]
+    return high, ((ah * bh - high) + ah * bl + al * bh) + al * bl
+
+
 # The formatted text is held in little-endian uint64 words ("<u8"), so that
 # byte i of a word is byte i of its text on any host. To insert the decimal
 # point at byte j of a word, with t = clip(j, -1, 8) + 1, the digit word keeps
@@ -114,11 +128,7 @@ def _format_g(x: np.ndarray, p: int, spec: str, sep: bytes):
     a = np.where(ok, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.intp)
     k = np.maximum(p - 1 - e, 0)  # at most p + 4 <= 21
-    # a * 10**k == high + low exactly
-    high = a * _POW10[k]
-    ah, al = _veltkamp(a)
-    bh, bl = _POW10_HI[k], _POW10_LO[k]
-    low = ((ah * bh - high) + ah * bl + al * bh) + al * bl
+    high, low = _times_pow10(a, k)
     # log10 may misjudge e by one next to a power of ten: a * 10**k must be
     # at least 10**(p-1), and below 10**p once rounded (checked with q)
     ok &= (high > _POW10[p - 1]) | ((high == _POW10[p - 1]) & (low >= 0))
@@ -309,42 +319,172 @@ def _row_faults(rows: np.ndarray, layout: str, hx: int, hy: int, L: int) -> list
             f"non-finite value in body row {rows[bad_value[0]]}"]
 
 
-def _line_count(fh) -> int:
-    """Lines from the position of the text file fh to its end, as iterating
-    over fh yields them."""
-    count, last = 0, "\n"
-    for chunk in iter(lambda: fh.read(2 ** 16), ""):
-        count += chunk.count("\n")
-        last = chunk[-1]
-    return count + (last != "\n")
+def _fold(words):
+    """The integer that the 8 digit values, one per byte, of each word of
+    words spell, byte 0 the leading digit: pairs, then quads, then all 8
+    are combined by one multiply and shift each (Lemire 2021)."""
+    words = words * 2561 >> 8  # 10 * 2**8 + 1
+    words = (words & 0x00FF00FF00FF00FF) * 6553601 >> 16  # 100 * 2**16 + 1
+    return (words & 0x0000FFFF0000FFFF) * 42949672960001 >> 32  # 10**4 * 2**32 + 1
 
 
-def _parse_block(lines) -> np.ndarray:
-    """The rows of a block of body lines. loadtxt skips an empty line but
-    not a whitespace-only one, so a block that fails to parse is parsed
-    again with its whitespace-only lines emptied."""
-    row_dtype = [(name, typ) for name, typ, _ in _ROW]
+def _digits(words, end, count, frac=None):
+    """The integer spelt by the count digits that end at byte end of each
+    field, where words[i] is the little-endian word at byte i, and the
+    integer spelt by all but their last 8. Each word is taken from the 8
+    bytes before its end, the bytes that are not digits cleared. If frac is
+    given, a decimal point sits before the last frac digits of a field: the
+    digits before it are taken one byte earlier, from the word shifted up
+    one byte."""
+    value = high = 0
+    earlier = None  # the raw word before this one, for the byte shifted in
+    chars = int(count.max(initial=0)) + (frac is not None)  # with the point
+    for k in reversed(range(-(-chars // 8))):
+        word = words[end - 8 * (k + 1)]
+        if frac is not None:
+            shifted = word << 8 if earlier is None else word << 8 | earlier >> 56
+            earlier = word
+            word = shifted ^ ((word ^ shifted) & _ABOVE.take(8 * k + 8 - frac, mode="clip"))
+        word &= _DIGIT_NIBBLES.take(8 * k + 8 - count, mode="clip")
+        high, value = value, value * 10 ** 8 + _fold(word)
+    return value, high
+
+
+def _scale(digits, k):
+    """digits / 10**k rounded to the nearest double, for uint64 digits below
+    10**18 and 0 <= k <= 22, and whether the kernel proved it.
+
+    q = fl(digits / 10**k) is within two units in the last place, and the
+    remainder digits - q * 10**k, exact to a few units in its last place,
+    says how far: q moves one unit toward it if that is nearer. A quotient
+    within 1e-6 of a unit of halfway between two doubles, or 1.25 units or
+    more from q, is not proved (Clinger 1990).
+    """
+    high = digits.astype(float)
+    p = _POW10[k]
+    q = high / p
+    ph, pl = _times_pow10(q, k)
+    # high - ph is exact (Sterbenz), and so is the rest of digits
+    rest = high - ph
+    rest -= pl
+    rest += digits.view(np.int64) - high.astype(np.int64)
+    unit = np.spacing(q)
+    off = rest / (p * unit)  # the quotient is q + off * unit
+    step = np.rint(off)
+    # One unit's step at most. Below a power of two the spacing halves, so a
+    # q that is one stays only if off > -1/4, and a step down to one needs
+    # off > -5/4.
+    ok = (np.abs(off - step) < 0.5 - 1e-6) & (np.abs(off) < 1.25)
+    ok &= (off > -0.25 + 1e-6) | (q.view(np.uint64) << 12 != 0)
+    return q + step * unit, ok
+
+
+# The kernel's body row: three ints '-?digits' and two floats
+# '-?digits.digits[e(+|-)digits]', joined by ',' and ended by '\n'. These are
+# its marks, the bytes ',', '.' and '\n', in order.
+_ROW_MARKS = np.frombuffer(b",,,.,.\n", np.uint8)
+# A block's bytes are led by this many zero bytes, so that the three words
+# before the end of any field start inside the block.
+_PAD = 24
+_ROW_BYTES = 9  # the shortest body row, '0,0,0,0,0', without its line end
+_DIGIT_NIBBLES = _ABOVE & 0x0F0F0F0F0F0F0F0F  # item t: the value bits of bytes t..7
+
+
+def _parse_rows(text: str):
+    """The rows of a block of whole body lines, parsed in numpy, or None if
+    a line is not in the kernel's grammar (_ROW_MARKS). Each float is
+    rounded from its digits and exponent by _scale; one that _scale does
+    not prove, or whose exponent is out of its range, is parsed by float().
+    Either way the bits are those of a correctly rounded parse, as loadtxt
+    gives."""
+    if not text.isascii():
+        return None
+    data = bytes(_PAD) + text.encode() + (b"" if text.endswith("\n") else b"\n")
+    b = np.frombuffer(data, np.uint8)
+    words = np.ndarray((b.size - 7,), "<u8", data, strides=(1,))
+    marks = np.flatnonzero((b == 10) | (b == 44) | (b == 46))
+    n = marks.size // 7
+    if marks.size % 7 or not (b[marks].reshape(n, 7) == _ROW_MARKS).all():
+        return None
+    at = marks.reshape(n, 7).T  # at[j]: the place of mark j in each row
+    i_start = np.stack([np.concatenate([[_PAD], at[6, :-1] + 1]), at[0] + 1, at[1] + 1])
+    i_end, f_start, f_end, dot = at[:3], at[[2, 4]] + 1, at[[4, 6]], at[[3, 5]]
+    i_neg, f_neg = b[i_start] == 45, b[f_start] == 45
+    i_count = i_end - i_start - i_neg
+    # an 'e' follows the point of a float, one at most, and ends its mantissa
+    exp = np.flatnonzero(b == 101)
+    after = np.searchsorted(marks, exp)
+    field = after % 7 // 2 - 2, after // 7
+    point = f_end.copy()
+    point[field] = exp
+    exp_sign, exp_count = b[exp + 1], f_end[field] - exp - 2
+    exp_minus, exp_plus = np.count_nonzero(exp_sign == 45), np.count_nonzero(exp_sign == 43)
+    frac = point - dot - 1
+    count = point - f_start - f_neg - 1
+    minus, plus = np.count_nonzero(b == 45), np.count_nonzero(b == 43)
+    # every byte is a digit or in its place; an int has 1 to 16 digits, a
+    # mantissa digits on both sides of its point and at most 23 in all, an
+    # exponent a sign and 1 to 3 digits
+    if (np.count_nonzero(b - 48 < 10) + marks.size + exp.size + minus + plus != b.size - _PAD
+            or minus != np.count_nonzero(i_neg) + np.count_nonzero(f_neg) + exp_minus
+            or plus != exp_plus or exp_minus + exp_plus != exp.size
+            or (after % 7 < 4).any() or (after % 7 % 2).any() or (np.diff(after) == 0).any()
+            or (i_count < 1).any() or (i_count > 16).any()
+            or (frac < 1).any() or (count - frac < 1).any() or (count > 23).any()
+            or (exp_count < 1).any() or (exp_count > 3).any()):
+        return None
+    rows = np.empty(n, _ROW_DTYPE)
+    value = _digits(words, i_end, i_count)[0].view(np.int64)
+    rows["m"], rows["n"], rows["l"] = np.where(i_neg, -value, value)
+    # arrays are dropped once used, to bound the block's working set
+    del marks, at, i_start, i_end, i_neg, i_count, value
+    power = -frac
+    if exp.size:
+        power[field] += (np.where(exp_sign == 45, -1, 1)
+                         * _digits(words, f_end[field], exp_count)[0].view(np.int64))
+    mantissa, high = _digits(words, point, count, frac)
+    del point, frac, count, dot
+    ok = (high < 10 ** 10) & (power <= 0) & (power >= -22)
+    x, proved = _scale(np.where(ok, mantissa, 0), np.where(ok, -power, 0))
+    x = np.where(f_neg, -x, x)
+    for i in zip(*np.nonzero(~(ok & proved))):
+        x[i] = float(data[f_start[i]:f_end[i]])
+    rows["re"], rows["im"] = x
+    return rows
+
+
+def _parse_block(text: str) -> np.ndarray:
+    """The rows of a block of whole body lines: by _parse_rows if every line
+    is in its grammar, else by loadtxt. loadtxt skips an empty line but not
+    a whitespace-only one, so a block that fails to parse is parsed again
+    with its whitespace-only lines emptied."""
+    rows = _parse_rows(text)
+    if rows is not None:
+        return rows
+    lines = io.StringIO(text, newline="\n").readlines()
     with warnings.catch_warnings():
         # a block of blank and comment lines holds no rows
         warnings.filterwarnings("ignore", "loadtxt: ", UserWarning)
         try:
-            return np.loadtxt(lines, row_dtype, delimiter=",", comments="#", ndmin=1)
+            return np.loadtxt(lines, _ROW_DTYPE, delimiter=",", comments="#", ndmin=1)
         except ValueError:
             emptied = ["\n" if line.isspace() else line for line in lines]
             if emptied == lines:
                 raise
-            return np.loadtxt(emptied, row_dtype, delimiter=",", comments="#", ndmin=1)
+            return np.loadtxt(emptied, _ROW_DTYPE, delimiter=",", comments="#", ndmin=1)
 
 
-def _body_rows(fh, first):
-    """The rows of the body that starts at line first and goes on in fh, one
-    block of about _BODY_BLOCK_CHARS characters of lines at a time. '#'
-    lines are comments, and blank lines are skipped."""
-    lines = [] if first is None else [first, *fh.readlines(_BODY_BLOCK_CHARS)]
+def _body_rows(fh, first: str):
+    """The rows of the body that starts with the text first and goes on in
+    fh, one block of about _BODY_BLOCK_CHARS characters of whole lines at a
+    time. '#' lines are comments, and blank lines are skipped."""
+    text = first + fh.read(_BODY_BLOCK_CHARS)
     n_rows = 0
-    while lines:
+    while text:
+        if not text.endswith("\n"):
+            text += fh.readline()
         try:
-            rows = _parse_block(lines)
+            rows = _parse_block(text)
         except ValueError as exc:
             # loadtxt numbers the rows of its own input
             message = re.sub(r"at row (\d+)",
@@ -352,25 +492,25 @@ def _body_rows(fh, first):
             raise CfrFormatError(f"malformed body row: {message}") from exc
         n_rows += rows.size
         yield rows
-        lines = fh.readlines(_BODY_BLOCK_CHARS)
+        text = fh.read(_BODY_BLOCK_CHARS)
 
 
-def _body_values(blocks, header: dict, n_lines: int) -> np.ndarray:
+def _body_values(blocks, header: dict, max_rows: int) -> np.ndarray:
     """The values of the entries the header declares, scattered from the
-    blocks of body rows. The body has n_lines lines. A fault is raised after
-    the last block, the first of these the rows have: a frequency index out
-    of range, an element index out of range, a non-finite value, fewer rows
-    than entries, and a repeated entry. Each names the first row at fault, a
-    repeated entry the lowest one."""
+    blocks of body rows, of which there are at most max_rows. A fault is
+    raised after the last block, the first of these the rows have: a
+    frequency index out of range, an element index out of range, a
+    non-finite value, fewer rows than entries, and a repeated entry. Each
+    names the first row at fault, a repeated entry the lowest one."""
     layout, L = header["layout"], header["n_freq"]
     cx, cy = _index_counts(layout, header["n_elem_x"], header["n_elem_y"])
     hx, hy = cx // 2, cy // 2
     size = cx * cy * L
     shape = (cx, cy, L) if layout == "ura" else (cx * cy, L)
-    # The counts come from the header, so until the file is known to hold a
-    # line per entry they are only compared with, never used to size an array.
+    # The counts come from the header, so until the file could hold a row
+    # per entry they are only compared with, never used to size an array.
     values = seen = None
-    if n_lines >= size:
+    if max_rows >= size:
         values, seen = np.empty(size, complex), np.zeros(size, bool)
     faults = [None, None, None]
     n_rows, repeat = 0, size  # repeat: the lowest repeated entry, size for none
@@ -409,25 +549,31 @@ def read_cfr(path) -> CfrSet:
     _body_values).
     """
     text: dict[str, str] = {}
-    with open(path) as fh:
-        n_lines = _line_count(fh)
-        fh.seek(0)
-        first = None
-        for skip, line in enumerate(fh):
+    repeated = None  # the first _HEADER key given twice
+    with open(path, encoding="utf-8") as fh:
+        if not fh.seekable():  # a pipe has no size to bound the rows by
+            raise io.UnsupportedOperation("underlying stream is not seekable")
+        # the body's bytes: the file's, less at least those of the headers
+        body_bytes, first = os.fstat(fh.fileno()).st_size, ""
+        for line in fh:
             stripped = line.strip()
             if stripped and not stripped.startswith("#"):
                 first = line  # the headers end at the first body row
                 break
+            body_bytes -= len(line)
             key, _, value = stripped[1:].partition("=")
-            text[key.strip()] = value.strip()
-        else:
-            skip = n_lines
+            key = key.strip()
+            if key in text and key in _HEADER:
+                repeated = repeated or key
+            text[key] = value.strip()
         try:
+            if repeated:
+                raise CfrFormatError(f"header key {repeated!r} given twice")
             header, freqs, geometry = _header_spec(text)
         except ValueError:
             for _ in _body_rows(fh, first):  # a malformed row comes first
                 pass
             raise
-        values = _body_values(_body_rows(fh, first), header, n_lines - skip)
+        values = _body_values(_body_rows(fh, first), header, body_bytes // _ROW_BYTES)
     return CfrSet(header["layout"], values, freqs, geometry, header["ref_freq_hz"],
                   header["narrowband_phase"] == 1)

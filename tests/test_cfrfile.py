@@ -1,8 +1,11 @@
 import io
+import os
 import re
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -327,6 +330,20 @@ def test_read_unparsable_header_value_names_its_key(tmp_path):
             read_cfr(p)
 
 
+@pytest.mark.parametrize("key,value", [("ref_freq_hz", "1e9"), ("narrowband_phase", "0")])
+def test_read_rejects_a_header_key_given_twice(tmp_path, key, value):
+    p = _tiny_file(tmp_path, FULL_MA_BODY, format_version=2, narrowband_phase=1)
+    lines = p.read_text().splitlines()
+    header, body = lines[:10], lines[10:]
+    p.write_text("\n".join(header + [f"# {key}={value}"] + body) + "\n")
+    with pytest.raises(CfrFormatError, match=f"^header key '{key}' given twice$"):
+        read_cfr(p)
+    # after the first body row the same line is a comment
+    p.write_text("\n".join(header + body[:1] + [f"# {key}={value}"] + body[1:]) + "\n")
+    cfr = read_cfr(p)
+    assert (cfr.ref_freq_hz, cfr.narrowband_phase) == (28e9, True)
+
+
 @pytest.mark.parametrize("n_elem_x", [200001, 10 ** 20 + 1])
 def test_read_sizes_nothing_from_header_counts_until_the_body_has_the_rows(
         tmp_path, n_elem_x):
@@ -343,6 +360,27 @@ def test_read_sizes_nothing_from_header_counts_until_the_body_has_the_rows(
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_refuses_a_pipe_whose_size_cannot_bound_its_rows(tmp_path):
+    text = _tiny_file(tmp_path, FULL_MA_BODY).read_bytes()
+    pipe = tmp_path / "pipe.csv"
+    os.mkfifo(pipe)
+
+    def feed():
+        try:
+            pipe.write_bytes(text)
+        except BrokenPipeError:  # the reader may close first
+            pass
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        with pytest.raises(io.UnsupportedOperation, match="not seekable"):
+            read_cfr(pipe)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_read_bad_version(tmp_path):
@@ -564,3 +602,85 @@ def test_read_ma_x_rejects_nonzero_y_index(tmp_path):
 def test_blank_lines_are_ignored(tmp_path):
     p = _tiny_file(tmp_path, [""] + FULL_MA_BODY + ["", ""])
     assert read_cfr(p).values.shape == (3, 2)
+
+
+# Spellings of a number that loadtxt reads, or fails to read, but that the
+# kernel's grammar leaves to it; and non-finite values
+HAND_SPELLINGS = ["1.", ".5", "+1", "-0", "-0.0", "1e5", "1E+05", " 1.5", "1.5 ", "\t-2.25",
+                  "2.5\t", "nan", "inf", "-inf"]
+
+
+@st.composite
+def _bodies(draw):
+    """A body of one element's n sweep points: value fields written from
+    any double with %.17g, %.9g, %r or %.3e, as ints, or spelled by hand,
+    lines ended by LF, CRLF or a lone CR, the last maybe by none. Half the
+    bodies are all doubles and LF, the output's form."""
+    double = st.builds(lambda spec, x: spec % x,
+                       st.sampled_from(["%.17g", "%.9g", "%r", "%.3e"]), st.floats())
+    clean = draw(st.booleans())
+    value = double if clean else st.one_of(
+        double, st.integers(-10 ** 20, 10 ** 20).map(str), st.sampled_from(HAND_SPELLINGS))
+    index = st.just("0") if clean else st.sampled_from(["0", "-0", "+0", "00", " 0", "0\t"])
+    end = st.just("\n") if clean else st.sampled_from(["\n", "\r\n", "\r"])
+    n = draw(st.integers(2, 12))
+    lines = [f"{draw(index)},0,{l},{draw(value)},{draw(value)}{draw(end)}" for l in range(n)]
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return n, "".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bodies(), st.sampled_from([1, 64, 2 ** 18]))
+def test_read_body_values_are_those_of_loadtxt(tmp_path_factory, body, block_chars):
+    """Whether the kernel parses a block or leaves it to loadtxt, read_cfr
+    gives loadtxt's bits for the body, or its error."""
+    n, text = body
+    path = _tiny_file(tmp_path_factory.getbasetemp(), [], n_freq=n, n_elem_x=1, n_elem_y=1)
+    path.write_bytes(path.read_bytes() + text.encode())
+    lines = io.StringIO(text, newline=None).readlines()  # as a text file reads them
+    with mock.patch.object(cfrfile, "_BODY_BLOCK_CHARS", block_chars):
+        try:
+            ref = np.loadtxt(lines, cfrfile._ROW_DTYPE, delimiter=",", ndmin=1)
+        except ValueError as exc:
+            with pytest.raises(CfrFormatError) as info:
+                read_cfr(path)
+            assert str(info.value) == f"malformed body row: {exc}"
+            return
+        if not (np.isfinite(ref["re"]) & np.isfinite(ref["im"])).all():
+            with pytest.raises(CfrFormatError, match="^non-finite value in body row"):
+                read_cfr(path)
+            return
+        values = read_cfr(path).values[0]
+    assert values.real.tobytes() == ref["re"].tobytes()
+    assert values.imag.tobytes() == ref["im"].tobytes()
+
+
+@pytest.mark.parametrize("name,layout", [("table1", "ma_x"), ("table1", "ma_y"),
+                                         ("fig5", "ura")])
+def test_read_parses_every_block_of_a_bundled_cfr_in_numpy(tmp_path, monkeypatch, name,
+                                                           layout):
+    s = parse_scenario(scenario_path(name))
+    if layout == "ura":
+        cfr = gen_ura_cfr(s.paths, s.ura, s.freqs)
+    else:
+        cfr = gen_ma_cfr(s.paths, s.ma, s.freqs)[layout == "ma_y"]
+    write_cfr(tmp_path / "cfr.csv", cfr)
+
+    def no_loadtxt(*args, **kwargs):
+        raise AssertionError("a block of write_cfr's output was left to loadtxt")
+    monkeypatch.setattr(cfrfile.np, "loadtxt", no_loadtxt)
+    back = read_cfr(tmp_path / "cfr.csv")
+    assert back.values.tobytes() == cfr.values.tobytes()
+
+
+@pytest.mark.parametrize("block_chars", [1, 2 ** 18])
+def test_read_non_utf8_body_byte_raises_a_value_error(tmp_path, monkeypatch, block_chars):
+    # the CLI exits 2 on a ValueError
+    monkeypatch.setattr(cfrfile, "_BODY_BLOCK_CHARS", block_chars)
+    p = _tiny_file(tmp_path, FULL_MA_BODY)
+    text = p.read_bytes()
+    assert text.endswith(b",1.5\n")
+    p.write_bytes(text[:-3] + b"\xff5\n")
+    with pytest.raises(ValueError):
+        read_cfr(p)
