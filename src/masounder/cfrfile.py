@@ -58,19 +58,12 @@ def _times_pow10(a, k):
 
 
 # The formatted text is held in little-endian uint64 words ("<u8"), so that
-# byte i of a word is byte i of its text on any host. To insert the decimal
-# point at byte j of a word, with t = clip(j, -1, 8) + 1, the digit word keeps
-# the bytes in _BELOW[t], the word shifted up one byte fills those in
-# _ABOVE[t], and _POINT[t] holds the '.'.
-_ALL = 2 ** 64 - 1
-_BELOW = np.array([0] + [2 ** (8 * j) - 1 for j in range(8)] + [_ALL], "<u8")
-_ABOVE = np.array([_ALL] + [_ALL ^ (2 ** (8 * j + 8) - 1) for j in range(8)] + [0], "<u8")
-_POINT = np.array([0] + [ord(".") << 8 * j for j in range(8)] + [0], "<u8")
-# A field with this spec, p <= 17, of float values is formatted in numpy
-# (_format_g); any other field by Python.
+# byte i of a word is byte i of its text on any host. Item t of _ABOVE masks
+# bytes t..7 of a word, none for t >= 8.
+_ABOVE = np.array([2 ** 64 - 2 ** (8 * t) for t in range(9)] + [0], "<u8")
 _G_SPEC = re.compile(r"%\.(\d+)g")
-# Bound on the working set of a chunk of lines: its line and mask matrices,
-# each field's words and the kernel's temporaries.
+# Bound on the working set of a chunk of lines: its line matrix, the words
+# of each field formatted by Python and the kernel's temporaries.
 _CHUNK_BYTES = 2 ** 21
 # read_cfr parses the body in blocks of lines of about this many characters.
 # A block's line strings and rows take about 3 bytes per character.
@@ -90,31 +83,42 @@ def _digit_tables():
     return ascii4.view("<u8")[:, 0], zeros.astype(np.intp)
 
 
+def _g_precision(spec: str, values: np.ndarray) -> int:
+    """p if _format_g formats values with spec, float values of a '%.<p>g'
+    spec with p <= 17, else 0."""
+    match = _G_SPEC.fullmatch(spec)
+    kernel = match and int(match[1]) <= 17 and values.dtype.kind == "f" and values.itemsize <= 8
+    return max(1, int(match[1])) if kernel else 0  # as in Python, precision 0 means 1
+
+
 @functools.cache
-def _g_layout(p: int, sep: bytes):
-    """The tables of a '%.<p>g' field led by sep. Its slot is one word of
-    prefix, sep and the text before the digits right-aligned, then
-    (p + 8) // 8 words of body, the digits with the decimal point. For
-    exponent x in -4..p-1 and sign s, the prefix is row 2 * (x + 4) + s of
-    the first table, and the mask of the slot's bytes that the field keeps,
-    with the body's first b bytes, is row (2 * (x + 4) + s) * (p + 2) + b of
-    the second."""
+def _g_layout(p: int, sep: bytes, end: bytes):
+    """The tables of a '%.<p>g' field led by sep and ended by end (b"" or
+    one byte). Its slot is a word of prefix, sep and the text before the
+    digits right-aligned, then (p + len(end) + 8) // 8 words of body: the
+    digits, the point and end; every other byte is 0. For exponent x in
+    -4..p-1 and sign s, the prefix is item 2 * (x + 4) + s of the first
+    table. For b bytes of body before end, item (x + 4) * (p + 2) + b of
+    masks[w] has body word w's masks of digits and of digits shifted up past
+    the point, and the point and end bytes it adds."""
     prefixes = [sep + (b"-" if s else b"") + (b"0." + b"0" * (-x - 1) if x < 0 else b"")
                 for x in range(-4, p) for s in (0, 1)]
-    body = np.arange(8 * ((p + 8) // 8)) < np.arange(p + 2)[:, None]
-    keep = [np.concatenate([np.arange(8) >= 8 - len(prefix), b])
-            for prefix in prefixes for b in body]
-    masks = np.array(keep).view("<u8")
+    byte = np.arange(8 * ((p + len(end) + 8) // 8))
+    x, b = np.arange(-4, p)[:, None, None], np.arange(p + 2)[:, None]
+    at = np.where(x >= 0, x + 1, byte.size)  # the point's byte, past the body if none
+    text = byte < b
+    masks = np.array(np.broadcast_arrays(
+        (text & (byte < at)) * 255, (text & (byte > at)) * 255,
+        np.where(text & (byte == at), ord("."), 0) + (byte == b) * int.from_bytes(end, "little")),
+        np.uint8).reshape(3, -1, byte.size).view("<u8").transpose(2, 0, 1).copy()
     masks.flags.writeable = False
-    return np.frombuffer(b"".join(prefix.rjust(8, b"\0") for prefix in prefixes),
-                         "<u8"), masks
+    return np.frombuffer(b"".join(prefix.rjust(8, b"\0") for prefix in prefixes), "<u8"), masks
 
 
-def _format_g(x: np.ndarray, p: int, spec: str, sep: bytes):
-    """sep + spec % v for each float64 v of x, where spec is '%.<p>g' with
-    1 <= p <= 17, as _g_layout(p, sep) lays it out: a matrix of
-    1 + (p + 8) // 8 words per value, and a matrix of the same shape that
-    marks the bytes of the text, one run per row.
+def _format_g(x: np.ndarray, p: int, spec: str, sep: bytes, end: bytes, out=None):
+    """sep + spec % v + end for each float64 v of x, where spec is '%.<p>g'
+    with 1 <= p <= 17, laid out by _g_layout(p, sep, end) in the rows of out
+    (a new matrix if None), 1 + (p + len(end) + 8) // 8 words each.
 
     The digits are the p-digit integer nearest |v| * 10**k, taken from an
     exact two-product (Dekker 1971).
@@ -140,59 +144,56 @@ def _format_g(x: np.ndarray, p: int, spec: str, sep: bytes):
     ok &= (q < 10 ** p) & (e >= -4) & (e < p)  # else a carry or exponent notation
     q[~ok], e[~ok] = 10 ** (p - 1), 0
     digits4, zeros4 = _digit_tables()
-    # index of the last nonzero digit; four or more trailing zeros are rare
-    low4 = q % 10000
+    # Digits are split by floor division, which numpy does by multiplying
+    # (libdivide), and multiply-subtract, not by the slower '%'. The index of
+    # the last nonzero digit; four or more trailing zeros are rare
+    low4 = q - q // 10000 * 10000
     last = p - 1 - zeros4.take(low4)
     more = np.flatnonzero(low4 == 0)
     if more.size:
         last[more] = p - 1 - sum(q[more] % 10 ** j == 0 for j in range(1, p))
-    point = e >= 0
-    body = np.where(point & (last > e), last + 2, np.maximum(last, e) + 1)
-    prefix, masks = _g_layout(p, sep)
-    code = 2 * (e + 4) + np.signbit(x)
-    words = (p + 8) // 8
-    chars = np.empty((x.size, 1 + words), "<u8")
-    chars[:, 0] = prefix.take(code)
+    body = np.where((e >= 0) & (last > e), last + 2, np.maximum(last, e) + 1)
+    prefix, masks = _g_layout(p, sep, end)
+    out = np.empty((x.size, 1 + len(masks)), "<u8") if out is None else out
+    out[:, 0] = prefix.take(2 * (e + 4) + np.signbit(x))
+    code = (e + 4) * (p + 2) + body
     # body word w holds digits 8w..8w+7 of q, the decimal point at its byte
     # e + 1 - 8w, and the digits past the point one byte up
-    at = np.where(point, e + 1, 8 * words)
-    below = 0
-    for w in range(words):
+    rest, below = q, 0  # the digits of q after the last word, the last word
+    for w, (digit_mask, shifted_mask, add) in enumerate(masks):
         tail = p - 8 * w - 8  # digits of q after this word
-        if tail >= 0:
-            eight = q // 10 ** tail % 10 ** 8
+        if tail > 0:
+            eight = rest // 10 ** tail
+            rest = rest - eight * 10 ** tail
         else:
-            eight = q % 10 ** max(0, p - 8 * w) * 10 ** -tail
-        high4, low4 = np.divmod(eight, 10000)
-        digits = digits4.take(high4) | digits4.take(low4) << 32
-        t = np.minimum(np.maximum(at - 8 * w, -1), 8) + 1
-        chars[:, 1 + w] = (digits & _BELOW.take(t)
-                           | (digits << 8 | below >> 56) & _ABOVE.take(t)
-                           | _POINT.take(t))
+            eight, rest = rest * 10 ** -tail, 0
+        high4 = eight // 10000
+        digits = digits4.take(high4) | digits4.take(eight - high4 * 10000) << 32
+        out[:, 1 + w] = (digits & digit_mask.take(code)
+                         | (digits << 8 | below >> 56) & shifted_mask.take(code)
+                         | add.take(code))
         below = digits
-    keep = masks.take(code * (p + 2) + body, axis=0)
-    text_bytes, keep_bytes = chars.view(np.uint8), keep.view(bool)
     for i in np.flatnonzero(~ok):
-        text = sep + (spec % x[i]).encode()  # at most p + 8 bytes
-        text_bytes[i, :len(text)] = np.frombuffer(text, np.uint8)
-        keep_bytes[i] = np.arange(keep_bytes.shape[1]) < len(text)
-    return chars, keep
+        text = sep + (spec % x[i]).encode() + end  # at most p + 8 + len(end) bytes
+        out[i] = np.frombuffer(text.ljust(8 * out.shape[1], b"\0"), "<u8")
+    return out
 
 
-def _format(spec: str, sep: str, values: np.ndarray):
-    """sep + spec % v for each v of values: a matrix of words, one row of
-    UTF-8 text per value, and a matrix of the same shape that marks its
-    bytes. Float values of a '%.<p>g' spec, p <= 17, are formatted in numpy
-    (_format_g), anything else by Python."""
-    match = _G_SPEC.fullmatch(spec)
-    if match and int(match[1]) <= 17 and values.dtype.kind == "f" and values.itemsize <= 8:
-        p = max(1, int(match[1]))  # as in Python, precision 0 means 1
-        return _format_g(values.astype(float, copy=False), p, spec, sep.encode())
-    data = [(sep + spec % v).encode() for v in values.tolist()]
-    sizes = np.fromiter(map(len, data), np.intp, len(data))
-    width = 8 * max(1, -(-sizes.max(initial=0) // 8))
-    chars = np.array(data, f"S{width}").view("<u8").reshape(len(data), -1)
-    return chars, (np.arange(width) < sizes[:, None]).view("<u8")
+def _format(spec: str, sep: str, end: str, values: np.ndarray, out=None):
+    """sep + spec % v + end for each v of values: a matrix of words, one row
+    of UTF-8 text per value, NUL-padded. Float values of a '%.<p>g' spec,
+    p <= 17, are formatted in numpy (_format_g), into out if given; anything
+    else by Python, whose text must hold no NUL byte."""
+    p = _g_precision(spec, values)
+    if p:
+        return _format_g(values.astype(float, copy=False), p, spec, sep.encode(),
+                         end.encode(), out)
+    data = [(sep + spec % v + end).encode() for v in values.tolist()]
+    width = 8 * max(1, -(-max(map(len, data), default=0) // 8))
+    words = np.array(data, f"S{width}").view("<u8").reshape(len(data), -1)
+    if np.count_nonzero(words.view(np.uint8)) != sum(map(len, data)):
+        raise ValueError(f"field {spec!r} formats text with a NUL byte")
+    return words
 
 
 def write_rows(fh, specs, *columns) -> None:
@@ -210,41 +211,40 @@ def write_rows(fh, specs, *columns) -> None:
     shape, size = columns[0].shape, columns[0].size
     if not size:
         return
-    # Each field fills whole words of a line matrix, led by its comma, and
-    # the same words of a mask matrix mark its bytes; a last word holds the
-    # newline. line_bytes is what a chunk holds per line at its peak, as
-    # tracemalloc measured it: 160 bytes, 64 per field, 192 more per
-    # per-cell float '%.<p>g' field.
-    fields, line_bytes = [], 160  # (spec, sep, axis or None per cell, column or text)
+    # Each field writes its text, led by its comma, NUL-padded into its own
+    # words of a line matrix, the last field's text ending with the newline.
+    # line_bytes bounds what a chunk holds per line at its peak: 160 bytes,
+    # 64 per field, 192 more per per-cell float '%.<p>g' field. tracemalloc
+    # measured 110-340 bytes: the line, its index and one field's temporaries.
+    fields, line_bytes = [], 160  # (spec, sep, end, axis, words or column, kernel width)
     for i, (spec, c) in enumerate(zip(specs, columns)):
-        sep, axis = "," if i else "", None
+        sep, end = "," if i else "", "" if i < len(specs) - 1 else "\n"
+        axis, p = None, _g_precision(spec, c)
         varies = [a for a, (n, s) in enumerate(zip(shape, c.strides)) if n > 1 and s != 0]
         if len(varies) <= 1 < len(shape):
             axis, = varies or [0]
             along = tuple(slice(None) if a in varies else 0 for a in range(len(shape)))
-            chars, keep = _format(spec, sep, np.atleast_1d(c[along]))
-            c = [m.compress(keep.any(0), 1) for m in (chars, keep)]  # drop empty words
-        elif c.dtype.kind == "f" and _G_SPEC.fullmatch(spec):
-            line_bytes += 192
-        fields.append((spec, sep, axis, c))
-        line_bytes += 64
+            c, p = _format(spec, sep, end, np.atleast_1d(c[along])), 0
+            c = c.compress(c.any(0), 1)  # drop empty words
+        fields.append((spec, sep, end, axis, c, p and 1 + (p + len(end) + 8) // 8))
+        line_bytes += 64 + 192 * bool(p)
     step = max(1, _CHUNK_BYTES // line_bytes)
     for start in range(0, size, step):
         index = np.unravel_index(np.arange(start, min(size, start + step)), shape)
-        parts = []  # the words of each field and their mask
-        for spec, sep, axis, c in fields:
-            if axis is None:
-                parts.append(_format(spec, sep, c[index]))
-            else:  # a constant column's one row stands for every index
-                parts.append([words.take(index[axis], 0, mode="clip") for words in c])
-        ends = np.cumsum([chars.shape[1] for chars, _ in parts] + [1])
-        line = np.empty((index[0].size, ends[-1]), "<u8")
-        mask = np.empty(line.shape, "<u8")
-        for (chars, keep), end in zip(parts, ends):
-            begin = end - chars.shape[1]
-            line[:, begin:end], mask[:, begin:end] = chars, keep
-        line[:, -1], mask[:, -1] = ord("\n"), 1
-        fh.write(line.view(np.uint8)[mask.view(bool)].tobytes().decode())
+        # A per-cell float '%.<p>g' field is formatted in the line, any other
+        # copied into it. A constant column's one row stands for every index.
+        words = [c.take(index[axis], 0, mode="clip") if axis is not None
+                 else None if width else _format(spec, sep, end, c[index])
+                 for spec, sep, end, axis, c, width in fields]
+        stops = np.cumsum([width or w.shape[1] for w, (*_, width) in zip(words, fields)])
+        line = np.empty((index[0].size, stops[-1]), "<u8")
+        for (spec, sep, end, _, c, width), w, stop in zip(fields, words, stops):
+            if w is None:
+                _format(spec, sep, end, c[index], line[:, stop - width:stop])
+            else:
+                line[:, stop - w.shape[1]:stop] = w
+        text = line.view(np.uint8).ravel()
+        fh.write(text[text != 0].tobytes().decode())
 
 
 def write_cfr(path, cfr: CfrSet) -> None:

@@ -59,20 +59,22 @@ def _load(config_path: str, out_dir: str, quiet: bool) -> tuple[Scenario, Path]:
 
 
 def _guarded(fn):
-    """Map exception classes onto the documented exit codes."""
+    """Map exception classes onto the documented exit codes. OSError is
+    tested first: io.UnsupportedOperation, as for a CFR path that is a pipe,
+    is a ValueError too."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
+        except OSError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_IO)
         except (ScenarioError, CfrFormatError, ValueError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_VALIDATION)
         except NoPeakError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_NUMERICAL)
-        except OSError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_IO)
     return wrapper
 
 

@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -556,6 +558,35 @@ def test_cli_estimate_without_cfrs_exits_4(tmp_path):
                                   "--out", str(tmp_path / "empty")])
     assert r.exit_code == 4
     assert "not found" in r.output
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_cli_estimate_cfr_pipe_exits_4(tmp_path):
+    """A pipe has no size to bound its rows by, so reading it is an I/O
+    failure, although io.UnsupportedOperation is a ValueError too."""
+    cfg = str(_write_tiny(tmp_path))
+    out = tmp_path / "out"
+    assert _run(["simulate", "--config", cfg, "--out", str(out),
+                 "--quiet"]).exit_code == 0
+    cfr_file = out / "ma_x_cfr.csv"
+    text = cfr_file.read_bytes()
+    cfr_file.unlink()
+    os.mkfifo(cfr_file)
+
+    def feed():
+        try:
+            cfr_file.write_bytes(text)
+        except BrokenPipeError:  # the reader may close first
+            pass
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        r = CliRunner().invoke(main, ["estimate", "--config", cfg, "--out", str(out)])
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert r.exit_code == 4
+    assert "not seekable" in r.output
 
 
 def test_cli_beamscan_without_cfrs_exits_4(tmp_path):
