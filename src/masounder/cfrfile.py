@@ -269,8 +269,9 @@ def write_cfr(path, cfr: CfrSet) -> None:
                    np.arange(freqs.n_points), values.real, values.imag)
 
 
-def _parse_header(text: dict[str, str]) -> dict:
-    """The value of each _HEADER key, read as its type from the header text."""
+def _header_spec(text: dict[str, str]) -> tuple[dict, FrequencyGrid, MaGeometry | UraGeometry]:
+    """The header values, read as their _HEADER types, and the sweep and
+    geometry the header text declares."""
     header = {}
     for key, typ in _HEADER.items():
         value = text.get(key)
@@ -283,12 +284,6 @@ def _parse_header(text: dict[str, str]) -> dict:
         except ValueError:
             raise CfrFormatError(f"header {key} must be {typ.__name__}, "
                                  f"not {value!r}") from None
-    return header
-
-
-def _header_spec(text: dict[str, str]) -> tuple[dict, FrequencyGrid, MaGeometry | UraGeometry]:
-    """The header values, sweep and geometry the header text declares."""
-    header = _parse_header(text)
     freqs = FrequencyGrid(header["f_start_hz"], header["f_stop_hz"], header["n_freq"])
     if header["format_version"] not in (1, FORMAT_VERSION):
         raise CfrFormatError(f"unsupported format_version {header['format_version']}")
@@ -456,22 +451,16 @@ def _parse_rows(text: str):
 def _parse_block(text: str) -> np.ndarray:
     """The rows of a block of whole body lines: by _parse_rows if every line
     is in its grammar, else by loadtxt. loadtxt skips an empty line but not
-    a whitespace-only one, so a block that fails to parse is parsed again
-    with its whitespace-only lines emptied."""
+    a whitespace-only one, so whitespace-only lines are emptied first."""
     rows = _parse_rows(text)
     if rows is not None:
         return rows
-    lines = io.StringIO(text, newline="\n").readlines()
+    lines = ["\n" if line.isspace() else line
+             for line in io.StringIO(text, newline="\n").readlines()]
     with warnings.catch_warnings():
         # a block of blank and comment lines holds no rows
         warnings.filterwarnings("ignore", "loadtxt: ", UserWarning)
-        try:
-            return np.loadtxt(lines, _ROW_DTYPE, delimiter=",", comments="#", ndmin=1)
-        except ValueError:
-            emptied = ["\n" if line.isspace() else line for line in lines]
-            if emptied == lines:
-                raise
-            return np.loadtxt(emptied, _ROW_DTYPE, delimiter=",", comments="#", ndmin=1)
+        return np.loadtxt(lines, _ROW_DTYPE, delimiter=",", comments="#", ndmin=1)
 
 
 def _body_rows(fh, first: str):

@@ -14,7 +14,7 @@ import click
 import numpy as np
 
 from .beamform import NoPeakError, cbf_ma, cbf_ura, padp_ma, padp_ura
-from .cfrfile import CfrFormatError, read_cfr, write_cfr, write_rows
+from .cfrfile import read_cfr, write_cfr, write_rows
 from .channel import add_noise, gen_ma_cfr, gen_ura_cfr
 from .compare import compare_arrays
 from .geometry import scan_cosines, wrap_azimuth
@@ -46,6 +46,8 @@ def _common_options(fn):
 
 # Only the commands that draw noise take a seed.
 _seed_option = click.option("--seed", default=0, type=int, help="RNG seed for noise.")
+_cfr_dir_option = click.option("--cfr-dir", default=None, type=click.Path(file_okay=False),
+                               help="Directory holding CFR files (default: --out).")
 
 
 def _load(config_path: str, out_dir: str, quiet: bool) -> tuple[Scenario, Path]:
@@ -61,7 +63,7 @@ def _load(config_path: str, out_dir: str, quiet: bool) -> tuple[Scenario, Path]:
 def _guarded(fn):
     """Map exception classes onto the documented exit codes. OSError is
     tested first: io.UnsupportedOperation, as for a CFR path that is a pipe,
-    is a ValueError too."""
+    is a ValueError too. ScenarioError and CfrFormatError are ValueErrors."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
@@ -69,7 +71,7 @@ def _guarded(fn):
         except OSError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_IO)
-        except (ScenarioError, CfrFormatError, ValueError) as exc:
+        except ValueError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_VALIDATION)
         except NoPeakError as exc:
@@ -108,12 +110,12 @@ def cmd_synth_pattern(config_path, out_dir, quiet):
     wx, wy, wx_ma, wy_ma = scenario.steered_excitations()
     u_axis, v_axis = uv_lattice(scenario.pattern_lattice)
     ura_pat = ura_power_pattern(wx, wy, scenario.ura, u_axis, v_axis)
-    _write_uv_pattern(out / "ura_pattern.csv", ura_pat)
-    if scenario.ma is None:
+    ma_pat = scenario.ma and ma_power_pattern(wx_ma, wy_ma, scenario.ma, u_axis, v_axis)
+    _write_uv_pattern(out / "ura_pattern.csv", ura_pat)  # once both are computed
+    if ma_pat is None:
         if not quiet:
             click.echo("no MA geometry; URA pattern only")
         return
-    ma_pat = ma_power_pattern(wx_ma, wy_ma, scenario.ma, u_axis, v_axis)
     _write_uv_pattern(out / "ma_pattern.csv", ma_pat)
     if not (check_conjugate_symmetry(wx) and check_conjugate_symmetry(wy)):
         click.echo("warning: excitations not conjugate-symmetric; "
@@ -184,8 +186,7 @@ def _ma_scan(ma_x, ma_y, scenario: Scenario, grid, theta: float):
 
 @main.command("beamscan")
 @_common_options
-@click.option("--cfr-dir", default=None, type=click.Path(file_okay=False),
-              help="Directory holding CFR files (default: the output directory).")
+@_cfr_dir_option
 @click.option("--theta", "theta_deg", default=None, type=float,
               help="PADP cut elevation in [0, 90] deg (default: compare.theta_deg).")
 @_guarded
@@ -216,8 +217,7 @@ def cmd_beamscan(config_path, out_dir, quiet, cfr_dir, theta_deg):
 
 @main.command("estimate")
 @_common_options
-@click.option("--cfr-dir", default=None, type=click.Path(file_okay=False),
-              help="Directory holding MA CFR files (default: the output directory).")
+@_cfr_dir_option
 @_guarded
 def cmd_estimate(config_path, out_dir, quiet, cfr_dir):
     """Run the SIC estimator on MA CFR files and emit the path table."""

@@ -237,17 +237,31 @@ def _check_array_sizes(s: Scenario) -> None:
               ("frequency.points x estimator.pad_factor x scan.phi", "PADP",
                points * s.pad_factor * n_phi),
               ("pattern_lattice squared", "pattern lattice", s.pattern_lattice ** 2)]
-    # a narrowband PADP sums along y (URA) or each MA axis by a product
-    # with an (elements x scan.phi) steering matrix
+    # A narrowband PADP sums along y (URA) or each MA axis by a product with a
+    # steering matrix built per block of azimuths, at most elements x scan.phi.
+    # synth-pattern (it needs a URA) builds a pattern_lattice x elements line
+    # factor per axis; a taper of n elements takes an n x n DFT.
     if s.ura is not None:
+        wider = "ura.m" if s.ura.m_count >= s.ura.n_count else "ura.n"
+        elements = max(s.ura.m_count, s.ura.n_count)
         arrays += [("ura.m x ura.n x frequency.points", "URA CFR",
                     s.ura.m_count * s.ura.n_count * points),
-                   ("ura.n x scan.phi", "URA steering matrix", s.ura.n_count * n_phi)]
+                   ("ura.n x scan.phi", "URA steering matrix", s.ura.n_count * n_phi),
+                   (f"pattern_lattice x {wider}", "URA line factor",
+                    s.pattern_lattice * elements)]
+        if s.taper_sidelobe_db is not None:
+            arrays.append((f"{wider} squared", "URA taper DFT", elements ** 2))
     if s.ma is not None:
         larger = "ma.x" if s.ma.x_count >= s.ma.y_count else "ma.y"
         count = max(s.ma.x_count, s.ma.y_count)
         arrays += [(f"{larger} x frequency.points", "MA CFR", count * points),
                    (f"{larger} x scan.phi", "MA steering matrix", count * n_phi)]
+        if s.ura is not None:
+            arrays.append((f"pattern_lattice x {larger}", "MA line factor",
+                           s.pattern_lattice * count))
+        if s.taper_sidelobe_db is not None:
+            arrays.append((f"(({larger} + 1) / 2) squared", "MA taper DFT",
+                           ((count + 1) // 2) ** 2))
     for fields, name, count in arrays:
         size = 16 * count  # complex128
         if size > MAX_ARRAY_BYTES:
@@ -258,6 +272,12 @@ def _check_array_sizes(s: Scenario) -> None:
 
 def _validate(s: Scenario) -> None:
     _check_array_sizes(s)
+    if s.taper_sidelobe_db is not None and s.ma is not None:
+        # a tapered sub-array auto-convolves an odd taper of (count + 1) / 2
+        for name, count in (("ma.x", s.ma.x_count), ("ma.y", s.ma.y_count)):
+            if count % 4 != 1:
+                raise ScenarioError(f"{name} = {count}: a tapered MA sub-array needs 4k + 1 "
+                                    "elements, the auto-convolution of an odd taper")
     try:  # the MA's range, half the URA's, is the one a path reaches first
         for geometry in (s.ma, s.ura):
             if geometry is not None:

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamform import (BeamPattern, NoPeakError, cbf_ma, cfr_to_cir, check_ma_pair,
-                       cir_to_cfr, descending_cells, line_spectrum, padp_ma)
+from .beamform import (DB_FLOOR, BeamPattern, NoPeakError, cbf_ma, cfr_to_cir,
+                       check_ma_pair, cir_to_cfr, descending_cells, line_spectrum, padp_ma)
 # gen_ma_cfr stays bound here, where perfbench traces it; subtract_path
-# regenerates one sub-array at a time through _ma_axis_cfr.
+# regenerates one sub-array through _ma_axis_cfr.
 from .channel import CfrSet, _ma_axis_cfr, gen_ma_cfr, sounded_paths  # noqa: F401
 from .geometry import (Direction, FrequencyGrid, MaGeometry, PathComponent,
                        ScanGrid, uv_map, wrap_azimuth)
@@ -201,7 +201,7 @@ def refine_delay(gated_x: np.ndarray, gated_y: np.ndarray, freqs: FrequencyGrid,
 
     def project(t):
         return np.exp(w * t) @ spectrum
-    if np.abs(spectrum).max() <= 1e-30:
+    if np.abs(spectrum).max() <= DB_FLOOR:
         return tau_hat, project(tau_hat)
     bin_s = 1.0 / (freqs.n_points * pad_factor * freqs.spacing_hz)
     limit = 0.5 * freqs.unambiguous_delay_s
@@ -224,37 +224,23 @@ def estimate_power(gated_x: np.ndarray, gated_y: np.ndarray, freqs: FrequencyGri
     """
     profile = np.abs(cfr_to_cir(gated_x * gated_y, freqs, pad_factor))
     peak = profile.max(axis=-1) / (geometry.x_count * geometry.y_count)
-    above = peak > 1e-30
+    above = peak > DB_FLOOR
     if not above.any():
         raise NoPeakError("gated response peak is below the numerical floor")
-    if peak.ndim == 0:
-        return math.sqrt(peak)
     return np.sqrt(np.where(above, peak, np.nan))
 
 
-def subtract_path(residual_x: CfrSet, residual_y: CfrSet, path: PathComponent,
-                  out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[CfrSet, CfrSet]:
-    """Regenerate the path's CFR on one sub-array at a time and subtract it
-    from that sub-array's residual. The new residuals are written into out,
-    a pair of arrays that may be the residuals' own values, or else into
-    each regenerated path's buffer; a residual passed in is never written
-    unless out names its values."""
-    paths = sounded_paths([path], residual_x.geometry, residual_x.freqs)
-
-    def subtract(residual, buffer):
-        # written into buffer, the regenerated sub-array dies on return,
-        # before the next one is made
-        regenerated = _ma_axis_cfr(paths, residual.layout, residual.geometry, residual.freqs,
-                                   residual.ref_freq_hz, residual.narrowband_phase)
-        return residual.with_values(np.subtract(
-            residual.values, regenerated, out=regenerated if buffer is None else buffer))
-    return tuple(subtract(residual, buffer) for residual, buffer
-                 in zip((residual_x, residual_y), out or (None, None)))
-
-
-def _gate_diag(gate: np.ndarray, delays: np.ndarray) -> tuple[int, tuple[float, float]]:
-    idx = np.nonzero(gate)[0]
-    return len(idx), (float(delays[idx[0]]), float(delays[idx[-1]]))
+def subtract_path(residual: CfrSet, path: PathComponent,
+                  out: np.ndarray | None = None) -> CfrSet:
+    """Regenerate the path's CFR on the residual's MA sub-array and subtract
+    it. The new residual is written into out, which may be the residual's
+    own values, or else into the regenerated path's buffer; the residual
+    passed in is never written unless out is its values."""
+    regenerated = _ma_axis_cfr(sounded_paths([path], residual.geometry, residual.freqs),
+                               residual.layout, residual.geometry, residual.freqs,
+                               residual.ref_freq_hz, residual.narrowband_phase)
+    return residual.with_values(np.subtract(residual.values, regenerated,
+                                            out=regenerated if out is None else out))
 
 
 # Candidates are tested in batches of 1, 2, 4, ... cells, up to as many as
@@ -283,7 +269,7 @@ def _find_path(rx: CfrSet, ry: CfrSet, config: EstimatorConfig, q: int, snapshot
     pad = config.pad_factor
     gate_db = config.epsilon_db if config.gate_db is None else config.gate_db
     beam = cbf_ma(rx, ry, config.scan, freqs.f_center_hz)
-    if np.abs(beam.values).max() <= 1e-30:
+    if np.abs(beam.values).max() <= DB_FLOOR:
         return None
     coarse = detect_strongest(beam)
     padp = padp_ma(rx, ry, coarse.theta_deg, config.scan.phi_deg, pad)
@@ -329,14 +315,15 @@ def _find_path(rx: CfrSet, ry: CfrSet, config: EstimatorConfig, q: int, snapshot
                                               >= level[r, c] - CONSISTENCY_MARGIN_DB):
                 tau_hat, inner = refine_delay(gx[i], gy[i], freqs,
                                               float(delay_s[r]) / 2.0, pad)
-                if abs(inner) > 1e-30:
+                if abs(inner) > DB_FLOOR:
                     phase = float(np.angle(inner))
                     alpha = magnitude * complex(math.cos(phase), math.sin(phase))
-                    gate_bins, gate_span = _gate_diag(gate[i], delay_s)
+                    bins = np.nonzero(gate[i])[0]
                     return PathComponent(alpha, direction(c), tau_hat), dict(
                         beam_peak_db=float(beam.level_db().max()),
-                        padp_peak_db=padp_peak_db, gate_bins=gate_bins,
-                        gate_span_s=gate_span, candidates_skipped=skipped)
+                        padp_peak_db=padp_peak_db, gate_bins=len(bins),
+                        gate_span_s=(float(delay_s[bins[0]]), float(delay_s[bins[-1]])),
+                        candidates_skipped=skipped)
             skipped += 1
         size = min(2 * size, cap)
     return None
@@ -356,13 +343,12 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
         raise ValueError("input CFR has non-finite values")
     if cfr_x.total_power() == 0 and cfr_y.total_power() == 0:
         raise NoPeakError("input CFR is identically zero")
-    # The inputs are named here only as the first residual pair, so a caller
-    # that keeps no names for them frees them at the first subtraction. That
-    # writes the new residuals into arrays of run_sic's own, and every later
-    # subtraction writes into those.
+    # The inputs are named here only as the first residuals, so a caller that
+    # keeps no names for them frees each at its first subtraction. That one
+    # writes the new residual into the regenerated path's buffer, and every
+    # later subtraction writes into that residual in place.
     rx, ry = cfr_x, cfr_y
     del cfr_x, cfr_y
-    owned = None
     alpha_max: float | None = None
     paths: list[EstimatedPath] = []
     diags: list[IterationDiagnostics] = []
@@ -379,15 +365,17 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
         accepted = magnitude > alpha_max * 10.0 ** (-config.epsilon_db / 20.0) or q == 0
         diags.append(IterationDiagnostics(
             iteration=q + 1,
-            amplitude_db=20.0 * math.log10(max(magnitude, 1e-30)),
+            amplitude_db=20.0 * math.log10(max(magnitude, DB_FLOOR)),
             accepted=accepted,
             **diagnostics,
         ))
         if not accepted:
             stop_reason = "dynamic-range"
             break
-        rx, ry = subtract_path(rx, ry, path, out=owned)
-        owned = rx.values, ry.values
+        # one statement per sub-array: the old x residual dies before y's
+        # path is regenerated
+        rx = subtract_path(rx, path, out=rx.values if paths else None)
+        ry = subtract_path(ry, path, out=ry.values if paths else None)
         residual_energy = rx.total_power() + ry.total_power()
         paths.append(EstimatedPath(path.amplitude, path.direction, path.delay_s, q + 1,
                                    residual_energy))

@@ -147,9 +147,8 @@ def test_criterion_sic_residual_structure():
                                              epsilon_db=s.epsilon_db,
                                              max_iterations=1))
     first = report.paths[0]
-    rx, ry = subtract_path(cx, cy, PathComponent(first.amplitude,
-                                                 first.direction,
-                                                 first.delay_s))
+    path = PathComponent(first.amplitude, first.direction, first.delay_s)
+    rx, ry = subtract_path(cx, path), subtract_path(cy, path)
     beam = cbf_ma(rx, ry, s.scan_grid(), s.freqs.f_center_hz)
     peaks = find_peaks(beam, 6.0, min_separation=5)
     elapsed = time.perf_counter() - start

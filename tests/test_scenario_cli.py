@@ -203,6 +203,11 @@ def test_to_dict_is_the_input_with_defaults(tmp_path):
      r"elevation must be in \[0, 90\] deg, got 95"),
     ({"paths": [{"elevation_deg": 60, "azimuth_deg": 120, "delay_ns": -1.0}]},
      "path delay must be nonnegative"),
+    # a 4k + 3 sub-array would ask for an even taper of (count + 1) / 2
+    ({"ma": {"x": 43, "y": 41}, "taper": {"sidelobe_db": 30}},
+     r"ma\.x = 43: a tapered MA sub-array needs 4k \+ 1 elements"),
+    ({"ma": {"x": 5, "y": 7}, "taper": {"sidelobe_db": 30}},
+     r"ma\.y = 7: a tapered MA sub-array needs 4k \+ 1 elements"),
 ])
 def test_scenario_validation_errors(tmp_path, breakage, match):
     with pytest.raises(ScenarioError, match=match):
@@ -226,8 +231,18 @@ def test_scenario_validation_errors(tmp_path, breakage, match):
      r"ma\.y x frequency\.points asks for a 1\.07288 GiB MA CFR"),
     ({"ma": {"x": 5, "y": 150_001}, "scan": {"theta": [0, 90, 10], "phi": [90, 270, 0.1]}},
      r"ma\.y x scan\.phi asks for a 4\.02558 GiB MA steering matrix"),
+    ({"ura": {"m": 10_001, "n": 1}, "taper": {"sidelobe_db": 30}},
+     r"ura\.m squared asks for a 1\.49041 GiB URA taper DFT"),
+    ({"ma": {"x": 20_001, "y": 5}, "taper": {"sidelobe_db": 30}},
+     r"\(\(ma\.x \+ 1\) / 2\) squared asks for a 1\.49041 GiB MA taper DFT"),
+    ({"ura": {"m": 3, "n": 70_001}, "pattern_lattice": 1000},
+     r"pattern_lattice x ura\.n asks for a 1\.0431 GiB URA line factor"),
+    ({"frequency": {"start_hz": 26e9, "stop_hz": 30e9, "points": 2}, "paths": [],
+      "ura": {"m": 50_001, "n": 1}, "ma": {"x": 100_001, "y": 1}, "pattern_lattice": 1000},
+     r"pattern_lattice x ma\.x asks for a 1\.49013 GiB MA line factor"),
 ], ids=["scan-beam", "subnormal-step", "padp", "pattern-lattice", "ura-cfr",
-        "ura-steering", "ma-cfr", "ma-steering"])
+        "ura-steering", "ma-cfr", "ma-steering", "ura-taper", "ma-taper",
+        "ura-line-factor", "ma-line-factor"])
 def test_oversized_scenarios_are_rejected_before_any_array_exists(tmp_path, overrides,
                                                                  match):
     path = _write_tiny(tmp_path, overrides=overrides)
@@ -645,6 +660,18 @@ def test_cli_beamscan_cut_elevation_outside_0_90_exits_2(tmp_path, theta):
     assert r.exit_code == 2
     assert "PADP cut elevation must lie in [0, 90]" in r.output
     assert not list(out.glob("*_beam.csv")) + list(out.glob("*_padp.csv"))
+
+
+def test_cli_synth_pattern_writes_no_pattern_when_the_ma_pattern_fails(tmp_path):
+    # a 3 x 3 URA's excitations auto-convolve to 5 elements, not table1_small's 41
+    scenario = json.loads(Path(scenario_path("table1_small")).read_text())
+    cfg = tmp_path / "mismatched.json"
+    cfg.write_text(json.dumps({**scenario, "ura": {"m": 3, "n": 3}}))
+    out = tmp_path / "out"
+    r = CliRunner().invoke(main, ["synth-pattern", "--config", str(cfg), "--out", str(out)])
+    assert r.exit_code == 2
+    assert "excitation lengths must match the MA geometry" in r.output
+    assert not list(out.glob("*_pattern.csv"))
 
 
 def test_cli_estimate_bad_gate_exits_2(tmp_path):

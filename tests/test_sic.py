@@ -189,7 +189,7 @@ def test_estimate_power_matches_per_element_oracle():
 def test_subtract_path_cancels_exactly():
     path = PathComponent.from_power_db(0, 60, 120, 2.0, phase_deg=10.0)
     cx, cy = _single_path_cfrs(path)
-    rx, ry = subtract_path(cx, cy, path)
+    rx, ry = subtract_path(cx, path), subtract_path(cy, path)
     assert rx.total_power() == pytest.approx(0.0, abs=1e-24)
     assert ry.total_power() == pytest.approx(0.0, abs=1e-24)
 
@@ -197,13 +197,14 @@ def test_subtract_path_cancels_exactly():
 def test_subtract_path_leaves_its_arguments_unchanged():
     cx, cy = gen_ma_cfr(THREE_PATHS, GEO, FREQS)
     before = cx.values.tobytes(), cy.values.tobytes()
-    rx, ry = subtract_path(cx, cy, THREE_PATHS[0])
+    rx, ry = subtract_path(cx, THREE_PATHS[0]), subtract_path(cy, THREE_PATHS[0])
     assert (cx.values.tobytes(), cy.values.tobytes()) == before
     px, py = gen_ma_cfr(THREE_PATHS[:1], GEO, FREQS)
     assert rx.values.tobytes() == (cx.values - px.values).tobytes()
     assert ry.values.tobytes() == (cy.values - py.values).tobytes()
-    # given out, the residuals are written there, with the same bits
-    ox, oy = subtract_path(cx, cy, THREE_PATHS[0], out=(cx.values, cy.values))
+    # given out, each residual is written there, with the same bits
+    ox = subtract_path(cx, THREE_PATHS[0], out=cx.values)
+    oy = subtract_path(cy, THREE_PATHS[0], out=cy.values)
     assert ox.values is cx.values and oy.values is cy.values
     assert (ox.values.tobytes(), oy.values.tobytes()) == (rx.values.tobytes(),
                                                           ry.values.tobytes())
@@ -227,6 +228,28 @@ def test_run_sic_holds_its_inputs_only_until_the_first_subtraction():
     report = run_sic(sub_array(0), sub_array(1), EstimatorConfig(SCAN), snapshot_hook=hook)
     assert len(report.paths) == 3
     assert dead[0] == [False, False] and dead[1] == [True, True]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11, CPython keeps a call's arguments on the caller's "
+                           "stack until the call returns")
+def test_run_sic_subtracts_one_sub_array_at_a_time():
+    # At 801 elements the first subtraction sets the peak. Made one sub-array
+    # at a time, it holds 3 sub-arrays (one per axis, inputs or residuals,
+    # and the regenerated path), where taking both axes at once held 4.
+    s = parse_scenario(scenario_path("table1"))
+    geo = MaGeometry(801, 801, s.ma.d_wl)
+    freqs = FrequencyGrid(s.freqs.f_start_hz, s.freqs.f_stop_hz, 375)
+    tracemalloc.start()
+    try:
+        # the caller builds the pair as arguments and keeps no names for it
+        report = run_sic(gen_ma_cfr(s.paths, geo, freqs)[0],
+                         gen_ma_cfr(s.paths, geo, freqs)[1], s.estimator_config())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.paths) == 3
+    assert peak <= 3.6 * 16 * 801 * 375
 
 
 def test_estimator_config_validation():
