@@ -4,6 +4,7 @@ The files under tests/golden/ were written by the CLI at the default seed,
 or at the seed the test names; any change to them must be a deliberate change of the estimator's output.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -43,11 +44,9 @@ def test_table1_small_outputs_match_golden_digests(tmp_path):
     cfg = scenario_path("table1_small")
     for command in ("simulate", "beamscan", "estimate"):
         _run(command, "--config", cfg, "--out", str(tmp_path))
-    listing = (GOLDEN / "table1_small_outputs.sha256").read_text().splitlines()
-    expected = dict(reversed(line.split("  ", 1)) for line in listing)
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in tmp_path.iterdir()}
-    assert written == expected
+    assert written == _listing("table1_small_outputs.sha256")
 
 
 def test_table1_small_noisy_paths_match_golden(tmp_path):
@@ -68,31 +67,44 @@ def test_table2_mimic_comparison_matches_golden(tmp_path):
         (GOLDEN / "table2_mimic_comparison.csv").read_bytes()
 
 
+@functools.cache
 def _sic_reports():
-    """(name, run_sic report) for noiseless table1_small and table1, and for
+    """{name: run_sic report} for noiseless table1_small and table1, and for
     table1_small with noise realisation k (ma_x seed 2k+1, ma_y seed 2k+2,
     as the benchmark's noisy pool draws it) at 20, 10 and 0 dB."""
+    reports = {}
     for name in ("table1_small", "table1"):
         scenario = parse_scenario(scenario_path(name))
         cx, cy = gen_ma_cfr(scenario.paths, scenario.ma, scenario.freqs)
-        yield name, run_sic(cx, cy, scenario.estimator_config())
+        reports[name] = run_sic(cx, cy, scenario.estimator_config())
     scenario = parse_scenario(scenario_path("table1_small"))
     cx, cy = gen_ma_cfr(scenario.paths, scenario.ma, scenario.freqs)
     for snr_db in (20, 10, 0):
         for k in range(5):
-            yield f"table1_small_snr{snr_db}_k{k}", run_sic(
+            reports[f"table1_small_snr{snr_db}_k{k}"] = run_sic(
                 add_noise(cx, snr_db, 2 * k + 1), add_noise(cy, snr_db, 2 * k + 2),
                 scenario.estimator_config())
+    return reports
+
+
+def _listing(name):
+    lines = (GOLDEN / name).read_text().splitlines()
+    return dict(reversed(line.split("  ", 1)) for line in lines)
 
 
 def test_sic_reports_match_golden_digests():
     # the sha256 of repr(report), candidates_skipped and every float included,
     # as the listing sic_reports.sha256
-    listing = (GOLDEN / "sic_reports.sha256").read_text().splitlines()
-    expected = dict(reversed(line.split("  ", 1)) for line in listing)
-    written = {name: hashlib.sha256(repr(report).encode()).hexdigest()
-               for name, report in _sic_reports()}
-    assert written == expected
+    assert {name: hashlib.sha256(repr(report).encode()).hexdigest()
+            for name, report in _sic_reports().items()} == _listing("sic_reports.sha256")
+
+
+def test_sic_paths_match_golden_digests():
+    # the sha256 of repr(report.paths) alone, as the listing sic_paths.sha256:
+    # a change to the stop or the diagnostics shows apart from a change to
+    # the estimates
+    assert {name: hashlib.sha256(repr(report.paths).encode()).hexdigest()
+            for name, report in _sic_reports().items()} == _listing("sic_paths.sha256")
 
 
 _THREAD_PROBE = """
