@@ -32,6 +32,10 @@ from .geometry import (Direction, FrequencyGrid, MaGeometry, PathComponent,
 # in favour of the next maximum.
 CONSISTENCY_MARGIN_DB = 6.0
 
+# Probability that some cell of a pure-noise profile clears the noise floor
+# (noise_floor_db), so that a noise-only residual yields a candidate.
+FALSE_ALARM_PROBABILITY = 0.01
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -81,7 +85,7 @@ class IterationDiagnostics:
 @dataclass(frozen=True)
 class EstimationReport:
     paths: tuple[EstimatedPath, ...]
-    stop_reason: str  # 'dynamic-range' | 'max-iterations'
+    stop_reason: str  # 'dynamic-range' | 'below-noise-floor' | 'max-iterations'
     diagnostics: tuple[IterationDiagnostics, ...] = field(default_factory=tuple)
 
 
@@ -243,6 +247,22 @@ def subtract_path(residual: CfrSet, path: PathComponent,
                                             out=regenerated if out is None else out))
 
 
+def noise_floor_db(level: np.ndarray, pad_factor: int) -> float:
+    """Ordered-statistic CFAR floor (Rohling 1983) of an MA profile's level:
+    the median of its unpadded delay bins, every pad_factor-th, plus the
+    margin by which the largest of those M cells exceeds their median with
+    probability FALSE_ALARM_PROBABILITY when each is a complex-Gaussian
+    noise cell. |c| is then Rayleigh, and the margin is the ratio of its
+    1 - P/M quantile to its median, 5 log10(ln(M/P) / ln 2) dB in the
+    profile's 10 log10|c| convention. The padded bins interpolate between
+    the unpadded ones, so only the latter are independent cells."""
+    sample = level[::pad_factor]
+    m = sample.size
+    median = np.partition(sample, m // 2, axis=None)[m // 2]
+    return float(median) + 5.0 * math.log10(math.log(m / FALSE_ALARM_PROBABILITY)
+                                            / math.log(2.0))
+
+
 # Candidates are tested in batches of 1, 2, 4, ... cells, up to as many as
 # fit one complex delay response each in this many bytes. A batch stacks a
 # few such arrays per sub-array, so the budget bounds its temporaries.
@@ -252,8 +272,10 @@ _BATCH_BYTES = 2 ** 18
 def _find_path(rx: CfrSet, ry: CfrSet, config: EstimatorConfig, q: int, snapshot_hook):
     """Iteration q up to the subtraction: detect, then test the profile's
     maxima in descending order and fit the first that passes. Returns the
-    fitted path and the IterationDiagnostics fields known by then, or None
-    when nothing is left to detect.
+    fitted path and the IterationDiagnostics fields known by then, or the
+    stop reason when nothing is left to detect: 'below-noise-floor' when the
+    walk ends at the profile's noise_floor_db, so that no cell above it is
+    left, 'dynamic-range' when it ends epsilon_db below the profile's peak.
 
     The maxima are read from the walk in batches that double up to the
     _BATCH_BYTES cap. Each batch is gated, returned to frequency and tested
@@ -270,13 +292,18 @@ def _find_path(rx: CfrSet, ry: CfrSet, config: EstimatorConfig, q: int, snapshot
     gate_db = config.epsilon_db if config.gate_db is None else config.gate_db
     beam = cbf_ma(rx, ry, config.scan, freqs.f_center_hz)
     if np.abs(beam.values).max() <= DB_FLOOR:
-        return None
+        return "dynamic-range"
     coarse = detect_strongest(beam)
     padp = padp_ma(rx, ry, coarse.theta_deg, config.scan.phi_deg, pad)
     if snapshot_hook is not None:
         snapshot_hook(q, padp)
     level, delay_s, phi_deg = padp.level, padp.delay_s, padp.phi_deg
     padp_peak_db = float(level.max())
+    range_db = padp_peak_db - config.epsilon_db
+    noise_db = noise_floor_db(level, pad)
+    # The walk ends at the dynamic range or at the noise floor, whichever is
+    # higher, and an exhausted walk names the one it ended at.
+    stop = "below-noise-floor" if noise_db > range_db else "dynamic-range"
 
     def direction(c):
         return Direction(coarse.theta_deg, wrap_azimuth(float(phi_deg[c])))
@@ -287,7 +314,7 @@ def _find_path(rx: CfrSet, ry: CfrSet, config: EstimatorConfig, q: int, snapshot
     kernels = cfr_to_cir(np.exp(-2j * np.pi * freqs.points * (delay_s[:2, None] / 2.0)),
                          freqs, pad)
     doubled = np.tile([build_label_vector(kernel, gate_db) for kernel in kernels], 2)
-    cells = descending_cells(level, padp_peak_db - config.epsilon_db, (2 * pad, 3))
+    cells = descending_cells(level, max(range_db, noise_db), (2 * pad, 3))
     cap = max(1, _BATCH_BYTES // (16 * n))
     size = 1
     skipped = 0
@@ -326,13 +353,14 @@ def _find_path(rx: CfrSet, ry: CfrSet, config: EstimatorConfig, q: int, snapshot
                         candidates_skipped=skipped)
             skipped += 1
         size = min(2 * size, cap)
-    return None
+    return stop
 
 
 def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
             snapshot_hook=None) -> EstimationReport:
     """Iterate detect -> test each candidate -> fit the one that passes ->
-    subtract until the next path falls outside the dynamic range or the
+    subtract until the next path falls outside the dynamic range, no
+    candidate is left above the residual profile's noise floor, or the
     iteration cap is reached. The reference amplitude is frozen at the first
     detected path.
     snapshot_hook(q, padp), when given, receives the residual angle-delay
@@ -355,8 +383,8 @@ def run_sic(cfr_x: CfrSet, cfr_y: CfrSet, config: EstimatorConfig,
     stop_reason = "max-iterations"
     for q in range(config.max_iterations):
         found = _find_path(rx, ry, config, q, snapshot_hook)
-        if found is None:
-            stop_reason = "dynamic-range"
+        if isinstance(found, str):
+            stop_reason = found
             break
         path, diagnostics = found
         magnitude = abs(path.amplitude)
