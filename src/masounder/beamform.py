@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CfrSet
-from .geometry import FrequencyGrid, ScanGrid, delay_axis, scan_cosines
+from .channel import CfrSet, ma_axis
+from .geometry import FrequencyGrid, ScanGrid, delay_axis, scan_cosines, signed_indices
 
 DB_FLOOR = 1e-30
 
@@ -199,9 +199,8 @@ def _ura_beam(cfr: CfrSet, taper, cols):
 def _ma_sum(cfr: CfrSet, values: np.ndarray, cosines: np.ndarray, cols) -> np.ndarray:
     """The steered sum of values, cfr.values[:, cols] or a weighted copy,
     along the axis of cfr's MA sub-array; shape cosines.shape + (n_cols,)."""
-    geom = cfr.geometry
-    indices = geom.x_indices if cfr.layout == "ma_x" else geom.y_indices
-    total = _steered_sum(indices, geom.d_wl, cosines, _phase_scale(cfr, cols),
+    count, spacing_wl, _ = ma_axis(cfr.layout, cfr.geometry)
+    total = _steered_sum(signed_indices(count), spacing_wl, cosines, _phase_scale(cfr, cols),
                          values.shape[1])(values)
     return total.reshape(np.shape(cosines) + (-1,))
 
@@ -209,8 +208,6 @@ def _ma_sum(cfr: CfrSet, values: np.ndarray, cosines: np.ndarray, cols) -> np.nd
 def line_spectrum(cfr: CfrSet, cosines, cols=slice(None)) -> np.ndarray:
     """Unnormalized steered sum a(c)^H H of an MA sub-array at cosines c along
     its axis, over frequency columns cols; shape c.shape + (n_cols,)."""
-    if cfr.layout not in ("ma_x", "ma_y"):
-        raise ValueError("line_spectrum needs an ma_x or ma_y CFR")
     return _ma_sum(cfr, cfr.values[:, cols], np.asarray(cosines, float), cols)
 
 

@@ -10,8 +10,8 @@ import warnings
 
 import numpy as np
 
-from .channel import CfrSet
-from .geometry import FrequencyGrid, MaGeometry, UraGeometry
+from .channel import CfrSet, ma_axis
+from .geometry import FrequencyGrid, MaGeometry, UraGeometry, signed_indices
 
 FORMAT_VERSION = 2
 # Header keys in file order, each with the type its value is written from
@@ -28,12 +28,6 @@ _ROW_DTYPE = np.dtype([(name, typ) for name, typ, _ in _ROW])
 
 class CfrFormatError(ValueError):
     """Malformed or inconsistent CFR file."""
-
-
-def _index_counts(layout: str, nx: int, ny: int) -> tuple[int, int]:
-    """Lengths of the x and y element index columns, whose signed indices run
-    symmetrically about 0. An MA sub-array's other axis holds only index 0."""
-    return (1 if layout == "ma_y" else nx), (1 if layout == "ma_x" else ny)
 
 
 def _veltkamp(v):
@@ -254,12 +248,14 @@ def write_cfr(path, cfr: CfrSet) -> None:
         if geom.dx_wl != geom.dy_wl:
             raise CfrFormatError("file format carries one spacing; URA needs dx == dy")
         nx, ny, spacing = geom.m_count, geom.n_count, geom.dx_wl
-    else:
-        nx, ny, spacing = geom.x_count, geom.y_count, geom.d_wl
+        xs, ys = geom.x_indices, geom.y_indices
+    else:  # an MA sub-array's other axis holds only index 0
+        nx, ny = geom.x_count, geom.y_count
+        count, spacing, axis = ma_axis(cfr.layout, geom)
+        xs, ys = (signed_indices(count if a == axis else 1) for a in (0, 1))
     # the header values in _HEADER order
     header = (FORMAT_VERSION, cfr.layout, freqs.f_start_hz, freqs.f_stop_hz,
               freqs.n_points, nx, ny, spacing, cfr.ref_freq_hz, int(cfr.narrowband_phase))
-    xs, ys = (np.arange(c) - c // 2 for c in _index_counts(cfr.layout, nx, ny))
     values = cfr.values.reshape(xs.size, ys.size, freqs.n_points)
     with open(path, "w") as fh:
         for (key, typ), value in zip(_HEADER.items(), header):
@@ -484,15 +480,18 @@ def _body_rows(fh, first: str):
         text = fh.read(_BODY_BLOCK_CHARS)
 
 
-def _body_values(blocks, header: dict, max_rows: int) -> np.ndarray:
-    """The values of the entries the header declares, scattered from the
-    blocks of body rows, of which there are at most max_rows. A fault is
-    raised after the last block, the first of these the rows have: a
-    frequency index out of range, an element index out of range, a
-    non-finite value, fewer rows than entries, and a repeated entry. Each
-    names the first row at fault, a repeated entry the lowest one."""
+def _body_values(blocks, header: dict, geometry, max_rows: int) -> np.ndarray:
+    """The values of the entries the header and its geometry declare,
+    scattered from the blocks of body rows, of which there are at most
+    max_rows. A fault is raised after the last block, the first of these the
+    rows have: a frequency index out of range, an element index out of
+    range, a non-finite value, fewer rows than entries, and a repeated entry.
+    Each names the first row at fault, a repeated entry the lowest one."""
     layout, L = header["layout"], header["n_freq"]
-    cx, cy = _index_counts(layout, header["n_elem_x"], header["n_elem_y"])
+    cx, cy = header["n_elem_x"], header["n_elem_y"]
+    if layout != "ura":  # an MA sub-array's other axis holds only index 0
+        count, _, axis = ma_axis(layout, geometry)
+        cx, cy = (count if a == axis else 1 for a in (0, 1))
     hx, hy = cx // 2, cy // 2
     size = cx * cy * L
     shape = (cx, cy, L) if layout == "ura" else (cx * cy, L)
@@ -563,6 +562,7 @@ def read_cfr(path) -> CfrSet:
             for _ in _body_rows(fh, first):  # a malformed row comes first
                 pass
             raise
-        values = _body_values(_body_rows(fh, first), header, body_bytes // _ROW_BYTES)
+        values = _body_values(_body_rows(fh, first), header, geometry,
+                              body_bytes // _ROW_BYTES)
     return CfrSet(header["layout"], values, freqs, geometry, header["ref_freq_hz"],
                   header["narrowband_phase"] == 1)

@@ -7,9 +7,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import FrequencyGrid, MaGeometry, PathComponent, UraGeometry, uv_map
+from .geometry import (FrequencyGrid, MaGeometry, PathComponent, UraGeometry,
+                       signed_indices, uv_map)
 
-_LAYOUT_SHAPES = ("ura", "ma_x", "ma_y")
+_LAYOUTS = ("ura", "ma_x", "ma_y")
+
+
+def ma_axis(layout: str, geometry: MaGeometry) -> tuple[int, float, int]:
+    """Element count and spacing of the MA sub-array of layout, whose elements
+    are signed_indices(count), and the cosine it sees: 0 for u, 1 for v."""
+    if layout == "ma_x":
+        return geometry.x_count, geometry.d_wl, 0
+    if layout == "ma_y":
+        return geometry.y_count, geometry.d_wl, 1
+    raise ValueError(f"layout {layout!r} is not an MA sub-array (ma_x or ma_y)")
 
 
 def sounded_paths(paths: Iterable[PathComponent], geometry: UraGeometry | MaGeometry,
@@ -49,18 +60,15 @@ class CfrSet:
     narrowband_phase: bool = True
 
     def __post_init__(self):
-        if self.layout not in _LAYOUT_SHAPES:
+        if self.layout not in _LAYOUTS:
             raise ValueError(f"unknown layout {self.layout!r}")
-        v = np.asarray(self.values)
-        L = self.freqs.n_points
-        if self.layout == "ura":
-            expect = (self.geometry.m_count, self.geometry.n_count, L)
-        elif self.layout == "ma_x":
-            expect = (self.geometry.x_count, L)
-        else:
-            expect = (self.geometry.y_count, L)
-        if v.shape != expect:
-            raise ValueError(f"CFR shape {v.shape} does not match layout "
+        kind = UraGeometry if self.layout == "ura" else MaGeometry
+        if not isinstance(self.geometry, kind):
+            raise ValueError(f"layout {self.layout!r} needs a {kind.__name__}")
+        expect = ((self.geometry.m_count, self.geometry.n_count) if kind is UraGeometry
+                  else (ma_axis(self.layout, self.geometry)[0],)) + (self.freqs.n_points,)
+        if np.shape(self.values) != expect:
+            raise ValueError(f"CFR shape {np.shape(self.values)} does not match layout "
                              f"{self.layout!r}, expected {expect}")
 
     def with_values(self, values: np.ndarray) -> "CfrSet":
@@ -103,39 +111,38 @@ def gen_ura_cfr(paths: Iterable[PathComponent], geometry: UraGeometry,
     return CfrSet("ura", out, freqs, geometry, ref, narrowband_phase)
 
 
-# _ma_axis_cfr adds a path's contribution a block of elements at a time, so
-# that its temporaries take at most about this many bytes.
+# gen_ma_axis_cfr adds a path's contribution a block of elements at a time,
+# so that its temporaries take at most about this many bytes.
 _AXIS_BLOCK_BYTES = 2 ** 19
 
 
-def _ma_axis_cfr(paths: tuple[PathComponent, ...], layout: str, geometry: MaGeometry,
-                 freqs: FrequencyGrid, ref_freq_hz: float,
-                 narrowband_phase: bool) -> np.ndarray:
-    """Superposed path contributions on the sub-array of layout ('ma_x' or
-    'ma_y'), shape (count, L); paths are already checked by sounded_paths."""
-    indices = geometry.x_indices if layout == "ma_x" else geometry.y_indices
-    out = np.zeros((indices.size, freqs.n_points), complex)
+def gen_ma_axis_cfr(paths: Iterable[PathComponent], layout: str, geometry: MaGeometry,
+                    freqs: FrequencyGrid, narrowband_phase: bool = True,
+                    ref_freq_hz: float | None = None) -> CfrSet:
+    """Superpose path contributions on the MA sub-array of layout."""
+    paths = sounded_paths(paths, geometry, freqs)
+    ref = freqs.reference_hz if ref_freq_hz is None else ref_freq_hz
+    count, spacing_wl, axis = ma_axis(layout, geometry)
+    indices = signed_indices(count)
+    out = np.zeros((count, freqs.n_points), complex)
     step = max(1, _AXIS_BLOCK_BYTES // (16 * freqs.n_points))
     for p in paths:
         delay = p.amplitude * np.exp(-2j * np.pi * freqs.points * p.delay_s)
         uv = uv_map(p.direction)
-        c = uv.u if layout == "ma_x" else uv.v
-        for start in range(0, indices.size, step):
+        c = (uv.u, uv.v)[axis]
+        for start in range(0, count, step):
             rows = slice(start, start + step)
-            out[rows] += _axis_phase(indices[rows], geometry.d_wl, c, freqs, ref_freq_hz,
+            out[rows] += _axis_phase(indices[rows], spacing_wl, c, freqs, ref,
                                      narrowband_phase) * delay
-    return out
+    return CfrSet(layout, out, freqs, geometry, ref, narrowband_phase)
 
 
 def gen_ma_cfr(paths: Iterable[PathComponent], geometry: MaGeometry,
                freqs: FrequencyGrid, narrowband_phase: bool = True,
                ref_freq_hz: float | None = None) -> tuple[CfrSet, CfrSet]:
     """Superpose path contributions on both MA sub-arrays."""
-    paths = sounded_paths(paths, geometry, freqs)
-    ref = freqs.reference_hz if ref_freq_hz is None else ref_freq_hz
-    return tuple(CfrSet(layout, _ma_axis_cfr(paths, layout, geometry, freqs, ref,
-                                             narrowband_phase),
-                        freqs, geometry, ref, narrowband_phase)
+    paths = tuple(paths)
+    return tuple(gen_ma_axis_cfr(paths, layout, geometry, freqs, narrowband_phase, ref_freq_hz)
                  for layout in ("ma_x", "ma_y"))
 
 

@@ -136,6 +136,11 @@ class FrequencyGrid:
         return 1.0 / self.spacing_hz
 
 
+def signed_indices(count: int) -> np.ndarray:
+    """Ascending element indices of an odd count, symmetric about index 0."""
+    return np.arange(count) - (count - 1) // 2
+
+
 @dataclass(frozen=True)
 class UraGeometry:
     """Uniform rectangular array of m_count x n_count elements.
@@ -159,11 +164,11 @@ class UraGeometry:
 
     @property
     def x_indices(self) -> np.ndarray:
-        return np.arange(self.m_count) - (self.m_count - 1) // 2
+        return signed_indices(self.m_count)
 
     @property
     def y_indices(self) -> np.ndarray:
-        return np.arange(self.n_count) - (self.n_count - 1) // 2
+        return signed_indices(self.n_count)
 
 
 @dataclass(frozen=True)
@@ -181,14 +186,6 @@ class MaGeometry:
             raise ValueError("y_count must be odd and positive")
         if self.d_wl <= 0:
             raise ValueError("element spacing must be positive")
-
-    @property
-    def x_indices(self) -> np.ndarray:
-        return np.arange(self.x_count) - (self.x_count - 1) // 2
-
-    @property
-    def y_indices(self) -> np.ndarray:
-        return np.arange(self.y_count) - (self.y_count - 1) // 2
 
     @classmethod
     def equivalent_to(cls, ura: UraGeometry) -> "MaGeometry":

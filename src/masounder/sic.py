@@ -21,9 +21,8 @@ import numpy as np
 
 from .beamform import (DB_FLOOR, BeamPattern, NoPeakError, cbf_ma, cfr_to_cir,
                        check_ma_pair, cir_to_cfr, descending_cells, line_spectrum, padp_ma)
-# gen_ma_cfr stays bound here, where perfbench traces it; subtract_path
-# regenerates one sub-array through _ma_axis_cfr.
-from .channel import CfrSet, _ma_axis_cfr, gen_ma_cfr, sounded_paths  # noqa: F401
+# gen_ma_cfr stays bound here, where perfbench traces it.
+from .channel import CfrSet, gen_ma_axis_cfr, gen_ma_cfr  # noqa: F401
 from .geometry import (Direction, FrequencyGrid, MaGeometry, PathComponent,
                        ScanGrid, uv_map, wrap_azimuth)
 
@@ -240,9 +239,8 @@ def subtract_path(residual: CfrSet, path: PathComponent,
     it. The new residual is written into out, which may be the residual's
     own values, or else into the regenerated path's buffer; the residual
     passed in is never written unless out is its values."""
-    regenerated = _ma_axis_cfr(sounded_paths([path], residual.geometry, residual.freqs),
-                               residual.layout, residual.geometry, residual.freqs,
-                               residual.ref_freq_hz, residual.narrowband_phase)
+    regenerated = gen_ma_axis_cfr([path], residual.layout, residual.geometry, residual.freqs,
+                                  residual.narrowband_phase, residual.ref_freq_hz).values
     return residual.with_values(np.subtract(residual.values, regenerated,
                                             out=regenerated if out is None else out))
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from masounder.geometry import (Direction, FrequencyGrid, MaGeometry,
                                 PathComponent, ScanGrid, UraGeometry,
                                 UvPoint, delay_axis, scan_cosines, uv_map, uv_unmap)
 from masounder.scenario import parse_scenario
+from masounder.sic import subtract_path
 
 from conftest import scenario_path
 
@@ -21,6 +23,11 @@ SHORT_PATHS = [
     PathComponent.from_power_db(0, 60, 120, 1.0),
     PathComponent.from_power_db(-6, 30, 200, 3.0, phase_deg=40.0),
 ]
+
+
+def element_indices(count):
+    """Signed element indices of an odd count, -(count // 2) to count // 2."""
+    return np.arange(-(count // 2), count // 2 + 1)
 
 
 def brute_force_ura_beam(cfr, theta_deg, phi_deg, f_index, taper=None):
@@ -59,9 +66,9 @@ def brute_force_ma_beam(cfr_x, cfr_y, theta_deg, phi_deg, f_index):
     geo = cfr_x.geometry
     uv = uv_map(Direction(theta_deg, phi_deg % 360.0))
     bx = sum(np.exp(-2j * np.pi * geo.d_wl * m * uv.u) * cfr_x.values[a, f_index]
-             for a, m in enumerate(geo.x_indices)) / geo.x_count
+             for a, m in enumerate(element_indices(geo.x_count))) / geo.x_count
     by = sum(np.exp(-2j * np.pi * geo.d_wl * n * uv.v) * cfr_y.values[b, f_index]
-             for b, n in enumerate(geo.y_indices)) / geo.y_count
+             for b, n in enumerate(element_indices(geo.y_count))) / geo.y_count
     return bx * by
 
 
@@ -135,7 +142,8 @@ def uncached_ma_beam(cfr_x, cfr_y, grid, f_index, taper=None):
         weighted = weights[:, None] * cfr.values
         return steer.T @ weighted[:, [f_index]] / np.sum(np.abs(weights))
     tx, ty = taper if taper is not None else (np.ones(geo.x_count), np.ones(geo.y_count))
-    b = line_sum(cfr_x, geo.x_indices, u, tx) * line_sum(cfr_y, geo.y_indices, v, ty)
+    b = (line_sum(cfr_x, element_indices(geo.x_count), u, tx)
+         * line_sum(cfr_y, element_indices(geo.y_count), v, ty))
     return b.reshape(u.shape)
 
 
@@ -145,8 +153,9 @@ def per_column_line_sums(cfr_x, cfr_y, cosines_x, cosines_y, taper=None):
     geo = cfr_x.geometry
     tx, ty = taper if taper is not None else (np.ones(geo.x_count), np.ones(geo.y_count))
     sums = []
-    for cfr, indices, cosines, weights in ((cfr_x, geo.x_indices, cosines_x, tx),
-                                           (cfr_y, geo.y_indices, cosines_y, ty)):
+    for cfr, count, cosines, weights in ((cfr_x, geo.x_count, cosines_x, tx),
+                                         (cfr_y, geo.y_count, cosines_y, ty)):
+        indices = element_indices(count)
         columns = []
         for c, f in enumerate(cfr.freqs.points):
             scale = 1.0 if cfr.narrowband_phase else f / cfr.ref_freq_hz
@@ -217,13 +226,13 @@ def test_narrowband_line_spectrum_and_padp_ma_are_bitwise_steering_products():
     taper = (np.array([0.3, 0.8, 1.0, 0.8, 0.3]), np.linspace(0.2, 1.0, 9))
     phi = np.array([100.0, 120.0, 200.0])
     u, v = scan_cosines(np.array([60.0]), phi)
+    xs, ys = element_indices(5), element_indices(9)
     spectrum = line_spectrum(cx, u[0])
-    assert spectrum.tobytes() == (conj_steer(geo.x_indices, geo.d_wl, u, 1.0).T
-                                  @ cx.values).tobytes()
+    assert spectrum.tobytes() == (conj_steer(xs, geo.d_wl, u, 1.0).T @ cx.values).tobytes()
     for tx, ty in ((np.ones(5), np.ones(9)), taper):
-        x_sum = (conj_steer(geo.x_indices, geo.d_wl, u, 1.0).T
+        x_sum = (conj_steer(xs, geo.d_wl, u, 1.0).T
                  @ (tx[:, None] * cx.values) / np.sum(np.abs(tx)))
-        y_sum = (conj_steer(geo.y_indices, geo.d_wl, v, 1.0).T
+        y_sum = (conj_steer(ys, geo.d_wl, v, 1.0).T
                  @ (ty[:, None] * cy.values) / np.sum(np.abs(ty)))
         padp = padp_ma(cx, cy, 60.0, phi, 2, taper=(tx, ty))
         spectrum = _ma_beam(cx, cy, (tx, ty), slice(None))(u, v)[0]
@@ -442,12 +451,20 @@ F_CENTER = FREQS.f_center_hz
 PHI = np.array([120.0, 200.0])
 
 
-# Calls on inputs a beamformer cannot use, on a 3 x 3 URA CFR and the
-# ma_x, ma_y CFRs of a 5 x 5 MA, with the error each raises.
+# Calls on inputs a beamformer, the subtraction or a CfrSet cannot use, on a
+# 3 x 3 URA CFR and the ma_x, ma_y CFRs of a 5 x 5 MA, with the error each
+# raises.
 @pytest.mark.parametrize("call,match", [
     (lambda ura, cx, cy: cbf_ura(cx, GRID, F_CENTER), "cbf_ura needs a URA-layout CFR"),
     (lambda ura, cx, cy: padp_ura(cy, 90.0, PHI), "padp_ura needs a URA-layout CFR"),
-    (lambda ura, cx, cy: line_spectrum(ura, 0.5), "line_spectrum needs an ma_x or ma_y CFR"),
+    (lambda ura, cx, cy: line_spectrum(ura, 0.5),
+     r"layout 'ura' is not an MA sub-array \(ma_x or ma_y\)"),
+    (lambda ura, cx, cy: subtract_path(ura, SHORT_PATHS[0]),
+     r"layout 'ura' is not an MA sub-array \(ma_x or ma_y\)"),
+    (lambda ura, cx, cy: replace(ura, geometry=cx.geometry),
+     "layout 'ura' needs a UraGeometry"),
+    (lambda ura, cx, cy: replace(cx, geometry=ura.geometry),
+     "layout 'ma_x' needs a MaGeometry"),
     (lambda ura, cx, cy: cbf_ma(cy, cx, GRID, F_CENTER), "cbf_ma needs ma_x and ma_y CFRs"),
     (lambda ura, cx, cy: padp_ma(cx, cx, 90.0, PHI), "padp_ma needs ma_x and ma_y CFRs"),
     (lambda ura, cx, cy: cbf_ura(ura, GRID, F_CENTER, taper=(np.ones(3), np.ones(5))),
@@ -456,7 +473,8 @@ PHI = np.array([120.0, 200.0])
      "taper lengths must match the array geometry"),
     (lambda ura, cx, cy: find_peaks(_beam_from_level_db(np.zeros((0, 3))), 10.0),
      "empty grid"),
-], ids=["cbf_ura-ma_x", "padp_ura-ma_y", "line_spectrum-ura", "cbf_ma-swapped",
+], ids=["cbf_ura-ma_x", "padp_ura-ma_y", "line_spectrum-ura", "subtract_path-ura",
+        "CfrSet-ura-ma-geometry", "CfrSet-ma_x-ura-geometry", "cbf_ma-swapped",
         "padp_ma-two-ma_x", "cbf_ura-taper", "padp_ma-taper", "find_peaks-empty"])
 def test_beamformers_reject_inputs_they_cannot_use(call, match):
     ura = gen_ura_cfr(SHORT_PATHS, UraGeometry(3, 3), FREQS)

@@ -106,7 +106,7 @@ def test_write_matches_row_by_row_reference(tmp_path):
     ura = gen_ura_cfr(PATHS, UraGeometry(3, 5, 0.5, 0.5), FREQS)
     _, ma_y = gen_ma_cfr(PATHS, MaGeometry(5, 7, 0.5), FREQS)
     for cfr, xs, ys in ((ura, ura.geometry.x_indices, ura.geometry.y_indices),
-                        (ma_y, [0], ma_y.geometry.y_indices)):
+                        (ma_y, [0], range(-3, 4))):
         values = cfr.values.reshape(len(xs), len(ys), FREQS.n_points)
         body = [f"{m},{n},{l},{values[a, b, l].real:.17g},{values[a, b, l].imag:.17g}"
                 for a, m in enumerate(xs) for b, n in enumerate(ys)
@@ -163,9 +163,8 @@ def test_write_rows_cfr_shape_matches_reference(tmp_path, layout):
         cfr = gen_ura_cfr(PATHS, UraGeometry(3, 5, 0.5, 0.5), FREQS)
     else:
         cfr = gen_ma_cfr(PATHS, MaGeometry(5, 7, 0.5), FREQS)[layout == "ma_y"]
-    g, zero = cfr.geometry, np.zeros(1, int)
-    xs, ys = {"ura": (g.x_indices, g.y_indices), "ma_x": (g.x_indices, zero),
-              "ma_y": (zero, g.y_indices)}[layout]
+    x5, y7, zero = np.arange(-2, 3), np.arange(-3, 4), np.zeros(1, int)
+    xs, ys = {"ura": (np.arange(-1, 2), x5), "ma_x": (x5, zero), "ma_y": (zero, y7)}[layout]
     values = cfr.values.reshape(xs.size, ys.size, FREQS.n_points)
     fmt = ["%d"] * 3 + ["%.17g"] * 2
     columns = (xs[:, None, None], ys[:, None], np.arange(FREQS.n_points),

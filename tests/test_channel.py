@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from masounder.channel import (CfrSet, add_noise, gen_ma_cfr, gen_ura_cfr,
+from masounder.channel import (CfrSet, add_noise, gen_ma_cfr, gen_ura_cfr, ma_axis,
                                sounded_paths)
 from masounder.geometry import (Direction, FrequencyGrid, MaGeometry,
-                                PathComponent, UraGeometry, uv_map)
+                                PathComponent, UraGeometry, signed_indices, uv_map)
 
 TABLE_PATHS = [
     PathComponent.from_power_db(0, 60, 120, 12),
@@ -42,6 +42,26 @@ def test_ma_cfr_matches_hand_sum():
             hand_cfr_value(TABLE_PATHS, m, 0, freqs.points[li], 0.5), abs=1e-12)
         assert cy.values[m + 4, li] == pytest.approx(
             hand_cfr_value(TABLE_PATHS, 0, m, freqs.points[li], 0.5), abs=1e-12)
+
+
+def test_ma_axis_gives_each_sub_array_its_indices_spacing_and_cosine():
+    # 5 x 7 elements, so a swapped axis changes a count
+    freqs = FrequencyGrid(26e9, 30e9, 16)
+    geo = MaGeometry(5, 7, 0.4)
+    path = PathComponent.from_power_db(0, 60, 120, 1.0)
+    uv = uv_map(path.direction)
+    expected = {"ma_x": (np.arange(-2, 3), 0, uv.u), "ma_y": (np.arange(-3, 4), 1, uv.v)}
+    for cfr in gen_ma_cfr([path], geo, freqs):
+        indices, axis, cosine = expected[cfr.layout]
+        count, spacing, got_axis = ma_axis(cfr.layout, geo)
+        np.testing.assert_array_equal(signed_indices(count), indices)
+        assert (spacing, got_axis) == (0.4, axis)
+        # each half of gen_ma_cfr is the path on those elements at that cosine
+        hand = (path.amplitude * np.exp(2j * np.pi * spacing * indices * cosine)[:, None]
+                * np.exp(-2j * np.pi * freqs.points * path.delay_s))
+        np.testing.assert_allclose(cfr.values, hand, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match=r"layout 'ura' is not an MA sub-array"):
+        ma_axis("ura", geo)
 
 
 def test_cfr_superposition():
