@@ -13,8 +13,8 @@ products it spawned vanish with it.
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,10 +50,10 @@ class EstimatorConfig:
         if self.gate_db is not None and not (math.isfinite(self.gate_db)
                                              and self.gate_db > 0):
             raise ValueError("gate_db must be finite and positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.pad_factor < 1:
-            raise ValueError("pad_factor must be >= 1")
+        for name in ("max_iterations", "pad_factor"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -215,22 +215,18 @@ def refine_delay(gated_x: np.ndarray, gated_y: np.ndarray, freqs: FrequencyGrid,
 
 
 def estimate_power(gated_x: np.ndarray, gated_y: np.ndarray, freqs: FrequencyGrid,
-                   geometry: MaGeometry, pad_factor: int = 4) -> float | np.ndarray:
+                   geometry: MaGeometry, pad_factor: int = 4) -> float:
     """Magnitude of the gated single-path response: the square root of the
     gated MA profile's peak, cfr_to_cir(g_x g_y) / (N_x N_y), as a true MA
     term carries the squared amplitude. It does not depend on the delay
-    estimate, so it tests a candidate before any fit.
-
-    Stacked spectra (..., n_points) give an array of magnitudes, NaN for a
-    row whose peak is below the numerical floor. NoPeakError is raised when
-    no row's peak clears the floor.
+    estimate, so it tests a candidate before any fit. NoPeakError is raised
+    when the peak is below the numerical floor.
     """
     profile = np.abs(cfr_to_cir(gated_x * gated_y, freqs, pad_factor))
-    peak = profile.max(axis=-1) / (geometry.x_count * geometry.y_count)
-    above = peak > DB_FLOOR
-    if not above.any():
+    peak = float(profile.max()) / (geometry.x_count * geometry.y_count)
+    if peak <= DB_FLOOR:
         raise NoPeakError("gated response peak is below the numerical floor")
-    return np.sqrt(np.where(above, peak, np.nan))
+    return math.sqrt(peak)
 
 
 def subtract_path(residual: CfrSet, path: PathComponent,
@@ -261,30 +257,20 @@ def noise_floor_db(level: np.ndarray, pad_factor: int) -> float:
                                             / math.log(2.0))
 
 
-# Candidates are tested in batches of 1, 2, 4, ... cells, up to as many as
-# fit one complex delay response each in this many bytes. A batch stacks a
-# few such arrays per sub-array, so the budget bounds its temporaries.
-_BATCH_BYTES = 2 ** 18
-
-
 def _find_path(rx: CfrSet, ry: CfrSet, config: EstimatorConfig, q: int, snapshot_hook):
     """Iteration q up to the subtraction: detect, then test the profile's
-    maxima in descending order and fit the first that passes. Returns the
-    fitted path and the IterationDiagnostics fields known by then, or the
-    stop reason when nothing is left to detect: 'below-noise-floor' when the
-    walk ends at the profile's noise_floor_db, so that no cell above it is
-    left, 'dynamic-range' when it ends epsilon_db below the profile's peak.
-
-    The maxima are read from the walk in batches that double up to the
-    _BATCH_BYTES cap. Each batch is gated, returned to frequency and tested
-    as one stack, and its decisions are then taken in walk order; the walk's
-    order does not depend on them, so reading ahead is safe.
+    maxima one at a time in descending order and fit the first that passes.
+    Returns the fitted path and the IterationDiagnostics fields known by
+    then, or the stop reason when nothing is left to detect:
+    'below-noise-floor' when the walk ends at the profile's noise_floor_db,
+    so that no cell above it is left, 'dynamic-range' when it ends
+    epsilon_db below the profile's peak.
 
     The gate of delay bin r is that of a unit path at r/2 padded bins: the
     gate of bin r % 2 shifted circularly by r // 2 bins. The gates of bins 0
     and 1 are built on each call and every other gate is a slice of them, so
-    nothing outlives the call: the beam, the profile, the column responses
-    and the gates die on return."""
+    nothing outlives the call: the beam, the profile and the gates die on
+    return."""
     freqs = rx.freqs
     pad = config.pad_factor
     gate_db = config.epsilon_db if config.gate_db is None else config.gate_db
@@ -302,55 +288,36 @@ def _find_path(rx: CfrSet, ry: CfrSet, config: EstimatorConfig, q: int, snapshot
     # The walk ends at the dynamic range or at the noise floor, whichever is
     # higher, and an exhausted walk names the one it ended at.
     stop = "below-noise-floor" if noise_db > range_db else "dynamic-range"
-
-    def direction(c):
-        return Direction(coarse.theta_deg, wrap_azimuth(float(phi_deg[c])))
-    # The delay responses of both line spectra steered at a column's
-    # direction, computed in the batch that first visits the column.
-    responses: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     n = delay_s.size
     kernels = cfr_to_cir(np.exp(-2j * np.pi * freqs.points * (delay_s[:2, None] / 2.0)),
                          freqs, pad)
     doubled = np.tile([build_label_vector(kernel, gate_db) for kernel in kernels], 2)
     cells = descending_cells(level, max(range_db, noise_db), (2 * pad, 3))
-    cap = max(1, _BATCH_BYTES // (16 * n))
-    size = 1
-    skipped = 0
-    while batch := list(itertools.islice(cells, size)):
-        new_cols = sorted({c for _, c in batch if c not in responses})
-        if new_cols:
-            uvs = [uv_map(direction(c)) for c in new_cols]
-            cir_x = cfr_to_cir(line_spectrum(rx, [uv.u for uv in uvs]), freqs, pad)
-            cir_y = cfr_to_cir(line_spectrum(ry, [uv.v for uv in uvs]), freqs, pad)
-            responses.update(zip(new_cols, zip(cir_x, cir_y)))
-        gate = np.stack([doubled[r % 2, n - r // 2:2 * n - r // 2] for r, _ in batch])
-        gx, gy = (cir_to_cfr(extract_path_cir(np.stack([responses[c][i] for _, c in batch]),
-                                              gate), freqs, pad)
-                  for i in (0, 1))
+    for skipped, (r, c) in enumerate(cells):
+        direction = Direction(coarse.theta_deg, wrap_azimuth(float(phi_deg[c])))
+        uv = uv_map(direction)
+        gate = doubled[r % 2, n - r // 2:2 * n - r // 2]
+        gx, gy = (cir_to_cfr(extract_path_cir(cfr_to_cir(spectrum, freqs, pad), gate), freqs, pad)
+                  for spectrum in (line_spectrum(rx, uv.u), line_spectrum(ry, uv.v)))
         try:
-            magnitudes = estimate_power(gx, gy, freqs, rx.geometry, pad)
+            magnitude = estimate_power(gx, gy, freqs, rx.geometry, pad)
         except NoPeakError:
-            magnitudes = np.full(len(batch), np.nan)
-        for i, (r, c) in enumerate(batch):
-            magnitude = float(magnitudes[i])  # NaN: the gated peak is below the floor
-            # A cross-product artifact is strong in the product profile, but
-            # has no single-axis support at the halved delay. The walk skips
-            # it; it disappears once its parent paths are subtracted.
-            if not math.isnan(magnitude) and (20.0 * math.log10(magnitude)
-                                              >= level[r, c] - CONSISTENCY_MARGIN_DB):
-                tau_hat, inner = refine_delay(gx[i], gy[i], freqs,
-                                              float(delay_s[r]) / 2.0, pad)
-                if abs(inner) > DB_FLOOR:
-                    phase = float(np.angle(inner))
-                    alpha = magnitude * complex(math.cos(phase), math.sin(phase))
-                    bins = np.nonzero(gate[i])[0]
-                    return PathComponent(alpha, direction(c), tau_hat), dict(
-                        beam_peak_db=float(beam.level_db().max()),
-                        padp_peak_db=padp_peak_db, gate_bins=len(bins),
-                        gate_span_s=(float(delay_s[bins[0]]), float(delay_s[bins[-1]])),
-                        candidates_skipped=skipped)
-            skipped += 1
-        size = min(2 * size, cap)
+            continue
+        # A cross-product artifact is strong in the product profile, but has
+        # no single-axis support at the halved delay. The walk skips it; it
+        # disappears once its parent paths are subtracted.
+        if 20.0 * math.log10(magnitude) < level[r, c] - CONSISTENCY_MARGIN_DB:
+            continue
+        tau_hat, inner = refine_delay(gx, gy, freqs, float(delay_s[r]) / 2.0, pad)
+        if abs(inner) <= DB_FLOOR:
+            continue
+        phase = float(np.angle(inner))
+        alpha = magnitude * complex(math.cos(phase), math.sin(phase))
+        bins = np.nonzero(gate)[0]
+        return PathComponent(alpha, direction, tau_hat), dict(
+            beam_peak_db=float(beam.level_db().max()), padp_peak_db=padp_peak_db,
+            gate_bins=len(bins), gate_span_s=(float(delay_s[bins[0]]), float(delay_s[bins[-1]])),
+            candidates_skipped=skipped)
     return stop
 
 

@@ -1,10 +1,12 @@
 """Stacked delay transforms against one row at a time.
 
-The SIC candidate walk builds, gates and tests its candidates in stacks,
-and its reports equal those of a one-candidate-at-a-time walk bit for bit
-only because a row of a stacked cfr_to_cir or cir_to_cfr carries the bits
-of that row transformed alone. The sizes are those of table1_small and
-table1 at their pad factor.
+A row of a stacked cfr_to_cir or cir_to_cfr carries the bits of that row
+transformed alone. Two stacked transforms rely on it: _padp transforms each
+block of azimuths in sub-blocks, so a profile's level does not depend on how
+its azimuths are split, and the SIC walk transforms the gate kernels of delay
+bins 0 and 1 as one stack, where tests/test_gate_templates.py transforms each
+kernel alone. The sizes are those of table1_small and table1 at their pad
+factor.
 """
 
 import numpy as np

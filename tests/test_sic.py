@@ -255,10 +255,12 @@ def test_run_sic_subtracts_one_sub_array_at_a_time():
 def test_estimator_config_validation():
     with pytest.raises(ValueError):
         EstimatorConfig(SCAN, epsilon_db=0.0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(SCAN, max_iterations=0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(SCAN, pad_factor=0)
+    # a count must be an int: a fraction would fail inside run_sic, after a
+    # beam is formed, and True would run as 1
+    for field in ("max_iterations", "pad_factor"):
+        for value in (0, 2.5, 4.0, True, False, "4", None):
+            with pytest.raises(ValueError, match=field):
+                EstimatorConfig(SCAN, **{field: value})
 
 
 @pytest.mark.parametrize("field,value", [
@@ -490,15 +492,14 @@ def test_run_sic_fits_only_the_candidates_that_pass(monkeypatch):
     assert len(calls) == len(report.paths) + (not report.diagnostics[-1].accepted)
 
 
-def test_run_sic_keeps_column_responses_per_iteration_and_two_gate_templates_per_iteration(
+def test_run_sic_tests_one_candidate_at_a_time_with_two_gate_templates_per_iteration(
         monkeypatch):
     # noise seeds 9 and 10 at 10 dB: many candidates share a column or a
-    # delay bin. The walk reads cells ahead of its decisions, in batches. A
-    # column's two line spectra are computed once per iteration for the cells
-    # read, a batch's new columns in one line_spectrum call per axis, so the
-    # cosines passed to it are counted. Each iteration that reaches the walk
-    # builds the gates of delay bins 0 and 1 and no other, however many bins
-    # it visits.
+    # delay bin, and several walks skip candidates. Each cell the walk
+    # yields is steered alone, one line_spectrum call per axis at its one
+    # cosine, and the walk reads no cell beyond the one it fits. Each
+    # iteration that reaches the walk builds the gates of delay bins 0 and 1
+    # and no other, however many bins it visits.
     spectra = _count_calls(monkeypatch, "line_spectrum")
     templates = []
     gates = _count_calls(monkeypatch, "build_label_vector",
@@ -520,11 +521,16 @@ def test_run_sic_keeps_column_responses_per_iteration_and_two_gate_templates_per
     for gate_db in (None, None, 20.0):
         spectra.clear(), gates.clear(), templates.clear(), walks.clear()
         report = run_sic(cx, cy, dataclasses.replace(config, gate_db=gate_db))
-        visited = sum(len(cells) for cells in walks)
-        columns = sum(len({c for _, c in cells}) for cells in walks)
-        bins = max(len({r for r, _ in cells}) for cells in walks)
-        assert visited > columns and bins > 2
-        assert sum(np.size(cosines) for _, cosines in spectra) == 2 * columns
+        assert max(len({r for r, _ in cells}) for cells in walks) > 2
+        assert all(np.size(cosines) == 1 for _, cosines in spectra)
+        assert len(spectra) == 2 * sum(len(cells) for cells in walks)
+        # a fitted candidate is the last cell its walk yields; an exhausted
+        # walk, which ends the run, has no diagnostic
+        diagnostics = report.diagnostics
+        assert sum(d.candidates_skipped for d in diagnostics) > 0
+        assert len(walks) - len(diagnostics) in (0, 1)
+        assert [d.candidates_skipped for d in diagnostics] == [
+            len(cells) - 1 for cells in walks[:len(diagnostics)]]
         assert len(gates) == 2 * len(walks)
         runs.append((repr(report), templates[:2]))
     (first, wide), (second, _), (_, narrow) = runs
@@ -540,7 +546,7 @@ def test_run_sic_keeps_column_responses_per_iteration_and_two_gate_templates_per
 ])
 def test_run_sic_working_set_is_bounded(name, noise_seeds, limit_mib):
     # Peak traced allocation above the inputs. Each iteration's beam, profile
-    # level, column responses and gates go before the next iteration makes
+    # level, candidate responses and gates go before the next iteration makes
     # its own. The profile is held as its level, taken a block of azimuths at a time, and the walk marks hidden
     # cells in a one-byte mask: holding the complex profile and a float copy
     # of its level for the walk peaks at 34.6 and 7.0 MiB.
