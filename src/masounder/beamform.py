@@ -205,10 +205,12 @@ def _ma_sum(cfr: CfrSet, values: np.ndarray, cosines: np.ndarray, cols) -> np.nd
     return total.reshape(np.shape(cosines) + (-1,))
 
 
-def line_spectrum(cfr: CfrSet, cosines, cols=slice(None)) -> np.ndarray:
-    """Unnormalized steered sum a(c)^H H of an MA sub-array at cosines c along
-    its axis, over frequency columns cols; shape c.shape + (n_cols,)."""
-    return _ma_sum(cfr, cfr.values[:, cols], np.asarray(cosines, float), cols)
+def line_spectrum(cfr: CfrSet, cosine: float) -> np.ndarray:
+    """Unnormalized steered sum a(c)^H H of an MA sub-array at one cosine c
+    along its axis, over every sweep column; shape (n_points,)."""
+    if np.ndim(cosine) != 0:
+        raise ValueError("line_spectrum steers at one scalar cosine")
+    return _ma_sum(cfr, cfr.values, np.asarray(cosine, float), slice(None))
 
 
 def _ma_beam(cfr_x: CfrSet, cfr_y: CfrSet, taper, cols):

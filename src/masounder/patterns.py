@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MaGeometry, UraGeometry
+from .geometry import MaGeometry, UraGeometry, signed_indices
 
 
 def _cheb_poly_eval(order: int, x: np.ndarray) -> np.ndarray:
@@ -41,7 +41,7 @@ def chebyshev_taper(n: int, sidelobe_db: float) -> np.ndarray:
     x0 = np.cosh(np.arccosh(ripple) / order)
     k = np.arange(n)
     samples = _cheb_poly_eval(order, x0 * np.cos(np.pi * k / n))
-    m = np.arange(n) - (n - 1) // 2
+    m = signed_indices(n)
     w = (samples[None, :] * np.exp(2j * np.pi * np.outer(m, k) / n)).sum(axis=1).real / n
     w = 0.5 * (w + w[::-1])  # enforce exact symmetry against roundoff
     return w / w.max()
@@ -60,7 +60,7 @@ def steer(w: np.ndarray, u0: float, spacing_wl: float) -> np.ndarray:
     if abs(u0) > 1.0:
         raise ValueError("steering cosine must satisfy |u0| <= 1")
     w = np.asarray(w)
-    m = np.arange(w.size) - (w.size - 1) // 2
+    m = signed_indices(w.size)
     return w * np.exp(-2j * np.pi * spacing_wl * m * u0)
 
 
@@ -74,7 +74,7 @@ def check_conjugate_symmetry(w: np.ndarray, tol: float = 1e-12) -> bool:
 def line_factor(w: np.ndarray, spacing_wl: float, u: np.ndarray) -> np.ndarray:
     """Unnormalized line-array factor sum_m w_m exp(j 2 pi d m u)."""
     w = np.asarray(w)
-    m = np.arange(w.size) - (w.size - 1) // 2
+    m = signed_indices(w.size)
     return np.exp(2j * np.pi * spacing_wl * np.outer(np.asarray(u, float), m)) @ w
 
 

@@ -45,11 +45,11 @@ class EstimatorConfig:
     pad_factor: int = 4
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon_db) and self.epsilon_db > 0):
-            raise ValueError("epsilon_db must be finite and positive")
-        if self.gate_db is not None and not (math.isfinite(self.gate_db)
-                                             and self.gate_db > 0):
-            raise ValueError("gate_db must be finite and positive")
+        for name in ("epsilon_db",) if self.gate_db is None else ("epsilon_db", "gate_db"):
+            level = getattr(self, name)
+            if (isinstance(level, bool) or not isinstance(level, numbers.Real)
+                    or not (math.isfinite(level) and level > 0)):
+                raise ValueError(f"{name} must be finite and positive")
         for name in ("max_iterations", "pad_factor"):
             count = getattr(self, name)
             if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
@@ -264,13 +264,8 @@ def _find_path(rx: CfrSet, ry: CfrSet, config: EstimatorConfig, q: int, snapshot
     then, or the stop reason when nothing is left to detect:
     'below-noise-floor' when the walk ends at the profile's noise_floor_db,
     so that no cell above it is left, 'dynamic-range' when it ends
-    epsilon_db below the profile's peak.
-
-    The gate of delay bin r is that of a unit path at r/2 padded bins: the
-    gate of bin r % 2 shifted circularly by r // 2 bins. The gates of bins 0
-    and 1 are built on each call and every other gate is a slice of them, so
-    nothing outlives the call: the beam, the profile and the gates die on
-    return."""
+    epsilon_db below the profile's peak. Nothing outlives the call: the
+    beam, the profile and each candidate's gate die on return."""
     freqs = rx.freqs
     pad = config.pad_factor
     gate_db = config.epsilon_db if config.gate_db is None else config.gate_db
@@ -288,15 +283,13 @@ def _find_path(rx: CfrSet, ry: CfrSet, config: EstimatorConfig, q: int, snapshot
     # The walk ends at the dynamic range or at the noise floor, whichever is
     # higher, and an exhausted walk names the one it ended at.
     stop = "below-noise-floor" if noise_db > range_db else "dynamic-range"
-    n = delay_s.size
-    kernels = cfr_to_cir(np.exp(-2j * np.pi * freqs.points * (delay_s[:2, None] / 2.0)),
-                         freqs, pad)
-    doubled = np.tile([build_label_vector(kernel, gate_db) for kernel in kernels], 2)
     cells = descending_cells(level, max(range_db, noise_db), (2 * pad, 3))
     for skipped, (r, c) in enumerate(cells):
         direction = Direction(coarse.theta_deg, wrap_azimuth(float(phi_deg[c])))
         uv = uv_map(direction)
-        gate = doubled[r % 2, n - r // 2:2 * n - r // 2]
+        # bin r's gate is that of a unit path at its halved delay
+        kernel = cfr_to_cir(np.exp(-2j * np.pi * freqs.points * (delay_s[r] / 2.0)), freqs, pad)
+        gate = build_label_vector(kernel, gate_db)
         gx, gy = (cir_to_cfr(extract_path_cir(cfr_to_cir(spectrum, freqs, pad), gate), freqs, pad)
                   for spectrum in (line_spectrum(rx, uv.u), line_spectrum(ry, uv.v)))
         try:

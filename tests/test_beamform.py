@@ -209,8 +209,8 @@ def test_wideband_line_spectrum_and_padp_ma_match_per_column_steering():
     taper = (np.array([0.3, 0.8, 1.0, 0.8, 0.3]), np.linspace(0.2, 1.0, 9))
     u, v = scan_cosines(np.array([60.0]), np.array([100.0, 120.0, 200.0]))
     x_sum, y_sum = per_column_line_sums(cx, cy, u, v)
-    assert_close_to_peak(line_spectrum(cx, u[0]), x_sum * geo.x_count)
-    assert_close_to_peak(line_spectrum(cy, v[0]), y_sum * geo.y_count)
+    assert_close_to_peak(np.stack([line_spectrum(cx, c) for c in u[0]]), x_sum * geo.x_count)
+    assert_close_to_peak(np.stack([line_spectrum(cy, c) for c in v[0]]), y_sum * geo.y_count)
     for tp in (None, taper):
         x_sum, y_sum = per_column_line_sums(cx, cy, u, v, tp)
         padp = padp_ma(cx, cy, 60.0, np.array([100.0, 120.0, 200.0]), 2, taper=tp)
@@ -227,8 +227,9 @@ def test_narrowband_line_spectrum_and_padp_ma_are_bitwise_steering_products():
     phi = np.array([100.0, 120.0, 200.0])
     u, v = scan_cosines(np.array([60.0]), phi)
     xs, ys = element_indices(5), element_indices(9)
-    spectrum = line_spectrum(cx, u[0])
-    assert spectrum.tobytes() == (conj_steer(xs, geo.d_wl, u, 1.0).T @ cx.values).tobytes()
+    # one cosine is summed by Horner's rule, not by a steering product
+    assert_close_to_peak(np.stack([line_spectrum(cx, c) for c in u[0]]),
+                         conj_steer(xs, geo.d_wl, u, 1.0).T @ cx.values)
     for tx, ty in ((np.ones(5), np.ones(9)), taper):
         x_sum = (conj_steer(xs, geo.d_wl, u, 1.0).T
                  @ (tx[:, None] * cx.values) / np.sum(np.abs(tx)))
@@ -459,6 +460,8 @@ PHI = np.array([120.0, 200.0])
     (lambda ura, cx, cy: padp_ura(cy, 90.0, PHI), "padp_ura needs a URA-layout CFR"),
     (lambda ura, cx, cy: line_spectrum(ura, 0.5),
      r"layout 'ura' is not an MA sub-array \(ma_x or ma_y\)"),
+    (lambda ura, cx, cy: line_spectrum(cx, np.array([0.1, 0.2])),
+     "line_spectrum steers at one scalar cosine"),
     (lambda ura, cx, cy: subtract_path(ura, SHORT_PATHS[0]),
      r"layout 'ura' is not an MA sub-array \(ma_x or ma_y\)"),
     (lambda ura, cx, cy: replace(ura, geometry=cx.geometry),
@@ -473,9 +476,10 @@ PHI = np.array([120.0, 200.0])
      "taper lengths must match the array geometry"),
     (lambda ura, cx, cy: find_peaks(_beam_from_level_db(np.zeros((0, 3))), 10.0),
      "empty grid"),
-], ids=["cbf_ura-ma_x", "padp_ura-ma_y", "line_spectrum-ura", "subtract_path-ura",
-        "CfrSet-ura-ma-geometry", "CfrSet-ma_x-ura-geometry", "cbf_ma-swapped",
-        "padp_ma-two-ma_x", "cbf_ura-taper", "padp_ma-taper", "find_peaks-empty"])
+], ids=["cbf_ura-ma_x", "padp_ura-ma_y", "line_spectrum-ura", "line_spectrum-cosines",
+        "subtract_path-ura", "CfrSet-ura-ma-geometry", "CfrSet-ma_x-ura-geometry",
+        "cbf_ma-swapped", "padp_ma-two-ma_x", "cbf_ura-taper", "padp_ma-taper",
+        "find_peaks-empty"])
 def test_beamformers_reject_inputs_they_cannot_use(call, match):
     ura = gen_ura_cfr(SHORT_PATHS, UraGeometry(3, 3), FREQS)
     cx, cy = gen_ma_cfr(SHORT_PATHS, MaGeometry(5, 5), FREQS)

@@ -1,12 +1,10 @@
 """Stacked delay transforms against one row at a time.
 
 A row of a stacked cfr_to_cir or cir_to_cfr carries the bits of that row
-transformed alone. Two stacked transforms rely on it: _padp transforms each
-block of azimuths in sub-blocks, so a profile's level does not depend on how
-its azimuths are split, and the SIC walk transforms the gate kernels of delay
-bins 0 and 1 as one stack, where tests/test_gate_templates.py transforms each
-kernel alone. The sizes are those of table1_small and table1 at their pad
-factor.
+transformed alone. The package's one stacked transform relies on it: _padp
+transforms each block of azimuths in sub-blocks, so a profile's level does
+not depend on how its azimuths are split. The sizes are those of
+table1_small and table1 at their pad factor.
 """
 
 import numpy as np
@@ -35,12 +33,3 @@ def test_stacked_rows_transform_as_single_rows(name, rows):
         back = cir_to_cfr(stack, freqs, pad)
         assert back.tobytes() == np.stack([cir_to_cfr(c, freqs, pad) for c in stack]).tobytes()
 
-
-@pytest.mark.parametrize("name", ["table1_small", "table1"])
-def test_stacked_gate_kernels_equal_single_kernels(name):
-    # a gate kernel is the sweep of a unit path at half a delay bin's delay
-    freqs = parse_scenario(scenario_path(name)).freqs
-    taus = np.random.default_rng(7).uniform(0.0, 0.5 / freqs.spacing_hz, 8)
-    stacked = np.exp(-2j * np.pi * freqs.points * taus[:, None])
-    single = np.stack([np.exp(-2j * np.pi * freqs.points * float(t)) for t in taus])
-    assert stacked.tobytes() == single.tobytes()

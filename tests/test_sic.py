@@ -10,7 +10,7 @@ from masounder.beamform import (BeamPattern, NoPeakError, cbf_ma, cbf_ma_uv,
                                 cfr_to_cir, cir_to_cfr, line_spectrum, padp_ma)
 from masounder.channel import add_noise, gen_ma_cfr
 from masounder.geometry import (Direction, FrequencyGrid, MaGeometry,
-                                PathComponent, ScanGrid, uv_map)
+                                PathComponent, ScanGrid, delay_axis, uv_map)
 from masounder import sic
 from masounder.scenario import parse_scenario
 from masounder.sic import (EstimatorConfig, build_label_vector,
@@ -267,9 +267,13 @@ def test_estimator_config_validation():
     ("epsilon_db", -5.0), ("epsilon_db", float("nan")), ("epsilon_db", float("inf")),
     ("gate_db", -5.0), ("gate_db", 0.0), ("gate_db", float("nan")),
     ("gate_db", float("inf")),
+    ("epsilon_db", True), ("epsilon_db", "30"), ("epsilon_db", 1 + 0j),
+    ("gate_db", True), ("gate_db", "30"), ("gate_db", 1 + 0j),
 ])
 def test_estimator_config_rejects_non_finite_or_non_positive_levels(field, value):
-    # Each of these used to end a sounding with 0 paths and no error.
+    # Each non-finite or non-positive level used to end a sounding with 0
+    # paths and no error; True ran as 1 dB, and a str or a complex raised
+    # TypeError.
     with pytest.raises(ValueError, match=field):
         EstimatorConfig(SCAN, **{field: value})
 
@@ -492,18 +496,17 @@ def test_run_sic_fits_only_the_candidates_that_pass(monkeypatch):
     assert len(calls) == len(report.paths) + (not report.diagnostics[-1].accepted)
 
 
-def test_run_sic_tests_one_candidate_at_a_time_with_two_gate_templates_per_iteration(
-        monkeypatch):
+def test_run_sic_tests_one_candidate_at_a_time_with_its_own_gate(monkeypatch):
     # noise seeds 9 and 10 at 10 dB: many candidates share a column or a
     # delay bin, and several walks skip candidates. Each cell the walk
     # yields is steered alone, one line_spectrum call per axis at its one
-    # cosine, and the walk reads no cell beyond the one it fits. Each
-    # iteration that reaches the walk builds the gates of delay bins 0 and 1
-    # and no other, however many bins it visits.
+    # cosine, and gated with the gate of a unit path at its own bin's halved
+    # delay, built for it alone; the walk reads no cell beyond the one it
+    # fits.
     spectra = _count_calls(monkeypatch, "line_spectrum")
-    templates = []
+    built = []
     gates = _count_calls(monkeypatch, "build_label_vector",
-                         lambda gate, n: templates.append(gate) or gate)
+                         lambda gate, n: built.append(gate) or gate)
     walks = []
     real_walk = sic.descending_cells
 
@@ -514,16 +517,23 @@ def test_run_sic_tests_one_candidate_at_a_time_with_two_gate_templates_per_itera
             yield cell
     monkeypatch.setattr(sic, "descending_cells", walk)
     scenario = parse_scenario(scenario_path("table1_small"))
-    cx, cy = gen_ma_cfr(scenario.paths, scenario.ma, scenario.freqs)
+    freqs, pad = scenario.freqs, scenario.pad_factor
+    delay_s = delay_axis(freqs, pad)
+    cx, cy = gen_ma_cfr(scenario.paths, scenario.ma, freqs)
     cx, cy = add_noise(cx, 10.0, 9), add_noise(cy, 10.0, 10)
     config = scenario.estimator_config()
     runs = []
     for gate_db in (None, None, 20.0):
-        spectra.clear(), gates.clear(), templates.clear(), walks.clear()
+        spectra.clear(), gates.clear(), built.clear(), walks.clear()
         report = run_sic(cx, cy, dataclasses.replace(config, gate_db=gate_db))
         assert max(len({r for r, _ in cells}) for cells in walks) > 2
-        assert all(np.size(cosines) == 1 for _, cosines in spectra)
-        assert len(spectra) == 2 * sum(len(cells) for cells in walks)
+        assert all(np.ndim(cosine) == 0 for _, cosine in spectra)
+        yielded = [cell for cells in walks for cell in cells]
+        assert len(spectra) == 2 * len(yielded)
+        assert len(gates) == len(yielded)
+        level_db = config.epsilon_db if gate_db is None else gate_db
+        for (r, _), gate in zip(yielded, built):
+            assert np.array_equal(gate, _gate(freqs, delay_s[r] / 2.0, pad, level_db))
         # a fitted candidate is the last cell its walk yields; an exhausted
         # walk, which ends the run, has no diagnostic
         diagnostics = report.diagnostics
@@ -531,12 +541,15 @@ def test_run_sic_tests_one_candidate_at_a_time_with_two_gate_templates_per_itera
         assert len(walks) - len(diagnostics) in (0, 1)
         assert [d.candidates_skipped for d in diagnostics] == [
             len(cells) - 1 for cells in walks[:len(diagnostics)]]
-        assert len(gates) == 2 * len(walks)
-        runs.append((repr(report), templates[:2]))
+        ends = np.cumsum([len(cells) for cells in walks[:len(diagnostics)]]) - 1
+        runs.append((repr(report), [(yielded[e][0], built[e]) for e in ends]))
     (first, wide), (second, _), (_, narrow) = runs
     assert second == first
-    # a 20 dB gate keeps fewer bins than the default 30 dB one
-    for w, g in zip(wide, narrow):
+    # where the two runs fit the same delay bin, the 20 dB gate keeps fewer
+    # bins than the default 30 dB one
+    same_bin = [(w, g) for (rw, w), (rg, g) in zip(wide, narrow) if rw == rg]
+    assert len(same_bin) > 1
+    for w, g in same_bin:
         assert g.sum() < w.sum() and not (g & ~w).any()
 
 
