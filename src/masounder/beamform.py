@@ -311,9 +311,10 @@ def cir_to_cfr(cir: np.ndarray, freqs: FrequencyGrid, pad_factor: int) -> np.nda
 
 
 # _padp forms the beam spectrum a block of azimuths at a time, up to this
-# many bytes of it, and transforms each block in sub-blocks whose complex
-# delay responses take at most as many bytes: neither the whole spectrum nor
-# the complex profile is ever held.
+# many bytes of it and of the block's narrowband steering matrix, and
+# transforms each block in sub-blocks whose complex delay responses take at
+# most as many bytes: neither the whole spectrum, nor a steering matrix over
+# every azimuth, nor the complex profile is ever held.
 _PADP_BLOCK_BYTES = 2 ** 19
 
 
@@ -327,12 +328,13 @@ def _row_blocks(n_rows: int, step: int) -> Iterator[slice]:
         start = stop
 
 
-def _padp(beam, cfr: CfrSet, theta_deg: float, phi_deg, pad_factor: int, window,
-          kind: str) -> Padp:
+def _padp(beam, cfr: CfrSet, elements: int, theta_deg: float, phi_deg, pad_factor: int,
+          window, kind: str) -> Padp:
     """Window the (phi, frequency) beam spectrum along the cut at theta_deg,
     transform it to delay and take its level, one block of azimuth rows at a
     time. beam, from _ura_beam or _ma_beam over every sweep column, forms
-    each block's rows of the spectrum.
+    each block's rows of the spectrum, steering an axis of at most elements
+    elements at a time.
 
     A block holds at least 2 rows unless phi_deg holds 1: _steered_sum sums
     one cosine by Horner's rule and 2 or more by a steering product, whose
@@ -346,10 +348,12 @@ def _padp(beam, cfr: CfrSet, theta_deg: float, phi_deg, pad_factor: int, window,
     win = _resolve_window(window, n_points)
     n_delay = n_points * pad_factor
     level = np.empty((phi_deg.size, n_delay))
-    # a block is a whole number of transform sub-blocks of step rows: each
-    # transform call has a fixed cost, which a part-filled sub-block wastes
+    # a block's spectrum (rows x n_points) and narrowband steering matrix
+    # (elements x rows) each stay within _PADP_BLOCK_BYTES, and a block is a
+    # whole number of transform sub-blocks of step rows: each transform call
+    # has a fixed cost, which a part-filled sub-block wastes
     step = max(1, _PADP_BLOCK_BYTES // (16 * n_delay))
-    rows = max(2, _PADP_BLOCK_BYTES // (16 * n_points) // step * step)
+    rows = max(2, _PADP_BLOCK_BYTES // (16 * max(n_points, elements)) // step * step)
     for block in _row_blocks(phi_deg.size, rows):
         spectrum, out = beam(u[block], v[block]), level[block]
         if win is not None:
@@ -365,16 +369,17 @@ def padp_ura(cfr: CfrSet, theta_deg: float, phi_deg: np.ndarray,
     """Inverse transform of the URA beam pattern over the sweep."""
     if cfr.layout != "ura":
         raise ValueError("padp_ura needs a URA-layout CFR")
-    return _padp(_ura_beam(cfr, taper, slice(None)), cfr, theta_deg, phi_deg, pad_factor,
-                 window, "ura")
+    return _padp(_ura_beam(cfr, taper, slice(None)), cfr, cfr.geometry.n_count, theta_deg,
+                 phi_deg, pad_factor, window, "ura")
 
 
 def padp_ma(cfr_x: CfrSet, cfr_y: CfrSet, theta_deg: float, phi_deg: np.ndarray,
             pad_factor: int = 4, taper=None, window=None) -> Padp:
     """Inverse transform of the product MA beam pattern; true-path delays double."""
     check_ma_pair(cfr_x, cfr_y, "padp_ma")
-    return _padp(_ma_beam(cfr_x, cfr_y, taper, slice(None)), cfr_x, theta_deg, phi_deg,
-                 pad_factor, window, "ma")
+    geom = cfr_x.geometry
+    return _padp(_ma_beam(cfr_x, cfr_y, taper, slice(None)), cfr_x,
+                 max(geom.x_count, geom.y_count), theta_deg, phi_deg, pad_factor, window, "ma")
 
 
 @dataclass(frozen=True)

@@ -226,6 +226,10 @@ def cmd_estimate(config_path, out_dir, quiet, cfr_dir):
     ma_x_file, ma_y_file = src / "ma_x_cfr.csv", src / "ma_y_cfr.csv"
     if not (ma_x_file.exists() and ma_y_file.exists()):
         raise OSError(f"MA CFR files not found under {src}")
+    # an earlier run of more iterations would leave its later snapshots here
+    for stale in out.glob("ma_padp_iter*.csv"):
+        if stale.stem.removeprefix("ma_padp_iter").isdigit():
+            stale.unlink()
 
     def snapshot(q, padp):
         _write_padp_csv(out / f"ma_padp_iter{q}.csv", padp)

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beamform import _steered_sum
 from .geometry import MaGeometry, UraGeometry, signed_indices
 
 
@@ -28,7 +29,7 @@ def chebyshev_taper(n: int, sidelobe_db: float) -> np.ndarray:
 
     Returns real, symmetric weights normalized to unit peak. The line-array
     factor is sampled from the defining Chebyshev polynomial and inverted
-    with a DFT over the signed element indices.
+    with one inverse FFT, shifted onto the signed element indices.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError("taper length must be odd and positive")
@@ -39,10 +40,8 @@ def chebyshev_taper(n: int, sidelobe_db: float) -> np.ndarray:
     order = n - 1
     ripple = 10.0 ** (sidelobe_db / 20.0)
     x0 = np.cosh(np.arccosh(ripple) / order)
-    k = np.arange(n)
-    samples = _cheb_poly_eval(order, x0 * np.cos(np.pi * k / n))
-    m = signed_indices(n)
-    w = (samples[None, :] * np.exp(2j * np.pi * np.outer(m, k) / n)).sum(axis=1).real / n
+    samples = _cheb_poly_eval(order, x0 * np.cos(np.pi * np.arange(n) / n))
+    w = np.fft.fftshift(np.fft.ifft(samples).real)
     w = 0.5 * (w + w[::-1])  # enforce exact symmetry against roundoff
     return w / w.max()
 
@@ -72,10 +71,11 @@ def check_conjugate_symmetry(w: np.ndarray, tol: float = 1e-12) -> bool:
 
 
 def line_factor(w: np.ndarray, spacing_wl: float, u: np.ndarray) -> np.ndarray:
-    """Unnormalized line-array factor sum_m w_m exp(j 2 pi d m u)."""
+    """Unnormalized line-array factor sum_m w_m exp(j 2 pi d m u) at each
+    cosine of u, flattened: the steered sum at -u, by Horner's rule."""
     w = np.asarray(w)
-    m = signed_indices(w.size)
-    return np.exp(2j * np.pi * spacing_wl * np.outer(np.asarray(u, float), m)) @ w
+    u = np.asarray(u, float)
+    return _steered_sum(signed_indices(w.size), spacing_wl, -u, None, 1)(w[:, None])[:, 0]
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ class ScenarioError(ValueError):
     """Invalid or inconsistent scenario configuration."""
 
 
-# The most bytes one array of a command may take. A scenario whose counts
-# ask for a larger one is rejected at parse, before any array exists.
+# The most bytes an array that a command holds whole may take. A scenario
+# whose counts ask for a larger one is rejected at parse, before any array
+# exists.
 MAX_ARRAY_BYTES = 2 ** 30
 
 
@@ -229,39 +230,22 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def _check_array_sizes(s: Scenario) -> None:
-    """Reject s if the largest complex array a command would build for it, by
-    its counts alone, exceeds MAX_ARRAY_BYTES, naming the fields that set it."""
+    """Reject s if an array that a command holds whole would, by s's counts
+    alone, exceed MAX_ARRAY_BYTES as complex values, naming the fields that
+    set it. Every other working array is bounded where it is built."""
     n_theta, n_phi = regular_count(*s.scan_theta), regular_count(*s.scan_phi)
     points = s.freqs.n_points
     arrays = [("scan.theta x scan.phi", "scan beam", n_theta * n_phi),
               ("frequency.points x estimator.pad_factor x scan.phi", "PADP",
                points * s.pad_factor * n_phi),
               ("pattern_lattice squared", "pattern lattice", s.pattern_lattice ** 2)]
-    # A narrowband PADP sums along y (URA) or each MA axis by a product with a
-    # steering matrix built per block of azimuths, at most elements x scan.phi.
-    # synth-pattern (it needs a URA) builds a pattern_lattice x elements line
-    # factor per axis; a taper of n elements takes an n x n DFT.
     if s.ura is not None:
-        wider = "ura.m" if s.ura.m_count >= s.ura.n_count else "ura.n"
-        elements = max(s.ura.m_count, s.ura.n_count)
-        arrays += [("ura.m x ura.n x frequency.points", "URA CFR",
-                    s.ura.m_count * s.ura.n_count * points),
-                   ("ura.n x scan.phi", "URA steering matrix", s.ura.n_count * n_phi),
-                   (f"pattern_lattice x {wider}", "URA line factor",
-                    s.pattern_lattice * elements)]
-        if s.taper_sidelobe_db is not None:
-            arrays.append((f"{wider} squared", "URA taper DFT", elements ** 2))
+        arrays.append(("ura.m x ura.n x frequency.points", "URA CFR",
+                       s.ura.m_count * s.ura.n_count * points))
     if s.ma is not None:
         larger = "ma.x" if s.ma.x_count >= s.ma.y_count else "ma.y"
-        count = max(s.ma.x_count, s.ma.y_count)
-        arrays += [(f"{larger} x frequency.points", "MA CFR", count * points),
-                   (f"{larger} x scan.phi", "MA steering matrix", count * n_phi)]
-        if s.ura is not None:
-            arrays.append((f"pattern_lattice x {larger}", "MA line factor",
-                           s.pattern_lattice * count))
-        if s.taper_sidelobe_db is not None:
-            arrays.append((f"(({larger} + 1) / 2) squared", "MA taper DFT",
-                           ((count + 1) // 2) ** 2))
+        arrays.append((f"{larger} x frequency.points", "MA CFR",
+                       max(s.ma.x_count, s.ma.y_count) * points))
     for fields, name, count in arrays:
         size = 16 * count  # complex128
         if size > MAX_ARRAY_BYTES:

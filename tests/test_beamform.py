@@ -297,6 +297,25 @@ def test_padp_peak_stays_below_one_complex_profile(name, kind):
         padp.level[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("kind", ["ura", "ma"])
+def test_padp_blocks_bound_the_steering_matrix_of_an_axis_wider_than_the_sweep(kind):
+    # 8,001 elements on the steered axis (y of a URA, the wider MA sub-array)
+    # against 64 sweep points: one steering matrix over all 181 azimuths
+    # would take 23 MB, so the blocks are sized by the elements as well.
+    phi = np.arange(90.0, 271.0, 1.0)
+    if kind == "ura":
+        padp_of, cfrs = padp_ura, [gen_ura_cfr(SHORT_PATHS, UraGeometry(3, 8001), FREQS)]
+    else:
+        padp_of, cfrs = padp_ma, gen_ma_cfr(SHORT_PATHS, MaGeometry(5, 8001), FREQS)
+    tracemalloc.start()
+    try:
+        padp = padp_of(*cfrs, 60.0, phi, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * padp.level.size + 5 * _PADP_BLOCK_BYTES
+
+
 def test_row_blocks_leave_no_lone_last_row():
     for n_rows in range(1, 40):
         for step in (2, 3, 5, 21):

@@ -111,22 +111,29 @@ _THREAD_PROBE = """
 import hashlib, sys
 from masounder.beamform import padp_ura
 from masounder.channel import gen_ma_cfr, gen_ura_cfr
+from masounder.patterns import ma_power_pattern, ura_power_pattern, uv_lattice
 from masounder.scenario import parse_scenario
 from masounder.sic import run_sic
-table1, fig5 = (parse_scenario(path) for path in sys.argv[1:])
+table1, fig5, fig2 = (parse_scenario(path) for path in sys.argv[1:])
 cx, cy = gen_ma_cfr(table1.paths, table1.ma, table1.freqs)
 report = run_sic(cx, cy, table1.estimator_config())
 ura = gen_ura_cfr(fig5.paths, fig5.ura, fig5.freqs)
 padp = padp_ura(ura, 90.0, fig5.scan_grid().phi_deg, fig5.pad_factor)
+wx, wy, wx_ma, wy_ma = fig2.steered_excitations()
+u, v = uv_lattice(fig2.pattern_lattice)
+patterns = (ura_power_pattern(wx, wy, fig2.ura, u, v),
+            ma_power_pattern(wx_ma, wy_ma, fig2.ma, u, v))
 print(hashlib.sha256(repr(report).encode()).hexdigest(),
-      hashlib.sha256(padp.level.tobytes()).hexdigest())
+      hashlib.sha256(padp.level.tobytes()).hexdigest(),
+      *(hashlib.sha256(p.level_db().tobytes()).hexdigest() for p in patterns))
 """
 
 
 def test_estimates_and_padps_do_not_depend_on_the_blas_thread_count():
-    """The noiseless table1 run_sic report and the fig5 URA PADP at
-    theta = 90 deg, each computed in a child process at one OpenBLAS thread
-    and at one per CPU of the host (at least two), have the same sha256.
+    """The noiseless table1 run_sic report, the fig5 URA PADP at
+    theta = 90 deg and the levels of fig2's URA and MA power patterns, each
+    computed in a child process at one OpenBLAS thread and at one per CPU
+    of the host (at least two), have the same sha256.
     CI runs the goldens at its default count and at one thread; this test
     checks the host's own count against one in a single run. The test
     is vacuous where numpy does not link OpenBLAS, or on a host of one CPU,
@@ -137,8 +144,8 @@ def test_estimates_and_padps_do_not_depend_on_the_blas_thread_count():
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = subprocess.run([sys.executable, "-c", _THREAD_PROBE, scenario_path("table1"),
-                              scenario_path("fig5")], env=env, capture_output=True,
-                             text=True, timeout=300)
+                              scenario_path("fig5"), scenario_path("fig2")], env=env,
+                             capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr
         digests.append(out.stdout)
     assert digests[0] == digests[1]
