@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
@@ -65,6 +66,8 @@ class CfrSet:
         kind = UraGeometry if self.layout == "ura" else MaGeometry
         if not isinstance(self.geometry, kind):
             raise ValueError(f"layout {self.layout!r} needs a {kind.__name__}")
+        if not (math.isfinite(self.ref_freq_hz) and self.ref_freq_hz > 0):
+            raise ValueError(f"ref_freq_hz must be finite and positive, not {self.ref_freq_hz}")
         expect = ((self.geometry.m_count, self.geometry.n_count) if kind is UraGeometry
                   else (ma_axis(self.layout, self.geometry)[0],)) + (self.freqs.n_points,)
         if np.shape(self.values) != expect:

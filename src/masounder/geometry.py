@@ -90,6 +90,13 @@ class PathComponent:
         return 20.0 * math.log10(abs(self.amplitude))
 
 
+def _check_finite(obj, *names: str) -> None:
+    """ValueError naming the first of obj's fields names that is not finite."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite, not {getattr(obj, name)}")
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform frequency sweep from f_start to f_stop with n_points samples."""
@@ -99,6 +106,7 @@ class FrequencyGrid:
     n_points: int
 
     def __post_init__(self):
+        _check_finite(self, "f_start_hz", "f_stop_hz")
         if self.f_stop_hz <= self.f_start_hz:
             raise ValueError("f_stop must exceed f_start")
         if self.n_points < 2:
@@ -159,6 +167,7 @@ class UraGeometry:
             raise ValueError("m_count must be odd and positive")
         if self.n_count < 1 or self.n_count % 2 == 0:
             raise ValueError("n_count must be odd and positive")
+        _check_finite(self, "dx_wl", "dy_wl")
         if self.dx_wl <= 0 or self.dy_wl <= 0:
             raise ValueError("element spacing must be positive")
 
@@ -184,6 +193,7 @@ class MaGeometry:
             raise ValueError("x_count must be odd and positive")
         if self.y_count < 1 or self.y_count % 2 == 0:
             raise ValueError("y_count must be odd and positive")
+        _check_finite(self, "d_wl")
         if self.d_wl <= 0:
             raise ValueError("element spacing must be positive")
 

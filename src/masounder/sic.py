@@ -122,69 +122,29 @@ def extract_path_cir(residual_cir: np.ndarray, gate: np.ndarray) -> np.ndarray:
     return residual_cir * gate
 
 
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
+_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
-def _brent_bounded(f, a: float, b: float, xatol: float) -> float:
-    """Minimizer of f on [a, b] by Brent's bounded search (Brent 1973, ch. 5;
-    the fmin of Forsythe, Malcolm and Moler): a parabolic step through the
-    three best points when it falls inside the bracket and shrinks, a
-    golden-section step otherwise. Its steps and floating-point operations
-    are those of scipy.optimize.minimize_scalar(method="bounded"), so it
-    returns the same x, after at most 500 evaluations of f."""
-    # xf, nfc, fulc: the best, second-best and third-best points so far.
-    x = fulc = nfc = xf = a + _GOLDEN * (b - a)
-    fx = ffulc = fnfc = f(x)
-    rat = e = 0.0
-    num = 1
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = _GOLDEN * e
-        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+def _golden_max(f, a: float, b: float, xatol: float) -> float:
+    """Maximizer of a unimodal f on [a, b] by golden-section search (Kiefer
+    1953). Each step keeps the sub-bracket around the better of two inner
+    points, which shrinks the bracket by 1/phi and reuses the other point.
+    It stops once the bracket is xatol wide or no longer shrinks, as when
+    xatol is below the spacing of the floats in it."""
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    width = math.inf
+    while xatol < b - a < width:
+        width = b - a
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return float(xf)
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return c if fc >= fd else d
 
 
 def refine_delay(gated_x: np.ndarray, gated_y: np.ndarray, freqs: FrequencyGrid,
@@ -198,6 +158,8 @@ def refine_delay(gated_x: np.ndarray, gated_y: np.ndarray, freqs: FrequencyGrid,
     later subtraction can cancel. Maximizing |projection| over a one-bin
     window removes that quantization, and its phase is the path's. The
     window ends below half the unambiguous delay, which no path may reach.
+    The search ends within 1e-18 s, which moves the phase by 2 pi f 1e-18,
+    2e-7 rad at 30 GHz.
     """
     spectrum = gated_x + gated_y
     w = 2j * np.pi * freqs.points
@@ -208,9 +170,8 @@ def refine_delay(gated_x: np.ndarray, gated_y: np.ndarray, freqs: FrequencyGrid,
         return tau_hat, project(tau_hat)
     bin_s = 1.0 / (freqs.n_points * pad_factor * freqs.spacing_hz)
     limit = 0.5 * freqs.unambiguous_delay_s
-    tau = _brent_bounded(lambda t: -abs(project(t)), max(tau_hat - bin_s, 0.0),
-                         min(tau_hat + bin_s, float(np.nextafter(limit, 0.0))),
-                         xatol=1e-15)
+    tau = _golden_max(lambda t: abs(project(t)), max(tau_hat - bin_s, 0.0),
+                      min(tau_hat + bin_s, float(np.nextafter(limit, 0.0))), xatol=1e-18)
     return tau, project(tau)
 
 

@@ -104,6 +104,13 @@ def test_cfr_shape_validation():
         CfrSet("bogus", np.zeros((3, 8), complex), freqs, MaGeometry(3, 3), 28e9)
 
 
+@pytest.mark.parametrize("ref_freq_hz", [0.0, -28e9, float("inf"), float("nan")])
+def test_cfr_set_rejects_a_reference_frequency_that_is_not_finite_and_positive(ref_freq_hz):
+    with pytest.raises(ValueError, match="ref_freq_hz must be finite and positive"):
+        CfrSet("ma_x", np.zeros((3, 8), complex), FrequencyGrid(26e9, 30e9, 8),
+               MaGeometry(3, 3), ref_freq_hz)
+
+
 def test_add_noise_none_is_identity():
     freqs = FrequencyGrid(26e9, 30e9, 16)
     path = [PathComponent.from_power_db(0, 60, 120, 0.5)]

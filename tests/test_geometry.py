@@ -101,6 +101,11 @@ def test_frequency_grid_validation():
         FrequencyGrid(30e9, 26e9, 100)
     with pytest.raises(ValueError):
         FrequencyGrid(26e9, 30e9, 1)
+    for start, stop, name in ((26e9, float("inf"), "f_stop_hz"),
+                              (float("nan"), 30e9, "f_start_hz"),
+                              (float("-inf"), 30e9, "f_start_hz")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            FrequencyGrid(start, stop, 8)
 
 
 def test_ura_geometry_indices():
@@ -120,7 +125,11 @@ def test_ura_geometry_needs_odd_counts(m, n):
     (lambda: MaGeometry(5, -3), "y_count must be odd and positive"),
     (lambda: MaGeometry(5, 5, 0.0), "element spacing must be positive"),
     (lambda: UraGeometry(3, 3, 0.5, -0.5), "element spacing must be positive"),
-], ids=["ma-even-x", "ma-negative-y", "ma-zero-spacing", "ura-negative-dy"])
+    (lambda: MaGeometry(5, 5, float("inf")), "d_wl must be finite, not inf"),
+    (lambda: UraGeometry(3, 3, float("nan"), 0.5), "dx_wl must be finite, not nan"),
+    (lambda: UraGeometry(3, 3, 0.5, float("inf")), "dy_wl must be finite, not inf"),
+], ids=["ma-even-x", "ma-negative-y", "ma-zero-spacing", "ura-negative-dy",
+        "ma-infinite-spacing", "ura-nan-dx", "ura-infinite-dy"])
 def test_geometry_rejects_bad_counts_and_spacings(make, match):
     with pytest.raises(ValueError, match=match):
         make()

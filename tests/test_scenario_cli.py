@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import threading
 import tracemalloc
 from pathlib import Path
@@ -698,6 +699,53 @@ def test_cli_beamscan_non_finite_cfr_exits_2(tmp_path):
     assert r.exit_code == 2
     assert "non-finite" in r.output
     assert not (out / "ma_padp.csv").exists()
+
+
+def _edit_cfr_headers(out: Path, key: str, value: str) -> None:
+    """Set header key to value in every CFR file under out."""
+    for cfr_file in out.glob("*_cfr.csv"):
+        text = cfr_file.read_text()
+        edited = re.sub(rf"^# {key}=.*$", f"# {key}={value}", text, count=1, flags=re.M)
+        assert edited != text
+        cfr_file.write_text(edited)
+
+
+# Headers that describe no real sounding: each once ran to exit 0 on
+# table1_small, writing an empty or wrong table, or exited 2 only because
+# nan != nan failed the sub-array pair's geometry check.
+@pytest.mark.parametrize("command,key,value,match", [
+    ("estimate", "spacing_wl", "inf", "d_wl must be finite, not inf"),
+    ("beamscan", "spacing_wl", "inf", "d_wl must be finite, not inf"),
+    ("beamscan", "f_stop_hz", "inf", "f_stop_hz must be finite, not inf"),
+    ("estimate", "spacing_wl", "nan", "d_wl must be finite, not nan"),
+    ("estimate", "f_start_hz", "nan", "f_start_hz must be finite, not nan"),
+    ("estimate", "ref_freq_hz", "nan", "ref_freq_hz must be finite and positive, not nan"),
+])
+def test_cli_cfr_header_that_is_not_finite_exits_2(tmp_path, command, key, value, match):
+    cfg = scenario_path("table1_small")
+    out = tmp_path / "out"
+    assert _run(["simulate", "--config", cfg, "--out", str(out), "--quiet"]).exit_code == 0
+    _edit_cfr_headers(out, key, value)
+    r = CliRunner().invoke(main, [command, "--config", cfg, "--out", str(out)])
+    assert r.exit_code == 2
+    assert match in r.output
+    assert not list(out.glob("paths.csv")) + list(out.glob("ma_padp*.csv"))
+
+
+@pytest.mark.parametrize("value", ["0", "inf", "-28e9"])
+def test_cli_estimate_wideband_cfr_reference_frequency_not_positive_exits_2(tmp_path, value):
+    # the true file gives table1_small's 3 paths; these once gave 0 or 20
+    cfg = scenario_path("table1_small")
+    scenario = parse_scenario(cfg)
+    out = tmp_path / "out"
+    out.mkdir()
+    for cfr in gen_ma_cfr(scenario.paths, scenario.ma, scenario.freqs, narrowband_phase=False):
+        write_cfr(out / f"{cfr.layout}_cfr.csv", cfr)
+    _edit_cfr_headers(out, "ref_freq_hz", value)
+    r = CliRunner().invoke(main, ["estimate", "--config", cfg, "--out", str(out)])
+    assert r.exit_code == 2
+    assert f"ref_freq_hz must be finite and positive, not {float(value)}" in r.output
+    assert not (out / "paths.csv").exists()
 
 
 @pytest.mark.parametrize("theta", ["nan", "150", "-1"])

@@ -636,20 +636,24 @@ def _projection_objectives(seed: int, count: int):
                max(tau_hat - bin_t, 0.0), tau_hat + bin_t, xatol)
 
 
-def test_brent_search_matches_scipy_bounded_minimizer():
+def test_golden_search_ends_near_scipy_bounded_maximum():
     from scipy.optimize import minimize_scalar
-    evaluations = []
     for objective, lo, hi, xatol in _projection_objectives(11, 1200):
+        calls = []
+
+        def negated(t):
+            # it ends, also where xatol lies below the float spacing of the
+            # window: a search that runs on fails here rather than hanging
+            calls.append(t)
+            assert len(calls) < 200
+            return -objective(t)
+        x = sic._golden_max(negated, lo, hi, xatol)
         want = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
                                options={"xatol": xatol})
-        assert sic._brent_bounded(objective, lo, hi, xatol) == want.x
-        evaluations.append(want.nfev)
-    assert min(evaluations) > 1  # every search takes steps
-    # A minimum on the lower bound 0, where the tolerance vanishes, runs to
-    # the cap of 500 evaluations.
-    calls = []
-    x = sic._brent_bounded(lambda t: calls.append(t) or t, 0.0, 1e-10, 1e-300)
-    want = minimize_scalar(lambda t: t, bounds=(0.0, 1e-10), method="bounded",
-                           options={"xatol": 1e-300})
-    assert (len(calls), want.nfev, want.status) == (500, 500, 1)
-    assert x == want.x
+        assert lo <= x <= hi and len(calls) > 1
+        # never more than 1e-5 below scipy's maximum; near a window end,
+        # where scipy stops short of the bound, it may lie above it
+        assert -objective(x) >= -want.fun * (1.0 - 1e-5)
+    # A maximum on the lower bound 0 is approached to within xatol.
+    for xatol in (1e-18, 1e-300):
+        assert 0.0 <= sic._golden_max(lambda t: -t, 0.0, 1e-10, xatol) <= xatol
